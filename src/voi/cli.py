@@ -11,10 +11,10 @@ Three subcommands:
 * ``voi validate --config cfg.json`` parses and checks the configuration.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 when estimation
-fails (sampler diagnostics or curve fits).  Every output file embeds the
-config hash and seed in a leading ``#`` comment line; rerunning with the same
-config and seed reproduces the same estimates (the ``seconds`` column is wall
-time and naturally varies).
+fails (sampler diagnostics, curve fits or any other ``ValueError``).  Every
+output file embeds the config hash and seed in a leading ``#`` comment line;
+rerunning with the same config and seed reproduces the same estimates (the
+``seconds`` column is wall time and naturally varies).
 """
 
 from __future__ import annotations
@@ -252,7 +252,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (SamplerError, FitError) as exc:
+    # After ConfigError, which is a ValueError too: any other ValueError comes
+    # from estimation.
+    except (SamplerError, FitError, ValueError) as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,8 +37,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .market import (
     CurrentShares,
@@ -47,13 +49,14 @@ from .market import (
     TableShare,
     ThresholdLinearShare,
 )
-from .model import BetaPrior, FixedParams, NormalPrior, PriorSpec
+from .model import DEFAULT_NB_FUNCTIONS, BetaPrior, FixedParams, NormalPrior, PriorSpec
 from .studies import StudyDesign, StudyKind
 from . import critical_event
 
 __all__ = ["ConfigError", "RunConfig", "default_config"]
 
 METHODS = ("nmc", "mm", "both")
+N_TREATMENTS = len(DEFAULT_NB_FUNCTIONS)
 
 
 class ConfigError(ValueError):
@@ -96,6 +99,27 @@ class RunConfig:
             object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if not isinstance(self.seed, int):
             raise ConfigError("seed", "must be an integer")
+        for field, value in self._numbers():
+            if not np.all(np.isfinite(np.asarray(value, dtype=float))):
+                raise ConfigError(field, "must be finite")
+        if len(self.current_shares.shares) != N_TREATMENTS:
+            raise ConfigError("current_shares",
+                              f"must hold one share per treatment ({N_TREATMENTS})")
+        if self.market.target >= N_TREATMENTS:
+            raise ConfigError("market_share.target_treatment",
+                              f"must be at most the number of treatments ({N_TREATMENTS})")
+
+    def _numbers(self):
+        """(config path, value) for every real-valued input, named as in the file."""
+        yield from ((f"model.fixed.{f.name}", getattr(self.fixed, f.name))
+                    for f in fields(self.fixed))
+        for f in fields(self.priors):
+            prior = getattr(self.priors, f.name)
+            yield from ((f"model.priors.{f.name}.{g.name}", getattr(prior, g.name))
+                        for g in fields(prior))
+        yield from ((f"market_share.{f.name}", getattr(self.market, f.name))
+                    for f in fields(self.market) if f.name != "target")
+        yield "current_shares", self.current_shares.shares
 
     # -- serialization -----------------------------------------------------
 

@@ -92,7 +92,6 @@ class EvsiEstimate:
     n_outer: int
     n_inner: int
     method: str
-    wall_time: float = 0.0
 
     def __post_init__(self) -> None:
         if self.std_error < 0.0:
@@ -138,10 +137,13 @@ def rct_nb_summaries(
 
     At every retained Metropolis state the chain contributes only the odds
     ratio (its marginal with the baseline rate integrated out); the baseline
-    rate and every other parameter are drawn fresh from the prior. Net
-    benefits are evaluated in place and running moments accumulated relative
-    to the first retained value, which keeps the variance accumulation well
-    conditioned at net-benefit magnitudes.
+    rate and every other parameter are drawn fresh from the prior.  The
+    chains hand over their retained states a block at a time (``k`` states
+    of every chain, ``k`` set by the sampler's element budget, see
+    :func:`run_rct_chains`), and each block is refilled from the prior,
+    evaluated and folded into running moments and win counts in one pass.
+    Moments accumulate relative to the first retained value, which keeps the
+    variance accumulation well conditioned at net-benefit magnitudes.
     """
     m = len(datasets)
     if dataset_indices is None:
@@ -151,15 +153,15 @@ def rct_nb_summaries(
     sums = np.zeros((m, n_treat))
     sumsq = np.zeros((m, n_treat))
     counts = np.zeros((m, n_treat))
-    shift = np.zeros((m, n_treat))
-    have_shift = False
+    shift = None
 
-    def on_retained(r: int, l: np.ndarray, g: np.ndarray) -> None:
-        nonlocal have_shift, sums, sumsq
+    def on_retained(l: np.ndarray, g: np.ndarray) -> None:
+        nonlocal shift, sums, sumsq, counts
+        size = g.shape
         odds_ratio = np.exp(g)
-        p_event = prior.p_event.sample(fill_rng, m)
-        p_side = prior.p_side_effect.sample(fill_rng, m)
-        qol = expit(prior.logit_qol.sample(fill_rng, m))
+        p_event = prior.p_event.sample(fill_rng, size)
+        p_side = prior.p_side_effect.sample(fill_rng, size)
+        qol = expit(prior.logit_qol.sample(fill_rng, size))
         draw = ParameterDraw(
             p_event=p_event,
             odds_ratio=odds_ratio,
@@ -167,15 +169,13 @@ def rct_nb_summaries(
             qol_after_event=qol,
             p_event_treated=derive_pt(p_event, odds_ratio),
         )
-        nb = np.column_stack([fn(draw, fixed) for fn in nb_fns])
-        if not have_shift:
-            shift[:] = nb
-            have_shift = True
+        nb = np.stack([fn(draw, fixed) for fn in nb_fns], axis=-1)
+        if shift is None:
+            shift = nb[0].copy()
         delta = nb - shift
-        sums += delta
-        sumsq += delta * delta
-        winners = np.argmax(nb, axis=1)
-        counts[np.arange(m), winners] += 1.0
+        sums += delta.sum(axis=0)
+        sumsq += (delta * delta).sum(axis=0)
+        counts += (np.argmax(nb, axis=-1)[..., None] == np.arange(n_treat)).sum(axis=0)
 
     _, _, acceptance = run_rct_chains(datasets, prior, n_draws, seed,
                                       on_retained=on_retained, keep_chain=False)

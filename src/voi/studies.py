@@ -212,13 +212,33 @@ _PROPOSAL_SHAPE = np.array([0.15, 0.30])
 _ACCEPTANCE_TARGET = 0.30
 _ACCEPTANCE_BOUNDS = (0.05, 0.95)
 
+# The chains advance in blocks of steps whose proposal noise and acceptance
+# uniforms are drawn in one call each.  A block holds about this many
+# (step, chain) elements, so its length is ``_BLOCK_ELEMENTS // chains`` steps
+# and memory stays flat however many chains run together.
+_BLOCK_ELEMENTS = 16_384
+
+# Flooring the exponent at the log of the smallest normal double keeps np.exp
+# clear of underflow; it changes only results below that number.
+_EXP_FLOOR = math.log(np.finfo(float).tiny)
+
+
+def _softplus(x: np.ndarray) -> np.ndarray:
+    """``log(1 + e^x)`` for any finite x, without overflow or underflow.
+
+    The same formula as ``np.logaddexp(0, x)``, at about half its cost on the
+    sampler's ``(2, chains)`` arrays.
+    """
+    return np.maximum(x, 0.0) + np.log1p(np.exp(np.maximum(-np.abs(x), _EXP_FLOOR)))
+
 
 def _rct_log_post(l: np.ndarray, g: np.ndarray, x1, n1, x2, n2, prior: PriorSpec) -> np.ndarray:
     """Unnormalised log posterior density at (l, g) = (logit p_event, log OR).
 
     The Beta(alpha, beta) prior on p_event becomes, with the Jacobian of the
     logit transform, alpha*l - (alpha+beta)*log(1+e^l) up to a constant, and
-    the treated arm has event probability expit(l + g).
+    the treated arm has event probability expit(l + g).  Written out plainly
+    for the grid oracle, apart from the sampler's folded form below.
     """
     a = prior.p_event.alpha
     b = prior.p_event.beta
@@ -227,6 +247,30 @@ def _rct_log_post(l: np.ndarray, g: np.ndarray, x1, n1, x2, n2, prior: PriorSpec
     m, v = prior.log_odds_ratio.mean, prior.log_odds_ratio.variance
     lp = lp - 0.5 * (g - m) ** 2 / v
     return lp
+
+
+def _rct_log_density(x1: np.ndarray, n1: np.ndarray, x2: np.ndarray, n2: np.ndarray,
+                     prior: PriorSpec):
+    """The sampler's form of :func:`_rct_log_post`, one value per chain.
+
+    The chains are kept as ``z = (l, l + g)``, the control and treated
+    logits, because the density needs the softplus of both: written in z it
+    is ``sum_rows(A * z - B * softplus(z)) - (g - m)^2 / 2v`` with ``A = (a +
+    x1, x2)`` and ``B = (a + b + n1, n2)``.  The per-dataset constants are
+    folded here once; the returned function maps a ``(2, m)`` array of states
+    to ``m`` log densities.
+    """
+    a, b = prior.p_event.alpha, prior.p_event.beta
+    lin = np.stack([a + x1, x2])
+    curv = np.stack([a + b + n1, n2])
+    mean, half_prec = prior.log_odds_ratio.mean, 0.5 / prior.log_odds_ratio.variance
+
+    def log_post(z: np.ndarray) -> np.ndarray:
+        terms = lin * z - curv * _softplus(z)
+        d = z[1] - z[0] - mean
+        return terms[0] + terms[1] - half_prec * d * d
+
+    return log_post
 
 
 def run_rct_chains(
@@ -238,7 +282,7 @@ def run_rct_chains(
     thin: int = 5,
     n_adapt: int = 1000,
     n_burn_in: int = 1000,
-    on_retained: Callable[[int, np.ndarray, np.ndarray], None] | None = None,
+    on_retained: Callable[[np.ndarray, np.ndarray], None] | None = None,
     keep_chain: bool = True,
 ):
     """Run one Metropolis chain per trial dataset, all advanced in lockstep.
@@ -248,6 +292,13 @@ def run_rct_chains(
     iterations and ``n_draws * thin`` sampling iterations, of which every
     ``thin``-th state is retained.  Acceptance is monitored over the sampling
     phase and must land inside ``_ACCEPTANCE_BOUNDS`` for every chain.
+
+    Steps run in blocks of ``_BLOCK_ELEMENTS // len(datasets)`` (at least
+    one); each block draws its proposal noise and acceptance uniforms in one
+    call each.  In the sampling phase a block is a whole number of thinning
+    periods, and ``on_retained(l, g)`` is called once per block with that
+    block's retained states as ``(k, len(datasets))`` arrays, ``k`` varying
+    from block to block; the arrays are fresh, so the callee may keep them.
 
     Returns ``(l, g, acceptance)`` where ``l`` and ``g`` are
     ``(n_draws, len(datasets))`` arrays of retained states, or ``(None, None,
@@ -263,56 +314,81 @@ def run_rct_chains(
     x1 = np.array([ds.control_events for ds in datasets], dtype=float)
     x2 = np.array([ds.treated_events for ds in datasets], dtype=float)
     n1 = np.array([ds.n_effective for ds in datasets], dtype=float)
-    n2 = n1.copy()
+    log_post = _rct_log_density(x1, n1, x2, n1, prior)
 
-    # Start at a data-informed point for the event probability and at the
-    # prior mean for the log odds ratio.
+    # The state rows are z = (l, l + g), see _rct_log_density.  Start at a
+    # data-informed point for the event probability and at the prior mean
+    # for the log odds ratio.
     a, b = prior.p_event.alpha, prior.p_event.beta
-    l = logit((x1 + a) / (n1 + a + b))
-    g = np.full(m, prior.log_odds_ratio.mean)
-    lp = _rct_log_post(l, g, x1, n1, x2, n2, prior)
+    l0 = logit((x1 + a) / (n1 + a + b))
+    state = np.stack([l0, l0 + prior.log_odds_ratio.mean])
+    lp = log_post(state)
+    block = max(1, _BLOCK_ELEMENTS // m)
+    base_sd = _PROPOSAL_SHAPE[:, None]
+
+    def blocks(n_steps: int, length: int, step_sd: np.ndarray):
+        """Moves in z, (k, 2, m), and log uniforms, (k, m), per block.
+
+        A random-walk move (dl, dg) in (l, g) is (dl, dl + dg) in z.
+        """
+        for start in range(0, n_steps, length):
+            k = min(length, n_steps - start)
+            moves = rng.standard_normal((k, 2, m))
+            moves *= step_sd
+            moves[:, 1] += moves[:, 0]
+            yield moves, np.log(rng.random((k, m)))
+
+    def step(move: np.ndarray, log_u: np.ndarray, accept: np.ndarray) -> None:
+        proposal = state + move
+        lp_prop = log_post(proposal)
+        np.less(log_u, lp_prop - lp, out=accept)
+        np.copyto(state, proposal, where=accept)
+        np.copyto(lp, lp_prop, where=accept)
 
     # Per-chain multiplier on the base proposal shape; 2.4/sqrt(2) is the
-    # classic random-walk scaling for two dimensions.
+    # classic random-walk scaling for two dimensions.  While it adapts, the
+    # moves are drawn for unit scale and scaled step by step.
     log_scale = np.full(m, math.log(2.4 / math.sqrt(2.0)))
+    scale = np.exp(log_scale)
+    t = 0
+    for moves, log_u in blocks(n_adapt, block, base_sd):
+        accept = np.empty(log_u.shape, dtype=bool)
+        for i in range(len(log_u)):
+            t += 1
+            step(moves[i] * scale, log_u[i], accept[i])
+            log_scale += t ** -0.6 * (accept[i] - _ACCEPTANCE_TARGET)
+            scale = np.exp(log_scale)
 
-    def step(adapting: bool, t: int) -> np.ndarray:
-        nonlocal l, g, lp, log_scale
-        scale = np.exp(log_scale)
-        noise = rng.standard_normal((m, 2))
-        l_prop = l + scale * _PROPOSAL_SHAPE[0] * noise[:, 0]
-        g_prop = g + scale * _PROPOSAL_SHAPE[1] * noise[:, 1]
-        lp_prop = _rct_log_post(l_prop, g_prop, x1, n1, x2, n2, prior)
-        accept = np.log(rng.random(m)) < lp_prop - lp
-        l = np.where(accept, l_prop, l)
-        g = np.where(accept, g_prop, g)
-        lp = np.where(accept, lp_prop, lp)
-        if adapting:
-            gain = t ** -0.6
-            log_scale = log_scale + gain * (accept.astype(float) - _ACCEPTANCE_TARGET)
-        return accept
-
-    for t in range(1, n_adapt + 1):
-        step(True, t)
-    for _ in range(n_burn_in):
-        step(False, 0)
+    # The scale is fixed from here on, so whole blocks of moves are scaled at once.
+    step_sd = base_sd * scale
+    for moves, log_u in blocks(n_burn_in, block, step_sd):
+        accept = np.empty(log_u.shape, dtype=bool)
+        for i in range(len(log_u)):
+            step(moves[i], log_u[i], accept[i])
 
     accepted = np.zeros(m)
     if keep_chain:
         l_out = np.empty((n_draws, m))
         g_out = np.empty((n_draws, m))
-    total = n_draws * thin
+    per_block = max(1, block // thin)
     r = 0
-    for it in range(1, total + 1):
-        accepted += step(False, 0)
-        if it % thin == 0:
-            if keep_chain:
-                l_out[r] = l
-                g_out[r] = g
-            if on_retained is not None:
-                on_retained(r, l, g)
-            r += 1
-    acceptance = accepted / total
+    for moves, log_u in blocks(n_draws * thin, per_block * thin, step_sd):
+        accept = np.empty(log_u.shape, dtype=bool)
+        kept = np.empty((len(log_u) // thin, 2, m))
+        for j in range(len(kept)):
+            for i in range(j * thin, (j + 1) * thin):
+                step(moves[i], log_u[i], accept[i])
+            kept[j] = state
+        accepted += accept.sum(axis=0)
+        k = len(kept)
+        l, g = kept[:, 0], kept[:, 1] - kept[:, 0]
+        if keep_chain:
+            l_out[r:r + k] = l
+            g_out[r:r + k] = g
+        if on_retained is not None:
+            on_retained(l, g)
+        r += k
+    acceptance = accepted / (n_draws * thin)
     low, high = _ACCEPTANCE_BOUNDS
     bad = (acceptance <= low) | (acceptance >= high)
     if np.any(bad):

@@ -96,6 +96,36 @@ class TestConfig:
         with pytest.raises(ConfigError, match="current_shares"):
             RunConfig.from_dict(d)
 
+    @pytest.mark.parametrize("path,value", [
+        (("model", "fixed", "wtp"), float("nan")),
+        (("model", "fixed", "life_years"), float("inf")),
+        (("model", "priors", "p_event", "alpha"), float("inf")),
+        (("model", "priors", "logit_qol", "variance"), float("nan")),
+        (("market_share", "threshold"), float("-inf")),
+        (("current_shares",), [float("nan"), 0.0]),
+    ])
+    def test_non_finite_numbers_rejected(self, path, value):
+        d = default_config().to_dict()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=path[0]):
+            RunConfig.from_dict(d)
+
+    def test_non_finite_table_point_rejected(self):
+        d = default_config().to_dict()
+        d["market_share"] = {"kind": "table", "points": [[0.0, 0.0], [float("nan"), 1.0]],
+                             "target_treatment": 2}
+        with pytest.raises(ConfigError, match="market_share.points"):
+            RunConfig.from_dict(d)
+
+    def test_target_treatment_beyond_treatments(self):
+        d = default_config().to_dict()
+        d["market_share"]["target_treatment"] = 3
+        with pytest.raises(ConfigError, match="target_treatment"):
+            RunConfig.from_dict(d)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="nowhere.json"):
             RunConfig.from_file(tmp_path / "nowhere.json")
@@ -243,3 +273,32 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "run_config", boom)
         assert cli.main(["run", "--config", str(small_config_path)]) == 2
+
+    def test_other_estimation_value_error_exits_two(self, small_config_path, monkeypatch,
+                                                    capsys):
+        def boom(*args, **kwargs):
+            raise ValueError("nb contains non-finite values")
+
+        monkeypatch.setattr(cli, "run_config", boom)
+        assert cli.main(["run", "--config", str(small_config_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "estimation error: nb contains non-finite values\n"
+
+    # Python's json module reads NaN and Infinity; both commands must refuse
+    # such files, and a target treatment the model does not have, before any
+    # estimation starts.
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["model"]["fixed"].update(wtp=float("nan")),
+        lambda d: d["model"]["priors"]["p_event"].update(alpha=float("inf")),
+        lambda d: d["market_share"].update(target_treatment=3),
+    ], ids=["wtp-nan", "alpha-inf", "target-3"])
+    def test_bad_values_exit_one(self, command, edit, tmp_path, capsys):
+        d = _small_config(out_dir=str(tmp_path / "res")).to_dict()
+        edit(d)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(d))
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "res").exists()

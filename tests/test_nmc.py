@@ -12,9 +12,11 @@ from voi.nmc import (
     nmc_evsi,
     nmc_evsi_im,
     nmc_summaries,
+    rct_nb_summaries,
     summarize_nb_matrix,
 )
-from voi.studies import StudyDesign, StudyKind
+from voi.model import DEFAULT_NB_FUNCTIONS
+from voi.studies import Dataset, StudyDesign, StudyKind
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +38,36 @@ class TestSummarize:
             assert s.p.shape == (2,)
             assert s.p.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(np.isfinite(s.mu))
+
+
+class TestRctStreaming:
+    def test_streamed_summaries_match_direct_reduction(self, priors, fixed):
+        # Record every block of net benefits the streaming summary evaluates,
+        # then reduce the recorded values directly.
+        recorded = [[] for _ in DEFAULT_NB_FUNCTIONS]
+
+        def recording(d, fn):
+            def wrapped(draw, fixed_params):
+                nb = fn(draw, fixed_params)
+                recorded[d].append(np.array(nb))
+                return nb
+            return wrapped
+
+        nb_fns = tuple(recording(d, fn) for d, fn in enumerate(DEFAULT_NB_FUNCTIONS))
+        design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200)
+        datasets = [Dataset(design=design, n_effective=200, control_events=20 + 3 * j,
+                            treated_events=4 + j) for j in range(6)]
+        n_draws = 1234
+        summaries = rct_nb_summaries(datasets, priors, fixed, n_draws, 31, nb_fns)
+        nb = np.stack([np.concatenate(blocks) for blocks in recorded], axis=-1)
+        assert nb.shape == (n_draws, len(datasets), 2)
+        winners = np.argmax(nb, axis=-1)
+        for j, s in enumerate(summaries):
+            np.testing.assert_allclose(s.mu, nb[:, j].mean(axis=0), rtol=1e-9)
+            np.testing.assert_allclose(s.nb_var, nb[:, j].var(axis=0, ddof=1), rtol=1e-9)
+            share = np.bincount(winners[:, j], minlength=2) / n_draws
+            np.testing.assert_allclose(s.p, share, rtol=1e-9)
+            assert s.n_draws == n_draws and s.dataset_index == j
 
 
 class TestNmcEvsi:

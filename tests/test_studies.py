@@ -20,6 +20,7 @@ from voi.studies import (
     posterior_side_effects,
     quality_posterior_moments,
     rct_grid_posterior,
+    run_rct_chains,
     simulate_dataset,
 )
 
@@ -219,6 +220,57 @@ class TestEffectivenessPosterior:
                      n_effective=60, events=15)
         with pytest.raises(ValueError):
             posterior_effectiveness(ds, priors, 100, 0)
+
+
+def _trial_datasets(m: int) -> list[Dataset]:
+    design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200)
+    return [Dataset(design=design, n_effective=200,
+                    control_events=25 + j % 11, treated_events=5 + j % 7)
+            for j in range(m)]
+
+
+class TestBlockedChains:
+    M = 64
+    # Retained states per sampling block at M chains and the default thinning.
+    PER_BLOCK = (studies._BLOCK_ELEMENTS // M) // 5
+
+    @pytest.mark.parametrize("n_draws", [1, 7, PER_BLOCK - 1, PER_BLOCK + 1])
+    def test_retains_exactly_n_draws(self, priors, monkeypatch, n_draws):
+        # A handful of sampling steps cannot meet the acceptance check; it is
+        # tested elsewhere.
+        monkeypatch.setattr(studies, "_ACCEPTANCE_BOUNDS", (-1.0, 2.0))
+        blocks = []
+        l, g, acceptance = run_rct_chains(
+            _trial_datasets(self.M), priors, n_draws, 3, n_adapt=20, n_burn_in=20,
+            on_retained=lambda bl, bg: blocks.append((bl, bg)))
+        assert l.shape == g.shape == (n_draws, self.M)
+        assert acceptance.shape == (self.M,)
+        assert np.all(np.isfinite(l)) and np.all(np.isfinite(g))
+        assert all(bl.shape == bg.shape and 1 <= len(bl) <= self.PER_BLOCK
+                   for bl, bg in blocks)
+        np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), l)
+        np.testing.assert_array_equal(np.concatenate([b[1] for b in blocks]), g)
+
+    def test_folded_log_density_matches_plain_formula(self, priors):
+        rng = np.random.default_rng(4)
+        l, g = rng.normal(-1.7, 2.0, 1000), rng.normal(-1.5, 2.0, 1000)
+        x1, x2 = rng.integers(0, 201, (2, 1000)).astype(float)
+        n = np.full(1000, 200.0)
+        plain = studies._rct_log_post(l, g, x1, n, x2, n, priors)
+        folded = studies._rct_log_density(x1, n, x2, n, priors)(np.stack([l, l + g]))
+        np.testing.assert_allclose(folded, plain, rtol=1e-12)
+
+    def test_softplus_matches_logaddexp(self):
+        x = np.concatenate([np.linspace(-800.0, 800.0, 200_001),
+                            [0.0, -0.0, 36.0, -36.0, 708.0, -708.0, 709.5, -709.5, 745.5]])
+        reference = np.logaddexp(0.0, x)
+        with np.errstate(all="raise"):
+            ours = studies._softplus(x)
+        normal = reference >= np.finfo(float).tiny
+        np.testing.assert_array_max_ulp(ours[normal], reference[normal], maxulp=4)
+        # Where logaddexp's answer is subnormal or zero, the floored exponent
+        # gives the smallest normal double instead, to within rounding.
+        np.testing.assert_allclose(ours[~normal], np.finfo(float).tiny, rtol=1e-12)
 
 
 class TestDispatch:
