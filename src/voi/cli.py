@@ -108,7 +108,8 @@ def run_config(config: RunConfig, psa: PsaSample | None = None):
                                             config.market, config.current_shares,
                                             config.quantile_sets, config.posterior_draws,
                                             config.n_grid,
-                                            child_seed(config.seed, "mm-by-n", k))
+                                            child_seed(config.seed, "mm-by-n", k),
+                                            cond=result.cond)
     table = ResultTable(rows=tuple(rows), config_hash=config.config_hash(),
                         seed=config.seed)
     return table, mm_results, scans

@@ -195,6 +195,11 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "configuration must be a JSON object")
 
+        def number(field: str, value) -> float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(field, "must be a number")
+            return float(value)
+
         def get(field: str, expected, *, default=_MISSING):
             if field.split(".")[-1] not in _leaf(raw, field):
                 if default is not _MISSING:
@@ -202,9 +207,7 @@ class RunConfig:
                 raise ConfigError(field, "is required")
             value = _leaf(raw, field)[field.split(".")[-1]]
             if expected is float:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(field, "must be a number")
-                return float(value)
+                return number(field, value)
             if expected is int:
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ConfigError(field, "must be an integer")
@@ -233,8 +236,12 @@ class RunConfig:
                 raise ConfigError(field + ".dist", f"must be '{kind}'")
             try:
                 if kind == "beta":
-                    return BetaPrior(float(spec["alpha"]), float(spec["beta"]))
-                return NormalPrior(float(spec["mean"]), float(spec["variance"]))
+                    return BetaPrior(number(field + ".alpha", spec["alpha"]),
+                                     number(field + ".beta", spec["beta"]))
+                return NormalPrior(number(field + ".mean", spec["mean"]),
+                                   number(field + ".variance", spec["variance"]))
+            except ConfigError:
+                raise
             except KeyError as exc:
                 raise ConfigError(field, f"missing key {exc}") from exc
             except (TypeError, ValueError) as exc:
@@ -280,14 +287,16 @@ class RunConfig:
         try:
             if kind == "threshold_linear":
                 market: MarketShareFunction = ThresholdLinearShare(
-                    threshold=float(market_raw["threshold"]),
-                    saturation_at=float(market_raw.get("saturation_at", 1.0)),
+                    threshold=number("market_share.threshold", market_raw["threshold"]),
+                    saturation_at=number("market_share.saturation_at",
+                                         market_raw.get("saturation_at", 1.0)),
                     target=target - 1,
                 )
             elif kind == "step_at_argmax":
                 market = StepShare(target=target - 1)
             elif kind == "table":
-                points = tuple(tuple(p) for p in market_raw["points"])
+                points = tuple(tuple(number("market_share.points", v) for v in p)
+                               for p in market_raw["points"])
                 market = TableShare(points=points, target=target - 1)
             else:
                 raise ConfigError("market_share.kind",
@@ -301,7 +310,10 @@ class RunConfig:
 
         shares_raw = get("current_shares", list)
         try:
-            shares = CurrentShares(tuple(float(s) for s in shares_raw))
+            shares = CurrentShares(tuple(number(f"current_shares[{i}]", s)
+                                         for i, s in enumerate(shares_raw)))
+        except ConfigError:
+            raise
         except (TypeError, ValueError) as exc:
             raise ConfigError("current_shares", str(exc)) from exc
 

@@ -13,7 +13,8 @@ Two families are fitted here:
   ``n ** size_power`` so one curve covers a whole range of study sizes.
   Fitting maximizes the Gaussian-residual posterior with Normal(0, 10^2)
   priors on the log-reparameterized coordinates, residual scale profiled out,
-  using derivative-free searches from several start points.
+  by a bounded quasi-Newton search (L-BFGS-B) on the analytic gradient from
+  several start points.
 
 * A hyperbolic decay of average posterior variance with sample size,
 
@@ -43,6 +44,15 @@ __all__ = [
 ]
 
 _PRIOR_VAR = 100.0  # Normal(0, 10^2) prior on each unconstrained coordinate
+# Added to the residual sum of squares per point (a residual SD of 1e-7): it
+# keeps the log finite and the objective smooth when the curve fits its
+# points exactly, so the search converges there too; on noisy probabilities
+# it moves the optimum by far less than the search tolerance.
+_RSS_FLOOR = 1e-14
+# Every coordinate stays within 5 prior SDs of zero, far beyond any optimum,
+# so no exponential the objective forms can overflow; the size power's bound
+# is scaled so that n ** size_power stays below exp(_Z_BOUND).
+_Z_BOUND = 50.0
 
 
 class FitError(RuntimeError):
@@ -89,12 +99,38 @@ class LogisticFit:
         return prob
 
 
-def _curve(z: np.ndarray, mu_std: np.ndarray, size_factor) -> np.ndarray:
-    base = 1.0 + math.exp(z[0])
-    rate = math.exp(z[1])
-    shape = math.exp(z[2])
-    with np.errstate(over="ignore"):
-        return (base + np.exp(-rate * size_factor * mu_std)) ** (-shape)
+def _curve(z: np.ndarray, mu_std: np.ndarray, log_sizes: np.ndarray | None):
+    """The curve at ``z`` with ``log(base + exp(a))`` and ``a``.
+
+    ``z = (log(base - 1), log(rate), log(shape)[, size_power])`` and
+    ``a = -rate * n ** size_power * mu_std``.  Evaluating the power through
+    ``log(base + exp(a))`` keeps every intermediate finite.
+    """
+    a = -math.exp(z[1]) * mu_std
+    if log_sizes is not None:
+        a = a * np.exp(z[3] * log_sizes)
+    log_sum = np.logaddexp(math.log1p(math.exp(z[0])), a)
+    return np.exp(-math.exp(z[2]) * log_sum), log_sum, a
+
+
+def _logistic_objective(z: np.ndarray, mu_std: np.ndarray, probs: np.ndarray,
+                        log_sizes: np.ndarray | None) -> tuple[float, np.ndarray]:
+    """Negative log posterior of the curve at ``z`` and its gradient in ``z``."""
+    pred, log_sum, a = _curve(z, mu_std, log_sizes)
+    resid = probs - pred
+    n_points = probs.size
+    rss = float(resid @ resid) + n_points * _RSS_FLOOR
+    value = 0.5 * n_points * math.log(rss) + 0.5 * float(z @ z) / _PRIOR_VAR
+    # d pred / d z_k = -shape * pred * d_k, with d_k the derivative of
+    # log_sum in z_k, except d_2 = log_sum because d shape / d z_2 = shape.
+    da = np.exp(a - log_sum) * a  # d log_sum / d log(rate)
+    derivs = [np.exp(z[0] - log_sum), da, log_sum]
+    if log_sizes is not None:
+        derivs.append(da * log_sizes)
+    weights = resid * pred
+    scale = n_points * math.exp(z[2]) / rss
+    grad = scale * np.array([float(weights @ d) for d in derivs])
+    return value, grad + z / _PRIOR_VAR
 
 
 def _standardize(values: np.ndarray) -> tuple[float, float]:
@@ -125,18 +161,7 @@ def _fit_logistic_core(mu_values, probs, sizes, seed: int, n_starts: int) -> Log
     center, scale = _standardize(mu_values)
     mu_std = (mu_values - center) / scale
     n_points = mu_values.size
-
-    def size_factor(u: float):
-        return np.power(sizes, u) if with_size else 1.0
-
-    def objective(z: np.ndarray) -> float:
-        factor = size_factor(z[3]) if with_size else 1.0
-        pred = _curve(z, mu_std, factor)
-        if not np.all(np.isfinite(pred)):
-            return 1e12
-        resid = probs - pred
-        rss = max(float(resid @ resid), 1e-300)
-        return 0.5 * n_points * math.log(rss) + 0.5 * float(z @ z) / _PRIOR_VAR
+    log_sizes = np.log(sizes) if with_size else None
 
     # Heuristic anchor: with rate = shape = 1 the curve crosses
     # (base + 1)^-1 at the center, so match the empirical mid probability.
@@ -152,17 +177,20 @@ def _fit_logistic_core(mu_values, probs, sizes, seed: int, n_starts: int) -> Log
         [-2.0, 0.0, 0.0],
         [0.0, 0.0, 0.0],
     ]
+    bounds = [(-_Z_BOUND, _Z_BOUND)] * 3
     if with_size:
         starts = [s + [u0] for s in starts for u0 in (0.0, 0.5)]
+        u_max = _Z_BOUND / max(1.0, float(log_sizes.max()))
+        bounds.append((-u_max, u_max))
     rng = substream(seed, "logistic-fit")
-    n_params = 4 if with_size else 3
     while len(starts) < max(n_starts, 5):
-        starts.append(list(rng.normal(0.0, 1.0, n_params)))
+        starts.append(list(rng.normal(0.0, 1.0, len(bounds))))
 
     best = None
     for x0 in starts:
-        res = minimize(objective, np.array(x0, dtype=float), method="Nelder-Mead",
-                       options={"maxiter": 4000, "xatol": 1e-9, "fatol": 1e-12})
+        res = minimize(_logistic_objective, np.array(x0, dtype=float),
+                       args=(mu_std, probs, log_sizes), jac=True, method="L-BFGS-B",
+                       bounds=bounds, options={"ftol": 1e-12, "gtol": 1e-8})
         if not res.success:
             continue
         if best is None or res.fun < best.fun:
@@ -171,9 +199,8 @@ def _fit_logistic_core(mu_values, probs, sizes, seed: int, n_starts: int) -> Log
         raise FitError("generalized logistic fit did not converge from any start")
 
     z = best.x
-    factor = size_factor(z[3]) if with_size else 1.0
-    resid = probs - _curve(z, mu_std, factor)
-    resid_sd = math.sqrt(max(float(resid @ resid), 1e-300) / n_points)
+    resid = probs - _curve(z, mu_std, log_sizes)[0]
+    resid_sd = math.sqrt(float(resid @ resid) / n_points)
     return LogisticFit(
         base=1.0 + math.exp(z[0]),
         rate=math.exp(z[1]),

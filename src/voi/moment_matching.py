@@ -17,13 +17,16 @@ method needs only a handful of carefully chosen datasets:
 4. The probability of being best is carried along by a generalized logistic
    fitted to the Q pairs of (posterior mean incremental net benefit,
    probability); market shares and the value assembly then proceed exactly as
-   in the nested estimator.
+   in the nested estimator.  The fit is a bounded quasi-Newton search on the
+   analytic gradient of its log posterior, from a few fixed start points.
 
 A variant re-uses one set of nested runs across a whole range of study sizes
 by spreading the Q datasets over sample sizes, fitting a variance decay curve
 per treatment and a sample-size-indexed logistic, and predicting the value at
-any size on a grid.  Steps 3 and 4 assume two treatments (the incremental
-net benefit path).
+any size on a grid.  The step-3 regression depends on the PSA and the
+study's informed parameters but not on its size, so a single-size pass and a
+scan of the same study share one fit.  Steps 3 and 4 assume two treatments
+(the incremental net benefit path).
 """
 
 from __future__ import annotations
@@ -235,6 +238,7 @@ class MomentMatchingResult:
     p_target: np.ndarray         # S predicted probabilities for the target
     summaries: list[PosteriorSummary]
     variance_target: np.ndarray
+    cond: ConditionalExpectationFit
 
 
 def _unadjusted_estimate(mu: np.ndarray, n_inner: int, method: str) -> EvsiEstimate:
@@ -288,6 +292,7 @@ def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: St
     return MomentMatchingResult(
         evsi=evsi, evsi_im=evsi_im, logistic=logistic, rescaled_mu=mu,
         inb=inb, p_target=p_target, summaries=summaries, variance_target=target_var,
+        cond=cond,
     )
 
 
@@ -315,13 +320,17 @@ def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
                      design: StudyDesign, market_fn: MarketShareFunction,
                      current_shares: CurrentShares, n_sets: int, n_inner: int,
                      n_grid: Sequence[int], seed: int,
-                     nb_fns=DEFAULT_NB_FUNCTIONS) -> SampleSizeScan:
+                     nb_fns=DEFAULT_NB_FUNCTIONS,
+                     cond: ConditionalExpectationFit | None = None) -> SampleSizeScan:
     """Calibrate once across [min(n_grid), max(n_grid)], predict at each size.
 
     The Q quantile datasets are spread over sample sizes covering the grid's
     range; the nested runs then support a per-treatment variance decay curve
     and a sample-size-indexed logistic, from which the value at every grid
-    size follows without further simulation.
+    size follows without further simulation.  The regression on the PSA does
+    not depend on the study size, so a single-size pass on the same PSA and
+    design can hand over its ``cond``; it is fitted here only when none is
+    given.
     """
     sizes = tuple(int(n) for n in n_grid)
     if not sizes:
@@ -336,7 +345,8 @@ def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
                                  sizes=calib_sizes.tolist())
     summaries = nested_summaries(datasets, prior, fixed, n_inner,
                                  child_seed(seed, "mm-post"), nb_fns)
-    cond = fit_conditional_expectation(psa, design)
+    if cond is None:
+        cond = fit_conditional_expectation(psa, design)
 
     posterior_var = np.stack([s.nb_var for s in summaries])
     realized = np.array([s.n_effective for s in summaries], dtype=float)

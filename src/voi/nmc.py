@@ -98,28 +98,49 @@ class EvsiEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def summarize_nb_matrix(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reduce an R x D net-benefit matrix to (mu, p, nb_var)."""
-    nb = np.asarray(nb, dtype=float)
-    n_draws, n_treat = nb.shape
-    mu = nb.mean(axis=0)
-    var = nb.var(axis=0, ddof=1)
-    winners = np.argmax(nb, axis=1)
-    counts = np.bincount(winners, minlength=n_treat)
-    p = counts / n_draws
+def _win_counts(nb: np.ndarray) -> np.ndarray:
+    """How often each treatment attains the maximum, ties to the lowest index.
+
+    ``nb`` holds treatments on axis 0 and draws on axis 1; the counts sum over
+    the draws.  This equals counting ``np.argmax`` over axis 0, by comparing
+    whole rows instead of scanning every draw's short treatment vector.
+    """
+    n_treat = nb.shape[0]
+    counts = np.empty((n_treat,) + nb.shape[2:])
+    for d in range(1, n_treat):
+        wins = nb[d] > nb[:d].max(axis=0)
+        if d + 1 < n_treat:
+            wins &= nb[d] >= nb[d + 1:].max(axis=0)
+        counts[d] = np.count_nonzero(wins, axis=0)
+    counts[0] = nb.shape[1] - counts[1:].sum(axis=0)
+    return counts
+
+
+def _summarize_rows(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce a D x R net-benefit row array to (mu, p, nb_var)."""
+    n_draws = nb.shape[1]
+    mu = nb.mean(axis=1)
+    centred = nb - mu[:, None]
+    var = np.einsum("dr,dr->d", centred, centred) / (n_draws - 1)
+    p = _win_counts(nb) / n_draws
     p[0] = max(0.0, 1.0 - p[1:].sum())
     return mu, p, var
 
 
+def summarize_nb_matrix(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduce an R x D net-benefit matrix to (mu, p, nb_var)."""
+    return _summarize_rows(np.ascontiguousarray(np.asarray(nb, dtype=float).T))
+
+
 def _summary_from_draws(post: PosteriorDraws, fixed: FixedParams, nb_fns,
                         dataset_index: int) -> PosteriorSummary:
-    nb = np.column_stack([fn(post.draws, fixed) for fn in nb_fns])
-    mu, p, var = summarize_nb_matrix(nb)
+    nb = np.stack([fn(post.draws, fixed) for fn in nb_fns])
+    mu, p, var = _summarize_rows(nb)
     return PosteriorSummary(
         mu=mu, p=p, nb_var=var,
         n_effective=post.dataset.n_effective,
         dataset_index=dataset_index,
-        n_draws=nb.shape[0],
+        n_draws=nb.shape[1],
         acceptance_rate=post.acceptance_rate,
     )
 
@@ -175,7 +196,7 @@ def rct_nb_summaries(
         delta = nb - shift
         sums += delta.sum(axis=0)
         sumsq += (delta * delta).sum(axis=0)
-        counts += (np.argmax(nb, axis=-1)[..., None] == np.arange(n_treat)).sum(axis=0)
+        counts += _win_counts(np.moveaxis(nb, -1, 0)).T
 
     _, _, acceptance = run_rct_chains(datasets, prior, n_draws, seed,
                                       on_retained=on_retained, keep_chain=False)

@@ -113,6 +113,41 @@ class TestConfig:
         with pytest.raises(ConfigError, match=path[0]):
             RunConfig.from_dict(d)
 
+    @pytest.mark.parametrize("path,value,field", [
+        (("model", "priors", "p_event", "alpha"), True, "model.priors.p_event.alpha"),
+        (("model", "priors", "logit_qol", "variance"), "0.6",
+         "model.priors.logit_qol.variance"),
+        (("market_share", "threshold"), "0.6", "market_share.threshold"),
+        (("market_share", "saturation_at"), False, "market_share.saturation_at"),
+        (("current_shares",), ["1", False], "current_shares"),
+        (("current_shares",), [1.0, None], "current_shares"),
+    ])
+    def test_non_numbers_rejected(self, path, value, field):
+        # Booleans and strings are not numbers, even where float() would
+        # take them.
+        d = default_config().to_dict()
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        with pytest.raises(ConfigError, match=rf"{field}.*must be a number"):
+            RunConfig.from_dict(d)
+
+    def test_non_number_table_point_rejected(self):
+        d = default_config().to_dict()
+        d["market_share"] = {"kind": "table", "points": [[0.0, 0.0], ["1", True]],
+                             "target_treatment": 2}
+        with pytest.raises(ConfigError, match="market_share.points.*must be a number"):
+            RunConfig.from_dict(d)
+
+    def test_integers_are_numbers(self):
+        d = default_config().to_dict()
+        d["current_shares"] = [1, 0]
+        d["model"]["priors"]["p_event"]["alpha"] = 2
+        config = RunConfig.from_dict(d)
+        assert config.current_shares.shares == (1.0, 0.0)
+        assert config.priors.p_event.alpha == 2.0
+
     def test_non_finite_table_point_rejected(self):
         d = default_config().to_dict()
         d["market_share"] = {"kind": "table", "points": [[0.0, 0.0], [float("nan"), 1.0]],
@@ -285,14 +320,18 @@ class TestExitCodes:
         assert err == "estimation error: nb contains non-finite values\n"
 
     # Python's json module reads NaN and Infinity; both commands must refuse
-    # such files, and a target treatment the model does not have, before any
-    # estimation starts.
+    # such files, numbers written as strings or booleans, and a target
+    # treatment the model does not have, before any estimation starts.
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("edit", [
         lambda d: d["model"]["fixed"].update(wtp=float("nan")),
         lambda d: d["model"]["priors"]["p_event"].update(alpha=float("inf")),
         lambda d: d["market_share"].update(target_treatment=3),
-    ], ids=["wtp-nan", "alpha-inf", "target-3"])
+        lambda d: d["model"]["priors"]["p_event"].update(alpha=True),
+        lambda d: d["market_share"].update(threshold="0.6"),
+        lambda d: d.update(current_shares=["1", False]),
+    ], ids=["wtp-nan", "alpha-inf", "target-3", "alpha-true", "threshold-string",
+            "shares-mixed"])
     def test_bad_values_exit_one(self, command, edit, tmp_path, capsys):
         d = _small_config(out_dir=str(tmp_path / "res")).to_dict()
         edit(d)

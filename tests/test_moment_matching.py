@@ -8,6 +8,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import voi.moment_matching as moment_matching
+from voi.cli import run_config
+from voi.config import default_config
+from voi.model import DEFAULT_NB_FUNCTIONS
 from voi.moment_matching import (
     ConditionalExpectationFit,
     fit_conditional_expectation,
@@ -18,6 +22,7 @@ from voi.moment_matching import (
     rescale,
     variance_reduction_target,
 )
+from voi.smoothing import fit_pspline
 from voi.studies import StudyDesign, StudyKind
 
 SIDE_EFFECTS = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
@@ -267,3 +272,32 @@ class TestByN:
             mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
                              current_shares, n_sets=8, n_inner=500,
                              n_grid=[0, 10], seed=42)
+
+
+class TestSharedRegression:
+    def test_scan_reuses_the_single_size_regression(self, monkeypatch):
+        # mm_pipeline and the by-n scan of a study regress the same PSA on the
+        # same features, so run_config fits it once per treatment per study.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return fit_pspline(*args, **kwargs)
+
+        monkeypatch.setattr(moment_matching, "fit_pspline", counting)
+        config = default_config(method="mm", psa_samples=2000, posterior_draws=1000,
+                                quantile_sets=8, n_grid=[20, 100], seed=6)
+        table, mm_results, scans = run_config(config)
+        n_treat = len(DEFAULT_NB_FUNCTIONS)
+        assert len(calls) == n_treat * len(config.studies)
+        assert sorted(scans) == sorted(mm_results) == [1, 2, 3]
+        assert [r.method for r in table.rows] == ["mm"] * 3
+
+    def test_handed_fit_gives_the_same_scan(self, psa, priors, fixed, market_fn,
+                                           current_shares):
+        own = mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn, current_shares,
+                               8, 1500, [20, 100], 43)
+        handed = mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
+                                  current_shares, 8, 1500, [20, 100], 43,
+                                  cond=fit_conditional_expectation(psa, SIDE_EFFECTS))
+        assert own.estimates == handed.estimates

@@ -9,6 +9,7 @@ from voi.market import CurrentShares, StepShare, ThresholdLinearShare
 from voi.model import expected_nb, evpi
 from voi.nmc import (
     PosteriorSummary,
+    _win_counts,
     nmc_evsi,
     nmc_evsi_im,
     nmc_summaries,
@@ -32,6 +33,27 @@ class TestSummarize:
         np.testing.assert_allclose(mu, [1.0, 10.0 / 3.0])
         np.testing.assert_allclose(p, [0.0, 1.0])
         np.testing.assert_allclose(var, nb.var(axis=0, ddof=1))
+
+    @pytest.mark.parametrize("n_treat", [2, 3])
+    def test_matches_argmax_reduction_with_ties(self, n_treat):
+        # Values on a coarse grid tie often; every tie goes to the lowest
+        # index, as np.argmax breaks them.
+        rng = np.random.default_rng(3)
+        nb = rng.integers(0, 3, (5000, n_treat)).astype(float)
+        nb[:50] = 1.0  # rows tied across every treatment
+        mu, p, var = summarize_nb_matrix(nb)
+        wins = np.bincount(np.argmax(nb, axis=1), minlength=n_treat) / nb.shape[0]
+        np.testing.assert_array_equal(p, wins)
+        np.testing.assert_allclose(mu, nb.mean(axis=0), rtol=1e-12)
+        np.testing.assert_allclose(var, nb.var(axis=0, ddof=1), rtol=1e-12)
+
+    def test_win_counts_over_a_block(self):
+        # Treatments on axis 0, draws on axis 1, datasets after: the shape
+        # the trial summaries count wins in.
+        rng = np.random.default_rng(4)
+        nb = rng.integers(0, 4, (3, 200, 7)).astype(float)
+        expected = (np.argmax(nb, axis=0)[None] == np.arange(3)[:, None, None]).sum(axis=1)
+        np.testing.assert_array_equal(_win_counts(nb), expected)
 
     def test_summary_invariants(self, small_summaries):
         for s in small_summaries:
