@@ -265,4 +265,12 @@ def fit_variance_curve(posterior_variances, sizes, prior_variance: float) -> Var
     if not res.success:
         raise FitError("variance curve fit did not converge")
     floor, half_life = res.x
+    # For an arm the study cannot inform, the variances are flat noise and the
+    # search can stop anywhere in a flat valley, wherever the last digits of
+    # its inputs send it.  The curve that does not decay at all, at the mean
+    # variance, is that valley's bottom; keep it when it fits no worse.
+    flat = np.array([min(max(float(y.mean()), 0.0), v), 1e-9])
+    flat_resid = resid(flat)
+    if 0.5 * float(flat_resid @ flat_resid) <= res.cost:
+        floor, half_life = flat
     return VarianceCurveFit(floor=float(floor), half_life=float(half_life), prior_variance=v)

@@ -120,7 +120,7 @@ def quantile_datasets(psa: PsaSample, design: StudyDesign, n_sets: int, seed: in
 def nested_summaries(datasets: Sequence[Dataset], prior: PriorSpec, fixed: FixedParams,
                      n_inner: int, seed: int,
                      nb_fns=DEFAULT_NB_FUNCTIONS) -> list[PosteriorSummary]:
-    """Posterior summaries for each dataset (one batch of chains for trials)."""
+    """Posterior summaries for each dataset (all trial datasets in one batch)."""
     if not datasets:
         return []
     kind = datasets[0].design.kind

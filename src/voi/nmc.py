@@ -1,8 +1,9 @@
 """Nested Monte Carlo estimation of the value of a study.
 
 The outer loop simulates datasets from the prior predictive: draw parameters,
-draw a dataset.  The inner loop samples the posterior given each dataset and
-reduces it to a :class:`PosteriorSummary` holding, per treatment, the
+draw a dataset.  The inner loop samples the posterior given each dataset (a
+conjugate draw, or for the trial a draw from the gridded odds-ratio marginal)
+and reduces it to a :class:`PosteriorSummary` holding, per treatment, the
 posterior mean net benefit ``mu``, the probability ``p`` of attaining the row
 maximum, and the posterior variance of net benefit.  The estimators then only
 touch summaries:
@@ -42,7 +43,8 @@ from .studies import (
     StudyKind,
     posterior_quality,
     posterior_side_effects,
-    run_rct_chains,
+    rct_marginal_grid,
+    run_rct_chains,  # unused here; perfbench/tracing.py patches this name
     simulate_dataset,
 )
 
@@ -57,10 +59,9 @@ __all__ = [
     "nmc_evsi_im",
 ]
 
-# Trial posteriors are sampled for many datasets at once, one Metropolis chain
-# per dataset advanced in lockstep.  The outer loop is cut into fixed-size
-# chunks, each with its own derived stream, so results do not depend on how
-# the chunks are scheduled.
+# Trial posteriors are gridded and sampled for many datasets at once.  The
+# outer loop is cut into fixed-size chunks, each with its own derived stream,
+# so results do not depend on how the chunks are scheduled.
 RCT_CHUNK_SIZE = 512
 
 
@@ -154,17 +155,16 @@ def rct_nb_summaries(
     nb_fns=DEFAULT_NB_FUNCTIONS,
     dataset_indices: Sequence[int] | None = None,
 ) -> list[PosteriorSummary]:
-    """Summaries for a batch of trial datasets without retaining the chains.
+    """Summaries for a batch of trial datasets, reduced block by block.
 
-    At every retained Metropolis state the chain contributes only the odds
-    ratio (its marginal with the baseline rate integrated out); the baseline
-    rate and every other parameter are drawn fresh from the prior.  The
-    chains hand over their retained states a block at a time (``k`` states
-    of every chain, ``k`` set by the sampler's element budget, see
-    :func:`run_rct_chains`), and each block is refilled from the prior,
-    evaluated and folded into running moments and win counts in one pass.
-    Moments accumulate relative to the first retained value, which keeps the
-    variance accumulation well conditioned at net-benefit magnitudes.
+    Each dataset contributes only draws of the log odds ratio from its
+    gridded marginal posterior (:func:`rct_marginal_grid`, the baseline rate
+    integrated out); the baseline rate and every other parameter are drawn
+    fresh from the prior.  Draws arrive as ``(k, len(datasets))`` blocks,
+    and each block is refilled from the prior, evaluated and folded into
+    running moments and win counts in one pass.  Moments accumulate relative
+    to the first block's first row, which keeps the variance accumulation
+    well conditioned at net-benefit magnitudes.
     """
     m = len(datasets)
     if dataset_indices is None:
@@ -175,9 +175,7 @@ def rct_nb_summaries(
     sumsq = np.zeros((m, n_treat))
     counts = np.zeros((m, n_treat))
     shift = None
-
-    def on_retained(l: np.ndarray, g: np.ndarray) -> None:
-        nonlocal shift, sums, sumsq, counts
+    for g in rct_marginal_grid(datasets, prior).blocks(n_draws, seed):
         size = g.shape
         odds_ratio = np.exp(g)
         p_event = prior.p_event.sample(fill_rng, size)
@@ -198,9 +196,6 @@ def rct_nb_summaries(
         sumsq += (delta * delta).sum(axis=0)
         counts += _win_counts(np.moveaxis(nb, -1, 0)).T
 
-    _, _, acceptance = run_rct_chains(datasets, prior, n_draws, seed,
-                                      on_retained=on_retained, keep_chain=False)
-
     mu = shift + sums / n_draws
     var = (sumsq - sums * sums / n_draws) / (n_draws - 1)
     p = counts / n_draws
@@ -212,7 +207,6 @@ def rct_nb_summaries(
             n_effective=ds.n_effective,
             dataset_index=int(dataset_indices[j]),
             n_draws=n_draws,
-            acceptance_rate=float(acceptance[j]),
         ))
     return out
 

@@ -261,6 +261,31 @@ class TestVarianceCurve:
         np.testing.assert_allclose(fit.posterior_variance(sizes), 2.0, rtol=1e-6)
         np.testing.assert_allclose(fit.variance_reduction(sizes), 0.0, atol=1e-6)
 
+    def test_flat_noise_fit_ignores_last_digit(self):
+        # Posterior variances of an arm the study cannot inform: noise around
+        # the prior variance.  On these data the search alone stops at a
+        # decaying curve for one input and at the flat one for the other.
+        prior_var = 4.7e6
+        sizes = np.rint(np.linspace(10.0, 200.0, 50))
+        y = prior_var * (1.0 + np.random.default_rng(271).normal(0.0, 0.05, 50))
+        fit = fit_variance_curve(y, sizes, prior_var)
+        again = fit_variance_curve(y * (1.0 + 1e-15), sizes, prior_var)
+        assert fit.half_life < 1e-8 and again.half_life < 1e-8
+        assert fit.floor == pytest.approx(min(y.mean(), prior_var), rel=1e-9)
+        assert again.floor == pytest.approx(fit.floor, rel=1e-9)
+        assert again.variance_reduction(10.0) == pytest.approx(
+            fit.variance_reduction(10.0), rel=1e-6)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_never_worse_than_no_decay(self, seed):
+        prior_var = 4.7e6
+        sizes = np.rint(np.linspace(10.0, 200.0, 50))
+        y = prior_var * (1.0 + np.random.default_rng(seed).normal(0.0, 0.05, 50))
+        fit = fit_variance_curve(y, sizes, prior_var)
+        cost = float(np.sum((fit.posterior_variance(sizes) - y) ** 2))
+        flat = float(np.sum((min(y.mean(), prior_var) - y) ** 2))
+        assert cost <= flat * (1.0 + 1e-9)
+
     def test_reduction_clipped_to_prior_range(self):
         fit = fit_variance_curve([3.0, 2.0, 1.0], [10.0, 50.0, 200.0], 4.0)
         red = fit.variance_reduction(np.array([0.0, 10.0, 1e9]))

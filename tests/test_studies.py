@@ -20,6 +20,7 @@ from voi.studies import (
     posterior_side_effects,
     quality_posterior_moments,
     rct_grid_posterior,
+    rct_marginal_grid,
     run_rct_chains,
     simulate_dataset,
 )
@@ -271,6 +272,85 @@ class TestBlockedChains:
         # Where logaddexp's answer is subnormal or zero, the floored exponent
         # gives the smallest normal double instead, to within rounding.
         np.testing.assert_allclose(ours[~normal], np.finfo(float).tiny, rtol=1e-12)
+
+
+def _trial(xc: int, xt: int, n: int) -> Dataset:
+    return Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n), n_effective=n,
+                   control_events=xc, treated_events=xt)
+
+
+def _wide_quadrature(ds: Dataset, priors) -> tuple[float, float]:
+    """Posterior mean and variance of g on 1,601 x 1,601 nodes over a wide box.
+
+    l in [-20, 12] and g in [-15, 15] hold every posterior below, the
+    extreme ones included, with negligible mass on the box's edges.
+    """
+    l = np.linspace(-20.0, 12.0, 1601)
+    g = np.linspace(-15.0, 15.0, 1601)
+    n = float(ds.n_effective)
+    lp = studies._rct_log_post(l[:, None], g[None, :], float(ds.control_events), n,
+                               float(ds.treated_events), n, priors)
+    w = np.exp(lp - lp.max()).sum(axis=0)
+    w /= w.sum()
+    mean = float(w @ g)
+    return mean, float(w @ (g - mean) ** 2)
+
+
+class TestMarginalGrid:
+    CASES = [(0, 0, 200), (200, 200, 200), (0, 200, 200), (200, 0, 200), (0, 0, 0),
+             (1, 0, 1), (30, 9, 200), (45, 20, 200), (18, 3, 200), (5, 60, 200),
+             (750, 150, 5000)]
+
+    def test_draws_match_wide_quadrature(self, priors):
+        datasets = [_trial(*case) for case in self.CASES]
+        grid = rct_marginal_grid(datasets, priors)
+        draws = grid.draw(np.random.default_rng(7).random((len(datasets), 200_000)))
+        for case, ds, g in zip(self.CASES, datasets, draws):
+            mean, var = _wide_quadrature(ds, priors)
+            assert abs(g.mean() - mean) <= 0.02 * math.sqrt(var), case
+            assert g.var() == pytest.approx(var, rel=0.02), case
+
+    @pytest.mark.parametrize("xc,xt", [(30, 9), (45, 20), (18, 3)])
+    def test_draws_match_metropolis(self, priors, xc, xt):
+        ds = _trial(xc, xt, 200)
+        _, chain, _ = run_rct_chains([ds], priors, 10_000, 17)
+        g = rct_marginal_grid([ds], priors).draw(np.random.default_rng(8).random((1, 200_000)))
+        assert abs(g.mean() - chain.mean()) <= 3.0 * _batch_se(chain[:, 0])
+
+    def test_cdf_rows(self, priors):
+        grid = rct_marginal_grid([_trial(*case) for case in self.CASES], priors)
+        shape = (len(self.CASES), studies._G_NODES)
+        assert grid.stacked_cdf.shape == grid.nodes.shape == shape
+        cdf = grid.stacked_cdf - 2.0 * np.arange(shape[0])[:, None]
+        assert np.all(cdf[:, 0] == 0.0) and np.all(cdf[:, -1] == 1.0)
+        assert np.all(np.diff(cdf, axis=1) >= 0.0)
+        assert np.all(np.diff(grid.nodes, axis=1) > 0.0)
+
+    def test_draws_stay_with_their_dataset(self, priors):
+        # Uniforms at both ends of [0, 1) map inside each row's own nodes.
+        grid = rct_marginal_grid([_trial(*case) for case in self.CASES], priors)
+        u = np.tile([0.0, 1e-300, 0.5, 1.0 - 2.0 ** -53], (len(self.CASES), 1))
+        g = grid.draw(u)
+        assert np.all(g >= grid.nodes[:, :1]) and np.all(g <= grid.nodes[:, -1:])
+        assert np.all(np.diff(g, axis=1) >= 0.0)
+
+    @pytest.mark.parametrize("m,n_draws", [(1, 5), (3, 20_000), (600, 70)])
+    def test_blocks_cover_n_draws_within_budget(self, priors, m, n_draws):
+        grid = rct_marginal_grid(_trial_datasets(m), priors)
+        blocks = list(grid.blocks(n_draws, 5))
+        assert all(b.shape[1] == m and b.size <= max(m, studies._BLOCK_ELEMENTS)
+                   for b in blocks)
+        assert sum(len(b) for b in blocks) == n_draws
+        again = np.concatenate(list(grid.blocks(n_draws, 5)))
+        np.testing.assert_array_equal(np.concatenate(blocks), again)
+
+    def test_kind_mismatch(self, priors):
+        ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60),
+                     n_effective=60, events=15)
+        with pytest.raises(ValueError):
+            rct_marginal_grid([ds], priors)
+        with pytest.raises(ValueError):
+            rct_marginal_grid([], priors)
 
 
 class TestDispatch:
