@@ -48,8 +48,6 @@ from .moment_matching import (
     MomentMatchingResult,
     SampleSizeScan,
     mm_by_n_pipeline,
-    mm_evsi_im,
-    mm_evsi_im_by_n,
     mm_pipeline,
     quantile_datasets,
     quantile_grid,
@@ -62,7 +60,6 @@ from .studies import (
     SamplerError,
     StudyDesign,
     StudyKind,
-    posterior_draws_for,
     rct_grid_posterior,
     simulate_dataset,
 )
@@ -111,15 +108,12 @@ __all__ = [
     "fit_variance_curve",
     "market_share",
     "mm_by_n_pipeline",
-    "mm_evsi_im",
-    "mm_evsi_im_by_n",
     "mm_pipeline",
     "net_benefit_novel",
     "net_benefit_standard",
     "nmc_evsi",
     "nmc_evsi_im",
     "nmc_summaries",
-    "posterior_draws_for",
     "prob_cost_effective",
     "quantile_datasets",
     "quantile_grid",

@@ -149,17 +149,17 @@ def _write_outputs(config: RunConfig, table: ResultTable, scans: dict) -> Path:
     return out
 
 
-def _cmd_run(args) -> int:
+def _load_config(args) -> RunConfig:
+    """The config file with whichever of --method, --seed and --out the command gives."""
     config = RunConfig.from_file(args.config)
-    overrides = {}
-    if args.method:
-        overrides["method"] = args.method
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out:
-        overrides["out_dir"] = args.out
-    if overrides:
-        config = config.override(**overrides)
+    overrides = {"method": getattr(args, "method", None), "seed": args.seed,
+                 "out_dir": args.out or None}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    return config.override(**overrides) if overrides else config
+
+
+def _cmd_run(args) -> int:
+    config = _load_config(args)
     psa = _psa(config)
     value_now = current_decision_value(psa, config.current_shares)
     prob = prob_cost_effective(psa)
@@ -176,14 +176,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_trend(args) -> int:
-    config = RunConfig.from_file(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out:
-        overrides["out_dir"] = args.out
-    if overrides:
-        config = config.override(**overrides)
+    config = _load_config(args)
     k = args.study
     if not 1 <= k <= len(config.studies):
         raise ConfigError("study", f"must be between 1 and {len(config.studies)}")

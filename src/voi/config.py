@@ -39,6 +39,7 @@ import hashlib
 import json
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -57,6 +58,8 @@ __all__ = ["ConfigError", "RunConfig", "default_config"]
 
 METHODS = ("nmc", "mm", "both")
 N_TREATMENTS = len(DEFAULT_NB_FUNCTIONS)
+# Each prior type's "dist" in the file; its other keys are the prior's fields.
+_DIST_NAMES = {BetaPrior: "beta", NormalPrior: "normal"}
 
 
 class ConfigError(ValueError):
@@ -142,25 +145,9 @@ class RunConfig:
             "quantile_sets": self.quantile_sets,
             "out_dir": self.out_dir,
             "model": {
-                "fixed": {
-                    "life_years": self.fixed.life_years,
-                    "event_cost": self.fixed.event_cost,
-                    "treatment_cost": self.fixed.treatment_cost,
-                    "side_effect_cost": self.fixed.side_effect_cost,
-                    "side_effect_qol_loss": self.fixed.side_effect_qol_loss,
-                    "wtp": self.fixed.wtp,
-                },
-                "priors": {
-                    "p_event": {"dist": "beta", "alpha": self.priors.p_event.alpha,
-                                "beta": self.priors.p_event.beta},
-                    "log_odds_ratio": {"dist": "normal",
-                                       "mean": self.priors.log_odds_ratio.mean,
-                                       "variance": self.priors.log_odds_ratio.variance},
-                    "p_side_effect": {"dist": "beta", "alpha": self.priors.p_side_effect.alpha,
-                                      "beta": self.priors.p_side_effect.beta},
-                    "logit_qol": {"dist": "normal", "mean": self.priors.logit_qol.mean,
-                                  "variance": self.priors.logit_qol.variance},
-                },
+                "fixed": {f.name: getattr(self.fixed, f.name) for f in fields(self.fixed)},
+                "priors": {f.name: _prior_dict(getattr(self.priors, f.name))
+                           for f in fields(self.priors)},
             },
             "studies": [{"kind": s.kind.value, "n": s.n} for s in self.studies],
             "market_share": market,
@@ -229,17 +216,13 @@ class RunConfig:
         if method not in METHODS:
             raise ConfigError("method", f"must be one of {METHODS}")
 
-        def prior(field: str, kind: str):
+        def prior(field: str, cls):
             spec = get(field, dict)
-            dist = spec.get("dist")
-            if dist != kind:
+            kind = _DIST_NAMES[cls]
+            if spec.get("dist") != kind:
                 raise ConfigError(field + ".dist", f"must be '{kind}'")
             try:
-                if kind == "beta":
-                    return BetaPrior(number(field + ".alpha", spec["alpha"]),
-                                     number(field + ".beta", spec["beta"]))
-                return NormalPrior(number(field + ".mean", spec["mean"]),
-                                   number(field + ".variance", spec["variance"]))
+                return cls(*(number(f"{field}.{g.name}", spec[g.name]) for g in fields(cls)))
             except ConfigError:
                 raise
             except KeyError as exc:
@@ -248,25 +231,16 @@ class RunConfig:
                 raise ConfigError(field, str(exc)) from exc
 
         try:
-            fixed = FixedParams(
-                life_years=get("model.fixed.life_years", float),
-                event_cost=get("model.fixed.event_cost", float),
-                treatment_cost=get("model.fixed.treatment_cost", float),
-                side_effect_cost=get("model.fixed.side_effect_cost", float),
-                side_effect_qol_loss=get("model.fixed.side_effect_qol_loss", float),
-                wtp=get("model.fixed.wtp", float),
-            )
+            fixed = FixedParams(**{f.name: get(f"model.fixed.{f.name}", float)
+                                   for f in fields(FixedParams)})
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError("model.fixed", str(exc)) from exc
 
-        priors = PriorSpec(
-            p_event=prior("model.priors.p_event", "beta"),
-            log_odds_ratio=prior("model.priors.log_odds_ratio", "normal"),
-            p_side_effect=prior("model.priors.p_side_effect", "beta"),
-            logit_qol=prior("model.priors.logit_qol", "normal"),
-        )
+        prior_types = get_type_hints(PriorSpec)
+        priors = PriorSpec(**{f.name: prior(f"model.priors.{f.name}", prior_types[f.name])
+                              for f in fields(PriorSpec)})
 
         raw_studies = get("studies", list)
         studies = []
@@ -355,6 +329,11 @@ class RunConfig:
         if not path.exists():
             raise ConfigError("<file>", f"no such config file: {path}")
         return cls.from_json(path.read_text())
+
+
+def _prior_dict(prior: BetaPrior | NormalPrior) -> dict:
+    return {"dist": _DIST_NAMES[type(prior)], **{f.name: getattr(prior, f.name)
+                                                 for f in fields(prior)}}
 
 
 class _Missing:

@@ -260,16 +260,21 @@ def fit_variance_curve(posterior_variances, sizes, prior_variance: float) -> Var
         floor, half_life = params
         return floor + (v - floor) * half_life / (n + half_life) - y
 
-    x0 = np.array([min(max(float(y.min()), 0.0), v), max(float(np.median(n)), 1.0)])
-    res = least_squares(resid, x0, bounds=([0.0, 1e-9], [v, 1e12]))
-    if not res.success:
-        raise FitError("variance curve fit did not converge")
-    floor, half_life = res.x
-    # For an arm the study cannot inform, the variances are flat noise and the
-    # search can stop anywhere in a flat valley, wherever the last digits of
-    # its inputs send it.  The curve that does not decay at all, at the mean
-    # variance, is that valley's bottom; keep it when it fits no worse.
+    def search(x0):
+        res = least_squares(resid, x0, bounds=([0.0, 1e-9], [v, 1e12]))
+        if not res.success:
+            raise FitError("variance curve fit did not converge")
+        return res
+
+    # For an arm the study cannot inform, the variances are flat noise, and a
+    # search can stop in a shallow decaying minimum or anywhere in a flat
+    # valley, wherever the last digits of its inputs send it.  The curve that
+    # does not decay at all, at the mean variance, is that valley's bottom:
+    # search from it too, and keep it when neither search fits better.
     flat = np.array([min(max(float(y.mean()), 0.0), v), 1e-9])
+    x0 = np.array([min(max(float(y.min()), 0.0), v), max(float(np.median(n)), 1.0)])
+    res = min(search(x0), search(flat), key=lambda r: r.cost)
+    floor, half_life = res.x
     flat_resid = resid(flat)
     if 0.5 * float(flat_resid @ flat_resid) <= res.cost:
         floor, half_life = flat

@@ -37,7 +37,6 @@ __all__ = [
     "share_matrix",
     "current_decision_value",
     "assemble_evsi_im",
-    "evsi_im_terms",
 ]
 
 
@@ -192,38 +191,24 @@ def current_decision_value(psa: PsaSample, shares: CurrentShares) -> float:
     return float(np.sum(m * means))
 
 
-def evsi_im_terms(mu: np.ndarray, p_target: np.ndarray, fn: MarketShareFunction,
-                  shares: CurrentShares) -> np.ndarray:
-    """Per-dataset contributions whose mean is the adjusted value.
-
-    Term s is the share-weighted posterior mean net benefit after the study
-    minus the same datasets' value under today's shares; averaging these gives
-    ``assemble_evsi_im`` up to a reordering of exact sums, and their spread
-    yields a delta-method standard error.
-    """
-    mu = np.asarray(mu, dtype=float)
-    m_after = share_matrix(fn, p_target, mu)
-    m_now = shares.as_array()
-    if m_now.size != mu.shape[1]:
-        raise ValueError("share vector length must match the number of treatments")
-    return np.sum(m_after * mu, axis=1) - np.sum(m_now * mu, axis=1)
-
-
 def assemble_evsi_im(mu: np.ndarray, p_target: np.ndarray, fn: MarketShareFunction,
-                     shares: CurrentShares) -> float:
-    """Implementation-adjusted expected value of a study.
+                     shares: CurrentShares) -> tuple[float, np.ndarray]:
+    """Implementation-adjusted expected value of a study and its per-dataset terms.
 
-    ``mean_s sum_d share_d(X_s) mu[s, d]`` minus ``sum_d share_d_now *
-    mean_s mu[s, d]``: what the market is expected to be worth once shares
-    respond to the study, less what the same simulations say the current
-    split is worth.  Both terms are computed from ``mu``, so the common
-    simulation noise cancels.
+    The value is ``mean_s sum_d share_d(X_s) mu[s, d]`` minus ``sum_d
+    share_d_now * mean_s mu[s, d]``: what the market is expected to be worth
+    once shares respond to the study, less what the same simulations say the
+    current split is worth.  Both terms are computed from ``mu``, so the
+    common simulation noise cancels.  Term s is dataset s's share-weighted
+    posterior mean net benefit after the study minus its value under today's
+    shares; the terms average to the value up to a reordering of exact sums,
+    and their spread yields a delta-method standard error.
     """
     mu = np.asarray(mu, dtype=float)
     m_after = share_matrix(fn, p_target, mu)
     m_now = shares.as_array()
     if m_now.size != mu.shape[1]:
         raise ValueError("share vector length must match the number of treatments")
-    value_after = float(np.mean(np.sum(m_after * mu, axis=1)))
-    value_now = float(np.sum(m_now * mu.mean(axis=0)))
-    return value_after - value_now
+    after = np.sum(m_after * mu, axis=1)
+    value = float(np.mean(after)) - float(np.sum(m_now * mu.mean(axis=0)))
+    return value, after - np.sum(m_now * mu, axis=1)

@@ -125,9 +125,36 @@ class PriorSpec:
     p_side_effect: BetaPrior
     logit_qol: NormalPrior
 
-    # Canonical sampling order, shared by every routine that fills in
-    # parameters from the prior.  Keeping one order makes streams reproducible.
+    # Canonical sampling order of the ParameterDraw fields.  Keeping one
+    # order makes streams reproducible.
     FIELD_ORDER = ("p_event", "odds_ratio", "p_side_effect", "qol_after_event")
+
+    def sample(self, rng: np.random.Generator, size, given: dict | None = None) -> "ParameterDraw":
+        """Draw every parameter not in ``given`` from its prior.
+
+        The one prior sampler: fields are drawn from ``rng`` in
+        ``FIELD_ORDER``, so the stream is consumed the same way wherever it is
+        used, and the values in ``given`` (posterior draws of the parameters
+        a study informs) pass through unchanged.  ``size`` is an int or a
+        shape.
+        """
+        values = dict(given or {})
+        for name in self.FIELD_ORDER:
+            if name not in values:
+                prior, to_model_scale = _PRIOR_OF[name]
+                x = getattr(self, prior).sample(rng, size)
+                values[name] = x if to_model_scale is None else to_model_scale(x)
+        return ParameterDraw.from_primitives(**values)
+
+
+# The prior behind each sampled ParameterDraw field, and the map from the
+# prior's scale back to the model's.
+_PRIOR_OF = {
+    "p_event": ("p_event", None),
+    "odds_ratio": ("log_odds_ratio", np.exp),
+    "p_side_effect": ("p_side_effect", None),
+    "qol_after_event": ("logit_qol", expit),
+}
 
 
 def derive_pt(p_event, odds_ratio):
@@ -261,18 +288,13 @@ def sample_prior(
 ) -> PsaSample:
     """Draw a PSA sample of size ``n_samples`` from the prior.
 
-    All draws come from the single substream ``(seed, "prior")`` in the
-    canonical field order, so the result is a bit-reproducible function of
+    All draws come from the single substream ``(seed, "prior")`` through
+    :meth:`PriorSpec.sample`, so the result is a bit-reproducible function of
     ``(spec, fixed, n_samples, seed)``.
     """
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
-    rng = substream(seed, "prior")
-    p_event = spec.p_event.sample(rng, n_samples)
-    odds_ratio = np.exp(spec.log_odds_ratio.sample(rng, n_samples))
-    p_side = spec.p_side_effect.sample(rng, n_samples)
-    qol = expit(spec.logit_qol.sample(rng, n_samples))
-    draws = ParameterDraw.from_primitives(p_event, odds_ratio, p_side, qol)
+    draws = spec.sample(substream(seed, "prior"), n_samples)
     nb = np.column_stack([fn(draws, fixed) for fn in nb_functions])
     return PsaSample(draws=draws, nb=nb, seed=seed)
 

@@ -44,9 +44,16 @@ from .curves import (
     fit_generalized_logistic_n,
     fit_variance_curve,
 )
-from .market import CurrentShares, MarketShareFunction, assemble_evsi_im, evsi_im_terms
+from .market import CurrentShares, MarketShareFunction
 from .model import DEFAULT_NB_FUNCTIONS, FixedParams, ParameterDraw, PriorSpec, PsaSample
-from .nmc import EvsiEstimate, PosteriorSummary, posterior_nb_summary, rct_nb_summaries
+from .nmc import (
+    EvsiEstimate,
+    PosteriorSummary,
+    evsi_from_mu,
+    evsi_im_from_mu,
+    posterior_nb_summary,
+    rct_nb_summaries,
+)
 from .rng import child_seed, substream
 from .smoothing import fit_pspline
 from .studies import Dataset, StudyDesign, StudyKind, simulate_dataset
@@ -62,9 +69,7 @@ __all__ = [
     "variance_reduction_target",
     "rescale",
     "mm_pipeline",
-    "mm_evsi_im",
     "mm_by_n_pipeline",
-    "mm_evsi_im_by_n",
 ]
 
 _ALL_FIELDS = frozenset(PriorSpec.FIELD_ORDER)
@@ -177,14 +182,11 @@ def fit_conditional_expectation(psa: PsaSample, design: StudyDesign) -> Conditio
 def variance_reduction_target(psa: PsaSample, posterior_nb_variances) -> np.ndarray:
     """Variance the rescaled posterior means should have, per treatment.
 
-    ``posterior_nb_variances`` is either a (Q, D) array of per-dataset
-    posterior net-benefit variances or a sequence of Q inner R x D net-benefit
-    draw matrices.  The target is the prior net-benefit variance minus the
-    average posterior variance, clipped into [0, prior variance].
+    ``posterior_nb_variances`` is a (Q, D) array of per-dataset posterior
+    net-benefit variances.  The target is the prior net-benefit variance
+    minus the average posterior variance, clipped into [0, prior variance].
     """
     arr = np.asarray(posterior_nb_variances, dtype=float)
-    if arr.ndim == 3:
-        arr = arr.var(axis=1, ddof=1)
     if arr.ndim != 2 or arr.shape[1] != psa.n_treatments:
         raise ValueError("expected per-dataset variances of shape (Q, D)")
     prior_var = psa.nb.var(axis=0, ddof=1)
@@ -241,25 +243,6 @@ class MomentMatchingResult:
     cond: ConditionalExpectationFit
 
 
-def _unadjusted_estimate(mu: np.ndarray, n_inner: int, method: str) -> EvsiEstimate:
-    grand = mu.mean(axis=0)
-    value = float(np.mean(np.max(mu, axis=1))) - float(np.max(grand))
-    d_star = int(np.argmax(grand))
-    terms = np.max(mu, axis=1) - mu[:, d_star]
-    se = float(terms.std(ddof=1) / math.sqrt(mu.shape[0]))
-    return EvsiEstimate(value=value, std_error=se, n_outer=mu.shape[0],
-                        n_inner=n_inner, method=method)
-
-
-def _adjusted_estimate(mu: np.ndarray, p_target: np.ndarray, market_fn: MarketShareFunction,
-                       current_shares: CurrentShares, n_inner: int, method: str) -> EvsiEstimate:
-    value = assemble_evsi_im(mu, p_target, market_fn, current_shares)
-    terms = evsi_im_terms(mu, p_target, market_fn, current_shares)
-    se = float(terms.std(ddof=1) / math.sqrt(mu.shape[0]))
-    return EvsiEstimate(value=value, std_error=se, n_outer=mu.shape[0],
-                        n_inner=n_inner, method=method)
-
-
 def _incremental(mu: np.ndarray, target: int) -> np.ndarray:
     if mu.shape[1] != 2:
         raise ValueError("the moment-matching probability path needs exactly two treatments")
@@ -287,22 +270,13 @@ def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: St
     inb = _incremental(mu, t)
     p_target = np.asarray(logistic.predict(inb))
 
-    evsi = _unadjusted_estimate(mu, n_inner, "mm")
-    evsi_im = _adjusted_estimate(mu, p_target, market_fn, current_shares, n_inner, "mm")
+    evsi = evsi_from_mu(mu, n_inner, "mm")
+    evsi_im = evsi_im_from_mu(mu, p_target, market_fn, current_shares, n_inner, "mm")
     return MomentMatchingResult(
         evsi=evsi, evsi_im=evsi_im, logistic=logistic, rescaled_mu=mu,
         inb=inb, p_target=p_target, summaries=summaries, variance_target=target_var,
         cond=cond,
     )
-
-
-def mm_evsi_im(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
-               market_fn: MarketShareFunction, current_shares: CurrentShares,
-               n_sets: int, n_inner: int, seed: int,
-               nb_fns=DEFAULT_NB_FUNCTIONS) -> EvsiEstimate:
-    """Implementation-adjusted value of the study by moment matching."""
-    return mm_pipeline(psa, prior, fixed, design, market_fn, current_shares,
-                       n_sets, n_inner, seed, nb_fns).evsi_im
 
 
 @dataclass(frozen=True)
@@ -367,17 +341,8 @@ def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
         target_var = np.array([c.variance_reduction(n) for c in curves])
         mu = rescale(cond, _cap_at_fit_variance(target_var, cond))
         p_target = np.asarray(logistic.predict(_incremental(mu, t), n=n))
-        estimates.append(_adjusted_estimate(mu, p_target, market_fn, current_shares,
-                                            n_inner, "mm"))
+        estimates.append(evsi_im_from_mu(mu, p_target, market_fn, current_shares,
+                                         n_inner, "mm"))
     return SampleSizeScan(sizes=sizes, estimates=tuple(estimates), logistic=logistic,
                           variance_curves=curves, summaries=summaries)
 
-
-def mm_evsi_im_by_n(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
-                    design: StudyDesign, market_fn: MarketShareFunction,
-                    current_shares: CurrentShares, n_sets: int, n_inner: int,
-                    n_grid: Sequence[int], seed: int,
-                    nb_fns=DEFAULT_NB_FUNCTIONS) -> tuple[EvsiEstimate, ...]:
-    """Per-size implementation-adjusted estimates over ``n_grid``."""
-    return mm_by_n_pipeline(psa, prior, fixed, design, market_fn, current_shares,
-                            n_sets, n_inner, n_grid, seed, nb_fns).estimates

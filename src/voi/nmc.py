@@ -25,16 +25,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
 
-from .market import CurrentShares, MarketShareFunction, assemble_evsi_im, evsi_im_terms
-from .model import (
-    DEFAULT_NB_FUNCTIONS,
-    FixedParams,
-    ParameterDraw,
-    PriorSpec,
-    derive_pt,
-)
+from .market import CurrentShares, MarketShareFunction, assemble_evsi_im
+from .model import DEFAULT_NB_FUNCTIONS, FixedParams, PriorSpec
 from .rng import child_seed, substream
 from .studies import (
     Dataset,
@@ -57,6 +50,8 @@ __all__ = [
     "nmc_summaries",
     "nmc_evsi",
     "nmc_evsi_im",
+    "evsi_from_mu",
+    "evsi_im_from_mu",
 ]
 
 # Trial posteriors are gridded and sampled for many datasets at once.  The
@@ -81,7 +76,6 @@ class PosteriorSummary:
     n_effective: int
     dataset_index: int
     n_draws: int
-    acceptance_rate: float | None = None
 
 
 @dataclass(frozen=True)
@@ -142,7 +136,6 @@ def _summary_from_draws(post: PosteriorDraws, fixed: FixedParams, nb_fns,
         n_effective=post.dataset.n_effective,
         dataset_index=dataset_index,
         n_draws=nb.shape[1],
-        acceptance_rate=post.acceptance_rate,
     )
 
 
@@ -176,18 +169,7 @@ def rct_nb_summaries(
     counts = np.zeros((m, n_treat))
     shift = None
     for g in rct_marginal_grid(datasets, prior).blocks(n_draws, seed):
-        size = g.shape
-        odds_ratio = np.exp(g)
-        p_event = prior.p_event.sample(fill_rng, size)
-        p_side = prior.p_side_effect.sample(fill_rng, size)
-        qol = expit(prior.logit_qol.sample(fill_rng, size))
-        draw = ParameterDraw(
-            p_event=p_event,
-            odds_ratio=odds_ratio,
-            p_side_effect=p_side,
-            qol_after_event=qol,
-            p_event_treated=derive_pt(p_event, odds_ratio),
-        )
+        draw = prior.sample(fill_rng, g.shape, {"odds_ratio": np.exp(g)})
         nb = np.stack([fn(draw, fixed) for fn in nb_fns], axis=-1)
         if shift is None:
             shift = nb[0].copy()
@@ -226,14 +208,6 @@ def posterior_nb_summary(dataset: Dataset, prior: PriorSpec, fixed: FixedParams,
     return _summary_from_draws(post, fixed, nb_fns, dataset_index)
 
 
-def _prior_parameter_draws(prior: PriorSpec, rng: np.random.Generator, size: int) -> ParameterDraw:
-    p_event = prior.p_event.sample(rng, size)
-    odds_ratio = np.exp(prior.log_odds_ratio.sample(rng, size))
-    p_side = prior.p_side_effect.sample(rng, size)
-    qol = expit(prior.logit_qol.sample(rng, size))
-    return ParameterDraw.from_primitives(p_event, odds_ratio, p_side, qol)
-
-
 def nmc_summaries(design: StudyDesign, prior: PriorSpec, fixed: FixedParams,
                   n_outer: int, n_inner: int, seed: int,
                   nb_fns=DEFAULT_NB_FUNCTIONS) -> list[PosteriorSummary]:
@@ -248,8 +222,7 @@ def nmc_summaries(design: StudyDesign, prior: PriorSpec, fixed: FixedParams,
         raise ValueError("n_outer must be at least 2")
     if n_inner < 2:
         raise ValueError("n_inner must be at least 2")
-    outer_rng = substream(seed, "outer")
-    draws = _prior_parameter_draws(prior, outer_rng, n_outer)
+    draws = prior.sample(substream(seed, "outer"), n_outer)
     datasets = [
         simulate_dataset(design, draws.item(s), child_seed(seed, "data", s))
         for s in range(n_outer)
@@ -277,35 +250,49 @@ def _mu_matrix(summaries: Sequence[PosteriorSummary]) -> np.ndarray:
     return np.stack([s.mu for s in summaries])
 
 
-def nmc_evsi(summaries: Sequence[PosteriorSummary]) -> EvsiEstimate:
-    """Unadjusted expected value of the study from nested summaries.
+def _estimate(value: float, terms: np.ndarray, n_inner: int, method: str) -> EvsiEstimate:
+    """The value with the standard error of the mean of its per-dataset terms."""
+    se = float(terms.std(ddof=1) / math.sqrt(len(terms)))
+    return EvsiEstimate(value=value, std_error=se, n_outer=len(terms), n_inner=n_inner,
+                        method=method)
+
+
+def evsi_from_mu(mu: np.ndarray, n_inner: int, method: str) -> EvsiEstimate:
+    """Unadjusted expected value of a study from S x D posterior means ``mu``.
 
     The baseline is the grand mean of ``mu`` over datasets, so the estimate
     is a mean of per-dataset terms and its standard error follows from their
     spread (the treatment attaining the best grand mean is treated as fixed).
+    Both estimators end here.
     """
-    mu = _mu_matrix(summaries)
     grand = mu.mean(axis=0)
     value = float(np.mean(np.max(mu, axis=1))) - float(np.max(grand))
     d_star = int(np.argmax(grand))
-    terms = np.max(mu, axis=1) - mu[:, d_star]
-    se = float(terms.std(ddof=1) / math.sqrt(len(summaries)))
-    return EvsiEstimate(value=value, std_error=se, n_outer=len(summaries),
-                        n_inner=summaries[0].n_draws, method="nmc")
+    return _estimate(value, np.max(mu, axis=1) - mu[:, d_star], n_inner, method)
+
+
+def evsi_im_from_mu(mu: np.ndarray, p_target: np.ndarray, market_fn: MarketShareFunction,
+                    current_shares: CurrentShares, n_inner: int, method: str) -> EvsiEstimate:
+    """Implementation-adjusted expected value of a study from ``mu``.
+
+    Shares after the study respond to each dataset's probability
+    ``p_target`` that the target treatment is best; the current market is
+    valued on the same grand means, mirroring the unadjusted estimator's
+    cancellation of common noise.  Both estimators end here.
+    """
+    value, terms = assemble_evsi_im(mu, p_target, market_fn, current_shares)
+    return _estimate(value, terms, n_inner, method)
+
+
+def nmc_evsi(summaries: Sequence[PosteriorSummary]) -> EvsiEstimate:
+    """Unadjusted expected value of the study from nested summaries."""
+    return evsi_from_mu(_mu_matrix(summaries), summaries[0].n_draws, "nmc")
 
 
 def nmc_evsi_im(summaries: Sequence[PosteriorSummary], market_fn: MarketShareFunction,
                 current_shares: CurrentShares) -> EvsiEstimate:
-    """Implementation-adjusted expected value of the study.
-
-    Shares after the study respond to each dataset's probability that the
-    target treatment is best; the current market is valued on the same grand
-    means, mirroring the unadjusted estimator's cancellation of common noise.
-    """
+    """Implementation-adjusted expected value of the study from nested summaries."""
     mu = _mu_matrix(summaries)
     p_target = np.array([s.p[market_fn.target] for s in summaries])
-    value = assemble_evsi_im(mu, p_target, market_fn, current_shares)
-    terms = evsi_im_terms(mu, p_target, market_fn, current_shares)
-    se = float(terms.std(ddof=1) / math.sqrt(len(summaries)))
-    return EvsiEstimate(value=value, std_error=se, n_outer=len(summaries),
-                        n_inner=summaries[0].n_draws, method="nmc")
+    return evsi_im_from_mu(mu, p_target, market_fn, current_shares,
+                           summaries[0].n_draws, "nmc")

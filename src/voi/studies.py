@@ -34,7 +34,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import expit, logit
 
-from .model import ParameterDraw, PriorSpec, derive_pt
+from .model import ParameterDraw, PriorSpec
 from .rng import substream
 
 __all__ = [
@@ -149,27 +149,6 @@ def _require_kind(dataset: Dataset, kind: StudyKind) -> None:
         raise ValueError(f"dataset comes from {dataset.design.kind.value!r}, expected {kind.value!r}")
 
 
-def _fill_from_prior(prior: PriorSpec, rng: np.random.Generator, size: int,
-                     informed: dict) -> ParameterDraw:
-    """Complete a draw: posterior values for informed fields, prior for the rest.
-
-    Fields are visited in the canonical order so stream consumption is fixed.
-    """
-    values = {}
-    for name in PriorSpec.FIELD_ORDER:
-        if name in informed:
-            values[name] = informed[name]
-        elif name == "p_event":
-            values[name] = prior.p_event.sample(rng, size)
-        elif name == "odds_ratio":
-            values[name] = np.exp(prior.log_odds_ratio.sample(rng, size))
-        elif name == "p_side_effect":
-            values[name] = prior.p_side_effect.sample(rng, size)
-        else:
-            values[name] = expit(prior.logit_qol.sample(rng, size))
-    return ParameterDraw.from_primitives(**values)
-
-
 def posterior_side_effects(dataset: Dataset, prior: PriorSpec, n_draws: int, seed: int) -> PosteriorDraws:
     """Conjugate posterior for the safety study.
 
@@ -181,7 +160,7 @@ def posterior_side_effects(dataset: Dataset, prior: PriorSpec, n_draws: int, see
     a = prior.p_side_effect.alpha + dataset.events
     b = prior.p_side_effect.beta + (dataset.n_effective - dataset.events)
     p_side = rng.beta(a, b, n_draws)
-    draws = _fill_from_prior(prior, rng, n_draws, {"p_side_effect": p_side})
+    draws = prior.sample(rng, n_draws, {"p_side_effect": p_side})
     return PosteriorDraws(draws=draws, dataset=dataset, seed=seed)
 
 
@@ -204,7 +183,7 @@ def posterior_quality(dataset: Dataset, prior: PriorSpec, n_draws: int, seed: in
     rng = substream(seed, "posterior", dataset.design.kind.value)
     post_mean, post_var = quality_posterior_moments(dataset, prior)
     qol = expit(rng.normal(post_mean, math.sqrt(post_var), n_draws))
-    draws = _fill_from_prior(prior, rng, n_draws, {"qol_after_event": qol})
+    draws = prior.sample(rng, n_draws, {"qol_after_event": qol})
     return PosteriorDraws(draws=draws, dataset=dataset, seed=seed)
 
 
@@ -560,20 +539,9 @@ def posterior_effectiveness(dataset: Dataset, prior: PriorSpec, n_draws: int, se
                                       thin=thin, n_adapt=n_adapt, n_burn_in=n_burn_in)
     rng = substream(seed, "posterior", "effectiveness_rct", "complement")
     odds_ratio = np.exp(g[:, 0])
-    draws = _fill_from_prior(prior, rng, n_draws, {"odds_ratio": odds_ratio})
+    draws = prior.sample(rng, n_draws, {"odds_ratio": odds_ratio})
     return PosteriorDraws(draws=draws, dataset=dataset, seed=seed,
                           acceptance_rate=float(acceptance[0]))
-
-
-def posterior_draws_for(dataset: Dataset, prior: PriorSpec, n_draws: int,
-                        seed: int) -> PosteriorDraws:
-    """Posterior parameter draws for a dataset, dispatched on its study kind."""
-    kind = dataset.design.kind
-    if kind is StudyKind.SIDE_EFFECTS:
-        return posterior_side_effects(dataset, prior, n_draws, seed)
-    if kind is StudyKind.QUALITY_OF_LIFE:
-        return posterior_quality(dataset, prior, n_draws, seed)
-    return posterior_effectiveness(dataset, prior, n_draws, seed)
 
 
 def rct_grid_posterior(dataset: Dataset, prior: PriorSpec, n_nodes: int = 200) -> dict:

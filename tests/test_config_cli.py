@@ -1,13 +1,21 @@
 """Configuration parsing and the command line front end."""
 
+import contextlib
+import copy
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import voi.cli as cli
 from voi.config import ConfigError, RunConfig, default_config
+from voi.critical_event import MARKET
+from voi.market import StepShare, TableShare
 from voi.curves import FitError
 from voi.studies import SamplerError
 
@@ -44,10 +52,12 @@ class TestConfig:
         assert RunConfig.from_file(SHIPPED).config_hash() == SHIPPED_HASH
 
     def test_round_trip_preserves_everything(self):
-        config = default_config(seed=7, method="mm", n_grid=[10, 50, 200])
-        again = RunConfig.from_dict(json.loads(config.to_json()))
-        assert again == config
-        assert again.config_hash() == config.config_hash()
+        for market in (MARKET, StepShare(target=0),
+                       TableShare(points=((0.0, 0.0), (0.5, 0.2), (1.0, 1.0)))):
+            config = default_config(seed=7, method="mm", n_grid=[10, 50, 200], market=market)
+            again = RunConfig.from_dict(json.loads(config.to_json()))
+            assert again == config
+            assert again.config_hash() == config.config_hash()
 
     def test_hash_tracks_content_not_bookkeeping(self):
         base = default_config()
@@ -341,3 +351,103 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
         assert not (tmp_path / "res").exists()
+
+
+def _paths(node, prefix=()):
+    """Every key and index path into a JSON document, the root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+# Values a hand-edited file might hold in the wrong place.  Integers stay
+# small so that a mutated run setting keeps the run tiny.
+_NUMBERS = st.one_of(st.integers(-3, 300), st.floats(-1e3, 1e3))
+_JUNK = st.one_of(
+    st.none(), st.booleans(), _NUMBERS, st.floats(), st.text(max_size=6),
+    st.lists(st.integers(-3, 300), max_size=3),
+    st.dictionaries(st.text(max_size=4), st.integers(-3, 300), max_size=2),
+)
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+@st.composite
+def _mutated(draw, base: dict):
+    """``base`` with one to three entries dropped, replaced by junk or nested wrongly."""
+    doc = copy.deepcopy(base)
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        node = _at(doc, parents)
+        edit = draw(st.sampled_from(["drop", "junk", "in_list", "in_object"]))
+        if edit == "drop":
+            del node[key]
+        elif edit == "junk":
+            node[key] = draw(_JUNK)
+        elif edit == "in_list":
+            node[key] = [node[key]]
+        else:
+            node[key] = {"value": node[key]}
+    return doc
+
+
+@st.composite
+def _renumbered(draw, base: dict):
+    """``base`` with one or two of its numbers changed, so it often still validates."""
+    doc = copy.deepcopy(base)
+    numbers = [p for p in _paths(doc) if type(_at(doc, p)) in (int, float)]
+    for *parents, key in draw(st.lists(st.sampled_from(numbers), min_size=1, max_size=2)):
+        _at(doc, parents)[key] = draw(_NUMBERS)
+    return doc
+
+
+def _tiny_config() -> dict:
+    d = json.loads(SHIPPED.read_text())
+    d.update(psa_samples=300, outer_datasets=4, posterior_draws=40, quantile_sets=6,
+             n_grid=[10, 40])
+    return d
+
+
+def _cli(doc, command: str) -> tuple[int, str]:
+    """Exit code and standard error of ``voi`` on ``doc`` written as the config file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--config", str(path)]
+        if command == "run":
+            argv += ["--out", str(Path(tmp) / "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    return code, err.getvalue()
+
+
+class TestExitCodeContract:
+    """Every input ends with exit 0, 1 or 2, never with a traceback."""
+
+    @settings(max_examples=25, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(_mutated(json.loads(SHIPPED.read_text())), _JUNK))
+    def test_validate(self, doc):
+        code, err = _cli(doc, "validate")
+        assert code in (0, 1, 2) and "Traceback" not in err
+
+    @settings(max_examples=20, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.one_of(_mutated(_tiny_config()), _renumbered(_tiny_config())))
+    def test_tiny_run(self, doc):
+        code, err = _cli(doc, "run")
+        assert code in (0, 1, 2) and "Traceback" not in err

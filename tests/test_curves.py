@@ -276,6 +276,22 @@ class TestVarianceCurve:
         assert again.variance_reduction(10.0) == pytest.approx(
             fit.variance_reduction(10.0), rel=1e-6)
 
+    def test_shallow_decaying_minimum_ignores_last_digit(self):
+        # Biased flat noise: from the usual start alone the search stops at a
+        # shallow decaying minimum for one input and far from any for the
+        # same input changed in the last digit; the search from the no-decay
+        # curve finds the decaying minimum for both.
+        prior_var = 4.7e6
+        sizes = np.rint(np.linspace(10.0, 200.0, 50))
+        y = prior_var * (1.01 + np.random.default_rng(97).normal(0.0, 0.05, 50))
+        fit = fit_variance_curve(y, sizes, prior_var)
+        again = fit_variance_curve(y * (1.0 + 1e-15), sizes, prior_var)
+        assert again.variance_reduction(10.0) == pytest.approx(
+            fit.variance_reduction(10.0), abs=1e-3 * prior_var)
+        # The same decaying minimum, up to where the search stops (half-lives
+        # 3.0 and 3.2; the first search alone ends at 3.0 and at 31,758).
+        assert again.half_life == pytest.approx(fit.half_life, rel=0.25)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_never_worse_than_no_decay(self, seed):
         prior_var = 4.7e6

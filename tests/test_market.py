@@ -12,7 +12,6 @@ from voi.market import (
     ThresholdLinearShare,
     assemble_evsi_im,
     current_decision_value,
-    evsi_im_terms,
     market_share,
     share_matrix,
 )
@@ -139,22 +138,23 @@ class TestAssembly:
         rng = np.random.default_rng(0)
         mu = rng.normal(0.0, 1.0, (500, 2))
         p = np.full(500, 0.3)
-        assert assemble_evsi_im(mu, p, LINEAR, current_shares) == pytest.approx(0.0, abs=1e-12)
+        value, terms = assemble_evsi_im(mu, p, LINEAR, current_shares)
+        assert value == pytest.approx(0.0, abs=1e-12)
+        assert np.all(terms == 0.0)
 
     def test_terms_average_to_the_estimate(self, current_shares):
         rng = np.random.default_rng(1)
         mu = rng.normal(10.0, 2.0, (400, 2))
         p = rng.uniform(0.0, 1.0, 400)
-        terms = evsi_im_terms(mu, p, LINEAR, current_shares)
+        value, terms = assemble_evsi_im(mu, p, LINEAR, current_shares)
         assert terms.shape == (400,)
-        assert terms.mean() == pytest.approx(
-            assemble_evsi_im(mu, p, LINEAR, current_shares), rel=1e-12)
+        assert terms.mean() == pytest.approx(value, rel=1e-12)
 
     def test_certain_adoption_hand_case(self):
         mu = np.array([[1.0, 3.0], [3.0, 1.0]])
         p = np.array([1.0, 1.0])
         # Full switch to treatment 2 in both rows: mean mu2 - mean mu1 = 0.
-        assert assemble_evsi_im(mu, p, LINEAR, CurrentShares((1.0, 0.0))) == pytest.approx(0.0)
+        assert assemble_evsi_im(mu, p, LINEAR, CurrentShares((1.0, 0.0)))[0] == pytest.approx(0.0)
         # Against a half-and-half incumbent market the switch gains nothing
         # on average either, but the current value term changes.
-        assert assemble_evsi_im(mu, p, LINEAR, CurrentShares((0.5, 0.5))) == pytest.approx(0.0)
+        assert assemble_evsi_im(mu, p, LINEAR, CurrentShares((0.5, 0.5)))[0] == pytest.approx(0.0)

@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from voi.model import (
     BetaPrior,
     FixedParams,
     NormalPrior,
     ParameterDraw,
+    PriorSpec,
     PsaSample,
     derive_pt,
     evpi,
@@ -19,6 +21,7 @@ from voi.model import (
     prob_cost_effective,
     sample_prior,
 )
+from voi.rng import substream
 
 # Point values frozen once from the closed-form net benefit expressions at the
 # published rounded parameter means (0.15, 0.0440, 0.25, 0.6405).
@@ -170,6 +173,37 @@ class TestPriorSample:
     def test_minimum_size_enforced(self, priors, fixed):
         with pytest.raises(ValueError):
             sample_prior(priors, fixed, 1, 0)
+
+    def test_prior_sampler_draws_the_psa(self, priors, fixed):
+        psa = sample_prior(priors, fixed, 500, 7)
+        draws = priors.sample(substream(7, "prior"), 500)
+        for name in ("p_event", "odds_ratio", "p_side_effect", "qol_after_event",
+                     "p_event_treated"):
+            np.testing.assert_array_equal(getattr(draws, name), getattr(psa.draws, name))
+
+    @pytest.mark.parametrize("given", [None, *PriorSpec.FIELD_ORDER])
+    def test_given_fields_pass_through(self, priors, given):
+        # The fields not given consume the stream in FIELD_ORDER, each on its
+        # prior's scale mapped to the model's.
+        size = (3, 5)
+        informed = {} if given is None else {given: np.full(size, 0.3)}
+        draws = priors.sample(substream(11, "test"), size, informed)
+        rng = substream(11, "test")
+        for name in PriorSpec.FIELD_ORDER:
+            if name in informed:
+                assert getattr(draws, name) is informed[name]
+                continue
+            if name in ("p_event", "p_side_effect"):
+                prior = getattr(priors, name)
+                expected = rng.beta(prior.alpha, prior.beta, size)
+            elif name == "odds_ratio":
+                expected = np.exp(rng.normal(priors.log_odds_ratio.mean,
+                                             priors.log_odds_ratio.sd, size))
+            else:
+                expected = expit(rng.normal(priors.logit_qol.mean, priors.logit_qol.sd, size))
+            np.testing.assert_array_equal(getattr(draws, name), expected)
+        np.testing.assert_array_equal(draws.p_event_treated,
+                                      derive_pt(draws.p_event, draws.odds_ratio))
 
 
 def _toy_psa(nb: np.ndarray) -> PsaSample:

@@ -106,7 +106,6 @@ class TestRctEngineRobustness:
         assert np.all(np.isfinite(s.mu)) and np.all(np.isfinite(s.nb_var))
         assert np.all(s.nb_var > 0.0)
         assert np.all((s.p >= 0.0) & (s.p <= 1.0)) and s.p.sum() == pytest.approx(1.0)
-        assert s.acceptance_rate is None
 
     def test_extreme_trials_in_one_batch(self, priors, fixed):
         datasets = [Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n),
@@ -184,7 +183,6 @@ class TestNmcEvsi:
         b = nmc_summaries(design, priors, fixed, 24, 200, 25)
         np.testing.assert_array_equal(np.stack([s.mu for s in a]),
                                       np.stack([s.mu for s in b]))
-        assert all(s.acceptance_rate is None for s in a)
 
 
 class TestNmcEvsiIm:
@@ -205,8 +203,9 @@ class TestNmcEvsiIm:
         est = nmc_evsi_im(small_summaries, market_fn, current_shares)
         mu = np.stack([s.mu for s in small_summaries])
         p = np.stack([s.p for s in small_summaries])
-        assert est.value == assemble_evsi_im(mu, p[:, market_fn.target],
-                                             market_fn, current_shares)
+        value, terms = assemble_evsi_im(mu, p[:, market_fn.target], market_fn, current_shares)
+        assert est.value == value
+        assert est.std_error == terms.std(ddof=1) / math.sqrt(len(terms))
 
     def test_threshold_never_reached_is_worthless(self, small_summaries):
         fn = ThresholdLinearShare(threshold=0.999999, saturation_at=1.0, target=1)

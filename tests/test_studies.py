@@ -14,7 +14,6 @@ from voi.studies import (
     SamplerError,
     StudyDesign,
     StudyKind,
-    posterior_draws_for,
     posterior_effectiveness,
     posterior_quality,
     posterior_side_effects,
@@ -354,19 +353,6 @@ class TestMarginalGrid:
 
 
 class TestDispatch:
-    def test_posterior_draws_for_routes_by_kind(self, priors):
-        cases = [
-            Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60),
-                    n_effective=60, events=15),
-            Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, 100),
-                    n_effective=100, logit_total=60.0),
-            Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200),
-                    n_effective=200, control_events=30, treated_events=9),
-        ]
-        for ds in cases:
-            post = posterior_draws_for(ds, priors, 200, 9)
-            assert np.asarray(post.draws.p_event).shape == (200,)
-
     def test_informed_sets(self):
         assert StudyDesign(StudyKind.SIDE_EFFECTS, 60).informed == {"p_side_effect"}
         assert StudyDesign(StudyKind.QUALITY_OF_LIFE, 100).informed == {"qol_after_event"}
