@@ -4,8 +4,8 @@ Runs the probabilistic sensitivity analysis and both estimators for the three
 candidate studies, printing the headline numbers.  At the default settings
 (10k PSA samples, 5k outer datasets with 10k posterior draws each for nested
 Monte Carlo, 50 quantile datasets for moment matching) the full run takes
-48 s on two cores, almost all of it in the nested Monte Carlo runs, 12 to
-15 s per study.
+25 to 28 s on two cores, almost all of it in the nested Monte Carlo runs,
+7 to 9 s per study.
 
 Usage:
     python3 scripts/run_critical_event.py [--fast] [--seed N] [--out DIR]

@@ -100,8 +100,8 @@ class RunConfig:
             if any(n < 1 for n in self.n_grid):
                 raise ConfigError("n_grid", "sizes must be at least 1")
             object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        if not isinstance(self.seed, int):
-            raise ConfigError("seed", "must be an integer")
+        if not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigError("seed", "must be a non-negative integer")
         for field, value in self._numbers():
             if not np.all(np.isfinite(np.asarray(value, dtype=float))):
                 raise ConfigError(field, "must be finite")

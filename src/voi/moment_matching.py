@@ -49,6 +49,7 @@ from .model import DEFAULT_NB_FUNCTIONS, FixedParams, ParameterDraw, PriorSpec, 
 from .nmc import (
     EvsiEstimate,
     PosteriorSummary,
+    _map_in_order,
     evsi_from_mu,
     evsi_im_from_mu,
     posterior_nb_summary,
@@ -125,7 +126,11 @@ def quantile_datasets(psa: PsaSample, design: StudyDesign, n_sets: int, seed: in
 def nested_summaries(datasets: Sequence[Dataset], prior: PriorSpec, fixed: FixedParams,
                      n_inner: int, seed: int,
                      nb_fns=DEFAULT_NB_FUNCTIONS) -> list[PosteriorSummary]:
-    """Posterior summaries for each dataset (all trial datasets in one batch)."""
+    """Posterior summaries for each dataset (all trial datasets in one batch).
+
+    Conjugate datasets are spread over threads, one per usable core; the
+    result does not depend on the number of cores.
+    """
     if not datasets:
         return []
     kind = datasets[0].design.kind
@@ -133,11 +138,12 @@ def nested_summaries(datasets: Sequence[Dataset], prior: PriorSpec, fixed: Fixed
         return rct_nb_summaries(list(datasets), prior, fixed, n_inner,
                                 child_seed(seed, "post-batch"), nb_fns,
                                 dataset_indices=range(len(datasets)))
-    return [
-        posterior_nb_summary(ds, prior, fixed, n_inner, child_seed(seed, "post", j),
-                             nb_fns, dataset_index=j)
-        for j, ds in enumerate(datasets)
-    ]
+
+    def summary(j: int) -> PosteriorSummary:
+        return posterior_nb_summary(datasets[j], prior, fixed, n_inner,
+                                    child_seed(seed, "post", j), nb_fns, dataset_index=j)
+
+    return _map_in_order(summary, range(len(datasets)))
 
 
 @dataclass(frozen=True)

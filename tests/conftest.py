@@ -35,3 +35,11 @@ def current_shares():
 def psa(priors, fixed):
     # One moderately sized prior sample shared across the unit test modules.
     return sample_prior(priors, fixed, 10_000, 123)
+
+
+@pytest.fixture(params=[1, 2], ids=["1core", "2cores"])
+def cores(request, monkeypatch):
+    # The posterior work runs inline on one core and on a thread pool on more;
+    # pinning the count runs both paths on any host.
+    monkeypatch.setattr("voi.nmc._usable_cores", lambda: request.param)
+    return request.param

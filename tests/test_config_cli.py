@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import voi.cli as cli
+import voi.nmc as nmc
 from voi.config import ConfigError, RunConfig, default_config
 from voi.critical_event import MARKET
 from voi.market import StepShare, TableShare
@@ -319,6 +320,20 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "run_config", boom)
         assert cli.main(["run", "--config", str(small_config_path)]) == 2
 
+    def test_estimation_error_in_a_worker_thread_exits_two(self, small_config_path,
+                                                            monkeypatch, capsys, cores):
+        real = nmc.posterior_nb_summary
+
+        def fail_on_dataset_3(*args, dataset_index=0, **kwargs):
+            if dataset_index == 3:
+                raise ValueError("nb contains non-finite values")
+            return real(*args, dataset_index=dataset_index, **kwargs)
+
+        monkeypatch.setattr(nmc, "posterior_nb_summary", fail_on_dataset_3)
+        assert cli.main(["run", "--config", str(small_config_path), "--method", "nmc"]) == 2
+        err = capsys.readouterr().err
+        assert err == "estimation error: nb contains non-finite values\n"
+
     def test_other_estimation_value_error_exits_two(self, small_config_path, monkeypatch,
                                                     capsys):
         def boom(*args, **kwargs):
@@ -340,8 +355,9 @@ class TestExitCodes:
         lambda d: d["model"]["priors"]["p_event"].update(alpha=True),
         lambda d: d["market_share"].update(threshold="0.6"),
         lambda d: d.update(current_shares=["1", False]),
+        lambda d: d.update(seed=-1),
     ], ids=["wtp-nan", "alpha-inf", "target-3", "alpha-true", "threshold-string",
-            "shares-mixed"])
+            "shares-mixed", "seed-negative"])
     def test_bad_values_exit_one(self, command, edit, tmp_path, capsys):
         d = _small_config(out_dir=str(tmp_path / "res")).to_dict()
         edit(d)
@@ -350,6 +366,18 @@ class TestExitCodes:
         assert cli.main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("command", ["run", "trend"])
+    def test_negative_seed_option_exits_one(self, command, small_config_path, tmp_path,
+                                            capsys):
+        argv = [command, "--config", str(small_config_path), "--seed", "-1",
+                "--out", str(tmp_path / "res")]
+        if command == "trend":
+            argv += ["--study", "1"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: field 'seed': must be a non-negative integer\n"
         assert not (tmp_path / "res").exists()
 
 

@@ -17,11 +17,14 @@ from voi.moment_matching import (
     fit_conditional_expectation,
     mm_by_n_pipeline,
     mm_pipeline,
+    nested_summaries,
     quantile_datasets,
     quantile_grid,
     rescale,
     variance_reduction_target,
 )
+from voi.nmc import posterior_nb_summary
+from voi.rng import child_seed
 from voi.smoothing import fit_pspline
 from voi.studies import StudyDesign, StudyKind
 
@@ -237,6 +240,21 @@ class TestPipeline:
         result = mm_pipeline(psa, priors, fixed, TRIAL, market_fn,
                              current_shares, n_sets=12, n_inner=800, seed=39)
         assert np.isfinite(result.evsi_im.value)
+
+
+class TestNestedSummaries:
+    def test_parallel_matches_serial(self, psa, priors, fixed, cores):
+        # Datasets spread over threads give every summary bit for bit as a
+        # plain loop over the same per-dataset streams.
+        datasets = quantile_datasets(psa, SIDE_EFFECTS, 10, 5, sizes=range(10, 110, 10))
+        expected = [posterior_nb_summary(ds, priors, fixed, 150, child_seed(44, "post", j),
+                                         dataset_index=j)
+                    for j, ds in enumerate(datasets)]
+        got = nested_summaries(datasets, priors, fixed, 150, 44)
+        assert [s.dataset_index for s in got] == list(range(10))
+        for field in ("mu", "p", "nb_var"):
+            assert np.array_equal(np.stack([getattr(s, field) for s in got]),
+                                  np.stack([getattr(s, field) for s in expected]))
 
 
 class TestByN:

@@ -1,23 +1,28 @@
 """Nested Monte Carlo estimators for study value, with and without adoption."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
+import voi.nmc as nmc
 from voi.market import CurrentShares, StepShare, ThresholdLinearShare
 from voi.model import expected_nb, evpi
 from voi.nmc import (
     PosteriorSummary,
+    _map_in_order,
     _win_counts,
     nmc_evsi,
     nmc_evsi_im,
     nmc_summaries,
+    posterior_nb_summary,
     rct_nb_summaries,
     summarize_nb_matrix,
 )
 from voi.model import DEFAULT_NB_FUNCTIONS
-from voi.studies import Dataset, StudyDesign, StudyKind
+from voi.rng import child_seed, substream
+from voi.studies import Dataset, StudyDesign, StudyKind, simulate_dataset
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +188,73 @@ class TestNmcEvsi:
         b = nmc_summaries(design, priors, fixed, 24, 200, 25)
         np.testing.assert_array_equal(np.stack([s.mu for s in a]),
                                       np.stack([s.mu for s in b]))
+
+
+def assert_same_summaries(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g.dataset_index == e.dataset_index and g.n_effective == e.n_effective
+        assert np.array_equal(g.mu, e.mu)
+        assert np.array_equal(g.p, e.p)
+        assert np.array_equal(g.nb_var, e.nb_var)
+
+
+class TestMapInOrder:
+    def test_results_keep_their_order(self, cores):
+        main = threading.get_ident()
+        threads = set()
+
+        def square(x):
+            threads.add(threading.get_ident())
+            return x * x
+
+        assert _map_in_order(square, range(40)) == [x * x for x in range(40)]
+        # One core runs inline; more run on pool threads, never the caller's.
+        assert (threads == {main}) == (cores == 1)
+
+    def test_single_item_runs_inline(self, cores):
+        assert _map_in_order(lambda _: threading.get_ident(), [0]) == [threading.get_ident()]
+
+    def test_first_error_propagates(self, cores):
+        def fail_on_odd(x):
+            if x % 2:
+                raise ValueError(f"item {x}")
+            return x
+
+        with pytest.raises(ValueError, match="item 1"):
+            _map_in_order(fail_on_odd, range(10))
+
+
+class TestParallelMatchesSerial:
+    """Spreading datasets over threads leaves every summary bit for bit as a plain loop."""
+
+    @pytest.mark.parametrize("kind", [StudyKind.SIDE_EFFECTS, StudyKind.QUALITY_OF_LIFE])
+    def test_conjugate(self, priors, fixed, cores, kind):
+        design, seed = StudyDesign(kind, 60), 26
+        draws = priors.sample(substream(seed, "outer"), 12)
+        expected = [
+            posterior_nb_summary(
+                simulate_dataset(design, draws.item(s), child_seed(seed, "data", s)),
+                priors, fixed, 150, child_seed(seed, "post", s), dataset_index=s)
+            for s in range(12)
+        ]
+        assert_same_summaries(nmc_summaries(design, priors, fixed, 12, 150, seed), expected)
+
+    def test_trial_over_several_chunks(self, priors, fixed, cores, monkeypatch):
+        monkeypatch.setattr(nmc, "RCT_CHUNK_SIZE", 3)
+        design, seed, n_outer = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200), 27, 8
+        draws = priors.sample(substream(seed, "outer"), n_outer)
+        datasets = [simulate_dataset(design, draws.item(s), child_seed(seed, "data", s))
+                    for s in range(n_outer)]
+        expected = []
+        for start in range(0, n_outer, 3):
+            chunk = range(start, min(start + 3, n_outer))
+            expected += rct_nb_summaries([datasets[s] for s in chunk], priors, fixed, 150,
+                                         child_seed(seed, "post-chunk", start),
+                                         dataset_indices=chunk)
+        got = nmc_summaries(design, priors, fixed, n_outer, 150, seed)
+        assert_same_summaries(got, expected)
+        assert [s.dataset_index for s in got] == list(range(n_outer))
 
 
 class TestNmcEvsiIm:
