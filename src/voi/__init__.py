@@ -57,7 +57,6 @@ from .rng import child_seed, substream
 from .studies import (
     Dataset,
     PosteriorDraws,
-    SamplerError,
     StudyDesign,
     StudyKind,
     rct_grid_posterior,
@@ -88,7 +87,6 @@ __all__ = [
     "PsaSample",
     "RunConfig",
     "SampleSizeScan",
-    "SamplerError",
     "StepShare",
     "STUDIES",
     "StudyDesign",

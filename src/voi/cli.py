@@ -11,10 +11,10 @@ Three subcommands:
 * ``voi validate --config cfg.json`` parses and checks the configuration.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 when estimation
-fails (sampler diagnostics, curve fits or any other ``ValueError``).  Every
-output file embeds the config hash and seed in a leading ``#`` comment line;
-rerunning with the same config and seed reproduces the same estimates (the
-``seconds`` column is wall time and naturally varies).
+fails (curve fits or any other ``ValueError``).  Every output file embeds the
+config hash and seed in a leading ``#`` comment line; rerunning with the same
+config and seed reproduces the same estimates (the ``seconds`` column is wall
+time and naturally varies).
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .model import PsaSample, prob_cost_effective, sample_prior
 from .moment_matching import MomentMatchingResult, mm_by_n_pipeline, mm_pipeline
 from .nmc import nmc_evsi, nmc_evsi_im, nmc_summaries
 from .rng import child_seed
-from .studies import SamplerError
 
 __all__ = ["ResultRow", "ResultTable", "run_config", "emit_trend_curve", "main"]
 
@@ -248,7 +247,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 1
     # After ConfigError, which is a ValueError too: any other ValueError comes
     # from estimation.
-    except (SamplerError, FitError, ValueError) as exc:
+    except (FitError, ValueError) as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 2
 

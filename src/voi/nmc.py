@@ -45,7 +45,6 @@ from .studies import (
     posterior_quality,
     posterior_side_effects,
     rct_marginal_grid,
-    run_rct_chains,  # unused here; perfbench/tracing.py patches this name
     simulate_dataset,
 )
 

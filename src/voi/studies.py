@@ -16,12 +16,10 @@ independent of the informed block, and the data carry nothing about them).
 
 The first two posteriors are conjugate.  The trial posterior over
 ``(logit p_event, log odds_ratio)`` has no closed form.  Only its log odds
-ratio marginal feeds the model, so the estimators grid that marginal for
+ratio marginal feeds the model, so both estimators grid that marginal for
 each dataset and draw from it by inverse-CDF interpolation
-(:func:`rct_marginal_grid`).  An adaptive random-walk Metropolis sampler
-(:func:`run_rct_chains`, :func:`posterior_effectiveness`) and a fixed
-quadrature over the prior's central range (:func:`rct_grid_posterior`) are
-kept as independent references for it.
+(:func:`rct_marginal_grid`).  A fixed quadrature over the prior's central
+range (:func:`rct_grid_posterior`) is kept as an independent reference.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.special import expit, logit
@@ -42,15 +40,12 @@ __all__ = [
     "StudyDesign",
     "Dataset",
     "PosteriorDraws",
-    "SamplerError",
     "LOGIT_RESPONSE_VARIANCE",
     "simulate_dataset",
     "posterior_side_effects",
     "posterior_quality",
-    "posterior_effectiveness",
     "RctMarginalGrid",
     "rct_marginal_grid",
-    "run_rct_chains",
     "rct_grid_posterior",
 ]
 
@@ -120,12 +115,6 @@ class PosteriorDraws:
 
     draws: ParameterDraw
     dataset: Dataset
-    seed: int
-    acceptance_rate: float | None = None
-
-
-class SamplerError(RuntimeError):
-    """Raised when posterior sampling fails its own diagnostics."""
 
 
 def simulate_dataset(design: StudyDesign, draw: ParameterDraw, seed: int) -> Dataset:
@@ -161,7 +150,7 @@ def posterior_side_effects(dataset: Dataset, prior: PriorSpec, n_draws: int, see
     b = prior.p_side_effect.beta + (dataset.n_effective - dataset.events)
     p_side = rng.beta(a, b, n_draws)
     draws = prior.sample(rng, n_draws, {"p_side_effect": p_side})
-    return PosteriorDraws(draws=draws, dataset=dataset, seed=seed)
+    return PosteriorDraws(draws=draws, dataset=dataset)
 
 
 def quality_posterior_moments(dataset: Dataset, prior: PriorSpec) -> tuple[float, float]:
@@ -184,23 +173,16 @@ def posterior_quality(dataset: Dataset, prior: PriorSpec, n_draws: int, seed: in
     post_mean, post_var = quality_posterior_moments(dataset, prior)
     qol = expit(rng.normal(post_mean, math.sqrt(post_var), n_draws))
     draws = prior.sample(rng, n_draws, {"qol_after_event": qol})
-    return PosteriorDraws(draws=draws, dataset=dataset, seed=seed)
+    return PosteriorDraws(draws=draws, dataset=dataset)
 
 
 # ---------------------------------------------------------------------------
-# Trial posterior: adaptive random-walk Metropolis on (logit p_event, log OR).
+# Trial posterior: the log density of (l, g) = (logit p_event, log OR).
 # ---------------------------------------------------------------------------
 
-# Relative proposal shape: the posterior is a few times tighter in the logit
-# event probability than in the log odds ratio.
-_PROPOSAL_SHAPE = np.array([0.15, 0.30])
-_ACCEPTANCE_TARGET = 0.30
-_ACCEPTANCE_BOUNDS = (0.05, 0.95)
-
-# The chains advance in blocks of steps whose proposal noise and acceptance
-# uniforms are drawn in one call each.  A block holds about this many
-# (step, chain) elements, so its length is ``_BLOCK_ELEMENTS // chains`` steps
-# and memory stays flat however many chains run together.
+# The trial grid evaluates its log density, and draws from its marginals, in
+# blocks of about this many elements, so memory stays flat however many
+# datasets are gridded together.
 _BLOCK_ELEMENTS = 16_384
 
 # Flooring the exponent at the log of the smallest normal double keeps np.exp
@@ -211,8 +193,8 @@ _EXP_FLOOR = math.log(np.finfo(float).tiny)
 def _softplus(x: np.ndarray) -> np.ndarray:
     """``log(1 + e^x)`` for any finite x, without overflow or underflow.
 
-    The same formula as ``np.logaddexp(0, x)``, at about half its cost on the
-    sampler's ``(2, chains)`` arrays.
+    The same formula as ``np.logaddexp(0, x)``, at about a sixth of its cost
+    on the grid's ``(2, datasets, g nodes, l nodes)`` arrays.
     """
     return np.maximum(x, 0.0) + np.log1p(np.exp(np.maximum(-np.abs(x), _EXP_FLOOR)))
 
@@ -223,7 +205,7 @@ def _rct_log_post(l: np.ndarray, g: np.ndarray, x1, n1, x2, n2, prior: PriorSpec
     The Beta(alpha, beta) prior on p_event becomes, with the Jacobian of the
     logit transform, alpha*l - (alpha+beta)*log(1+e^l) up to a constant, and
     the treated arm has event probability expit(l + g).  Written out plainly
-    for the grid oracle, apart from the sampler's folded form below.
+    for the quadrature oracle, apart from the grid's folded form below.
     """
     a = prior.p_event.alpha
     b = prior.p_event.beta
@@ -236,14 +218,15 @@ def _rct_log_post(l: np.ndarray, g: np.ndarray, x1, n1, x2, n2, prior: PriorSpec
 
 def _rct_log_density(x1: np.ndarray, n1: np.ndarray, x2: np.ndarray, n2: np.ndarray,
                      prior: PriorSpec):
-    """The sampler's form of :func:`_rct_log_post`, one value per chain.
+    """The grid's form of :func:`_rct_log_post`, one value per dataset.
 
-    The chains are kept as ``z = (l, l + g)``, the control and treated
-    logits, because the density needs the softplus of both: written in z it
-    is ``sum_rows(A * z - B * softplus(z)) - (g - m)^2 / 2v`` with ``A = (a +
+    Points are given as ``z = (l, l + g)``, the control and treated logits,
+    because the density needs the softplus of both: written in z it is
+    ``sum_rows(A * z - B * softplus(z)) - (g - m)^2 / 2v`` with ``A = (a +
     x1, x2)`` and ``B = (a + b + n1, n2)``.  The per-dataset constants are
-    folded here once; the returned function maps a ``(2, m)`` array of states
-    to ``m`` log densities.
+    folded here once; the returned function maps a ``(2, m, ...)`` array of
+    points to ``(m, ...)`` log densities, the counts broadcasting against
+    the trailing axes.
     """
     a, b = prior.p_event.alpha, prior.p_event.beta
     lin = np.stack([a + x1, x2])
@@ -403,159 +386,19 @@ def rct_marginal_grid(datasets: Sequence[Dataset], prior: PriorSpec) -> RctMargi
     return RctMarginalGrid(nodes=nodes, stacked_cdf=cdf)
 
 
-def run_rct_chains(
-    datasets: Sequence[Dataset],
-    prior: PriorSpec,
-    n_draws: int,
-    seed: int,
-    *,
-    thin: int = 5,
-    n_adapt: int = 1000,
-    n_burn_in: int = 1000,
-    on_retained: Callable[[np.ndarray, np.ndarray], None] | None = None,
-    keep_chain: bool = True,
-):
-    """Run one Metropolis chain per trial dataset, all advanced in lockstep.
-
-    Per-chain proposal scales are adapted for ``n_adapt`` iterations toward a
-    0.2-0.4 acceptance rate, then frozen through ``n_burn_in`` burn-in
-    iterations and ``n_draws * thin`` sampling iterations, of which every
-    ``thin``-th state is retained.  Acceptance is monitored over the sampling
-    phase and must land inside ``_ACCEPTANCE_BOUNDS`` for every chain.
-
-    Steps run in blocks of ``_BLOCK_ELEMENTS // len(datasets)`` (at least
-    one); each block draws its proposal noise and acceptance uniforms in one
-    call each.  In the sampling phase a block is a whole number of thinning
-    periods, and ``on_retained(l, g)`` is called once per block with that
-    block's retained states as ``(k, len(datasets))`` arrays, ``k`` varying
-    from block to block; the arrays are fresh, so the callee may keep them.
-
-    Returns ``(l, g, acceptance)`` where ``l`` and ``g`` are
-    ``(n_draws, len(datasets))`` arrays of retained states, or ``(None, None,
-    acceptance)`` when ``keep_chain`` is false and the caller consumes states
-    through ``on_retained``.
-    """
-    x1, x2, n1 = _trial_counts(datasets)
-    m = len(datasets)
-    rng = substream(seed, "posterior", "effectiveness_rct")
-    log_post = _rct_log_density(x1, n1, x2, n1, prior)
-
-    # The state rows are z = (l, l + g), see _rct_log_density.  Start at a
-    # data-informed point for the event probability and at the prior mean
-    # for the log odds ratio.
-    a, b = prior.p_event.alpha, prior.p_event.beta
-    l0 = logit((x1 + a) / (n1 + a + b))
-    state = np.stack([l0, l0 + prior.log_odds_ratio.mean])
-    lp = log_post(state)
-    block = max(1, _BLOCK_ELEMENTS // m)
-    base_sd = _PROPOSAL_SHAPE[:, None]
-
-    def blocks(n_steps: int, length: int, step_sd: np.ndarray):
-        """Moves in z, (k, 2, m), and log uniforms, (k, m), per block.
-
-        A random-walk move (dl, dg) in (l, g) is (dl, dl + dg) in z.
-        """
-        for start in range(0, n_steps, length):
-            k = min(length, n_steps - start)
-            moves = rng.standard_normal((k, 2, m))
-            moves *= step_sd
-            moves[:, 1] += moves[:, 0]
-            yield moves, np.log(rng.random((k, m)))
-
-    def step(move: np.ndarray, log_u: np.ndarray, accept: np.ndarray) -> None:
-        proposal = state + move
-        lp_prop = log_post(proposal)
-        np.less(log_u, lp_prop - lp, out=accept)
-        np.copyto(state, proposal, where=accept)
-        np.copyto(lp, lp_prop, where=accept)
-
-    # Per-chain multiplier on the base proposal shape; 2.4/sqrt(2) is the
-    # classic random-walk scaling for two dimensions.  While it adapts, the
-    # moves are drawn for unit scale and scaled step by step.
-    log_scale = np.full(m, math.log(2.4 / math.sqrt(2.0)))
-    scale = np.exp(log_scale)
-    t = 0
-    for moves, log_u in blocks(n_adapt, block, base_sd):
-        accept = np.empty(log_u.shape, dtype=bool)
-        for i in range(len(log_u)):
-            t += 1
-            step(moves[i] * scale, log_u[i], accept[i])
-            log_scale += t ** -0.6 * (accept[i] - _ACCEPTANCE_TARGET)
-            scale = np.exp(log_scale)
-
-    # The scale is fixed from here on, so whole blocks of moves are scaled at once.
-    step_sd = base_sd * scale
-    for moves, log_u in blocks(n_burn_in, block, step_sd):
-        accept = np.empty(log_u.shape, dtype=bool)
-        for i in range(len(log_u)):
-            step(moves[i], log_u[i], accept[i])
-
-    accepted = np.zeros(m)
-    if keep_chain:
-        l_out = np.empty((n_draws, m))
-        g_out = np.empty((n_draws, m))
-    per_block = max(1, block // thin)
-    r = 0
-    for moves, log_u in blocks(n_draws * thin, per_block * thin, step_sd):
-        accept = np.empty(log_u.shape, dtype=bool)
-        kept = np.empty((len(log_u) // thin, 2, m))
-        for j in range(len(kept)):
-            for i in range(j * thin, (j + 1) * thin):
-                step(moves[i], log_u[i], accept[i])
-            kept[j] = state
-        accepted += accept.sum(axis=0)
-        k = len(kept)
-        l, g = kept[:, 0], kept[:, 1] - kept[:, 0]
-        if keep_chain:
-            l_out[r:r + k] = l
-            g_out[r:r + k] = g
-        if on_retained is not None:
-            on_retained(l, g)
-        r += k
-    acceptance = accepted / (n_draws * thin)
-    low, high = _ACCEPTANCE_BOUNDS
-    bad = (acceptance <= low) | (acceptance >= high)
-    if np.any(bad):
-        rates = ", ".join(f"{x:.3f}" for x in acceptance[bad][:5])
-        raise SamplerError(
-            f"Metropolis acceptance rate outside ({low}, {high}) for "
-            f"{int(bad.sum())} of {m} chains (e.g. {rates})"
-        )
-    if keep_chain:
-        return l_out, g_out, acceptance
-    return None, None, acceptance
-
-
-def posterior_effectiveness(dataset: Dataset, prior: PriorSpec, n_draws: int, seed: int,
-                            *, thin: int = 5, n_adapt: int = 1000, n_burn_in: int = 1000) -> PosteriorDraws:
-    """Posterior draws of the odds ratio for the trial design.
-
-    The Metropolis chain runs on the joint (logit baseline rate, log odds
-    ratio) posterior; keeping only the second coordinate yields draws from the
-    odds-ratio marginal with the baseline rate integrated out. All other
-    parameters, the baseline rate included, are redrawn from the prior.
-    """
-    _, g, acceptance = run_rct_chains([dataset], prior, n_draws, seed,
-                                      thin=thin, n_adapt=n_adapt, n_burn_in=n_burn_in)
-    rng = substream(seed, "posterior", "effectiveness_rct", "complement")
-    odds_ratio = np.exp(g[:, 0])
-    draws = prior.sample(rng, n_draws, {"odds_ratio": odds_ratio})
-    return PosteriorDraws(draws=draws, dataset=dataset, seed=seed,
-                          acceptance_rate=float(acceptance[0]))
-
-
 def rct_grid_posterior(dataset: Dataset, prior: PriorSpec, n_nodes: int = 200) -> dict:
     """Deterministic quadrature over the trial posterior.
 
     Lays an ``n_nodes x n_nodes`` grid over the central 99.9% prior ranges of
     (logit p_event, log odds_ratio) and normalises the posterior density on
     it.  Returns posterior means and variances of the event probabilities and
-    the log odds ratio.  Serves as an independent oracle for the Metropolis
-    sampler on data the prior expects.  The grid stops where the prior's
-    range does, so it is no reference for data in the prior's tails: at the
-    default 200 nodes, its outermost rows and columns carry 1e-4 of the
-    posterior weight at 45 control and 20 treated events of 200, but 0.99 at
-    200 and 200.
+    the log odds ratio.  Serves as an independent oracle for the gridded
+    marginal (:func:`rct_marginal_grid`) on data the prior expects: its nodes
+    follow the prior, not the posterior, and it integrates the plain joint
+    density.  The grid stops where the prior's range does, so it is no
+    reference for data in the prior's tails: at the default 200 nodes, its
+    outermost rows and columns carry 1e-4 of the posterior weight at 45
+    control and 20 treated events of 200, but 0.99 at 200 and 200.
     """
     from scipy.stats import beta as beta_dist, norm
 

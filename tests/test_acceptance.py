@@ -33,6 +33,7 @@ from voi.moment_matching import (
 )
 from voi.nmc import nmc_evsi, nmc_evsi_im, nmc_summaries
 from voi.rng import child_seed
+import voi.studies as studies
 from voi.studies import (
     Dataset,
     StudyDesign,
@@ -40,7 +41,7 @@ from voi.studies import (
     posterior_quality,
     posterior_side_effects,
     rct_grid_posterior,
-    run_rct_chains,
+    rct_marginal_grid,
 )
 
 SEED = 2026
@@ -188,19 +189,42 @@ def test_criterion_6_conjugate_quality():
            f"sample mean {z.mean():.5f} vs conjugate mean {mean:.5f}")
 
 
+def _control_rate_given_g(ds: Dataset, g: np.ndarray) -> np.ndarray:
+    """E[P_C | g, data] for each draw g, by quadrature over l = logit P_C.
+
+    The nodes on [-12, 6] hold the conditional posterior of l at every g the
+    trial's marginal reaches, with negligible mass at either end.
+    """
+    l = np.linspace(-12.0, 6.0, 3601)
+    n = float(ds.n_effective)
+    out = np.empty_like(g)
+    for s in range(0, len(g), 500):
+        lp = studies._rct_log_post(l, g[s:s + 500, None], float(ds.control_events), n,
+                                   float(ds.treated_events), n, PRIORS)
+        w = np.exp(lp - lp.max(axis=1, keepdims=True))
+        out[s:s + 500] = (w @ expit(l)) / w.sum(axis=1)
+    return out
+
+
 @pytest.mark.parametrize("x_control,x_treat", [(30, 9), (45, 20), (18, 3)])
 def test_criterion_6_trial_sampler_vs_grid(x_control, x_treat):
     design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200)
     ds = Dataset(design=design, n_effective=200,
                  control_events=x_control, treated_events=x_treat)
-    l, g, _ = run_rct_chains([ds], PRIORS, 10_000, child_seed(SEED, "c6-mh"))
+    # The estimators' own path: draws of g = log OR from the gridded marginal.
+    blocks = rct_marginal_grid([ds], PRIORS).blocks(10_000, child_seed(SEED, "c6-trial"))
+    g = np.concatenate(list(blocks))[:, 0]
+    # Each block comes back sorted, so batch means need the draws shuffled.
+    g = np.random.default_rng(child_seed(SEED, "c6-order")).permutation(g)
+    # The engine draws no P_C; its joint posterior pairs each g with l | g.
+    p_control = _control_rate_given_g(ds, g)
     grid = rct_grid_posterior(ds, PRIORS)
-    for name, chain, target in (("P_C", expit(l[:, 0]), grid["p_event"][0]),
-                                ("log OR", g[:, 0], grid["log_odds_ratio"][0])):
-        se = _batch_se(chain)
+    for name, draws, target in (("P_C", p_control, grid["p_event"][0]),
+                                ("log OR", g, grid["log_odds_ratio"][0])):
+        se = _batch_se(draws)
         _check(f"criterion 6 trial ({x_control},{x_treat}) {name}",
-               abs(chain.mean() - target) <= 3.0 * se,
-               f"chain {chain.mean():.5f} vs grid {target:.5f} (3se={3 * se:.5f})")
+               abs(draws.mean() - target) <= 3.0 * se,
+               f"draws {draws.mean():.5f} vs grid {target:.5f} (3se={3 * se:.5f})")
 
 
 # -- criterion 7: structural properties ---------------------------------------

@@ -18,7 +18,6 @@ from voi.config import ConfigError, RunConfig, default_config
 from voi.critical_event import MARKET
 from voi.market import StepShare, TableShare
 from voi.curves import FitError
-from voi.studies import SamplerError
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "critical_event.json"
 
@@ -305,13 +304,6 @@ class TestExitCodes:
         path = tmp_path / "broken.json"
         path.write_text("{]")
         assert cli.main(["validate", "--config", str(path)]) == 1
-
-    def test_sampler_failure_exits_two(self, small_config_path, monkeypatch):
-        def boom(*args, **kwargs):
-            raise SamplerError("chain stalled")
-
-        monkeypatch.setattr(cli, "run_config", boom)
-        assert cli.main(["run", "--config", str(small_config_path)]) == 2
 
     def test_fit_failure_exits_two(self, small_config_path, monkeypatch):
         def boom(*args, **kwargs):
