@@ -56,7 +56,6 @@ from .nmc import EvsiEstimate, PosteriorSummary, nmc_evsi, nmc_evsi_im, nmc_summ
 from .rng import child_seed, substream
 from .studies import (
     Dataset,
-    PosteriorDraws,
     StudyDesign,
     StudyKind,
     rct_grid_posterior,
@@ -80,7 +79,6 @@ __all__ = [
     "MomentMatchingResult",
     "NormalPrior",
     "ParameterDraw",
-    "PosteriorDraws",
     "PosteriorSummary",
     "PRIORS",
     "PriorSpec",

@@ -351,13 +351,7 @@ def default_config(**overrides) -> RunConfig:
         studies=critical_event.STUDIES,
         market=critical_event.MARKET,
         current_shares=critical_event.CURRENT_SHARES,
-        method="both",
-        psa_samples=10_000,
-        outer_datasets=5_000,
-        posterior_draws=10_000,
-        quantile_sets=50,
         seed=2026,
-        out_dir="results",
     )
     if overrides:
         cfg = cfg.override(**overrides)

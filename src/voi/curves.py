@@ -261,7 +261,10 @@ def fit_variance_curve(posterior_variances, sizes, prior_variance: float) -> Var
         return floor + (v - floor) * half_life / (n + half_life) - y
 
     def search(x0):
-        res = least_squares(resid, x0, bounds=([0.0, 1e-9], [v, 1e12]))
+        # Tight tolerances carry both searches to the bottom of a shallow
+        # decaying minimum, so inputs that differ in the last digit agree.
+        res = least_squares(resid, x0, bounds=([0.0, 1e-9], [v, 1e12]),
+                            ftol=1e-12, xtol=1e-12, gtol=1e-12)
         if not res.success:
             raise FitError("variance curve fit did not converge")
         return res

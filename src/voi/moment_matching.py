@@ -49,11 +49,9 @@ from .model import DEFAULT_NB_FUNCTIONS, FixedParams, ParameterDraw, PriorSpec, 
 from .nmc import (
     EvsiEstimate,
     PosteriorSummary,
-    _map_in_order,
+    chunked_summaries,
     evsi_from_mu,
     evsi_im_from_mu,
-    posterior_nb_summary,
-    rct_nb_summaries,
 )
 from .rng import child_seed, substream
 from .smoothing import fit_pspline
@@ -126,24 +124,14 @@ def quantile_datasets(psa: PsaSample, design: StudyDesign, n_sets: int, seed: in
 def nested_summaries(datasets: Sequence[Dataset], prior: PriorSpec, fixed: FixedParams,
                      n_inner: int, seed: int,
                      nb_fns=DEFAULT_NB_FUNCTIONS) -> list[PosteriorSummary]:
-    """Posterior summaries for each dataset (all trial datasets in one batch).
+    """Posterior summaries for each dataset, through the nested estimator's engine.
 
-    Conjugate datasets are spread over threads, one per usable core; the
-    result does not depend on the number of cores.
+    The datasets run in chunks through :func:`voi.nmc.chunked_summaries`, the
+    path every nested summary takes, so the result does not depend on the
+    number of cores.
     """
-    if not datasets:
-        return []
-    kind = datasets[0].design.kind
-    if kind is StudyKind.EFFECTIVENESS_RCT:
-        return rct_nb_summaries(list(datasets), prior, fixed, n_inner,
-                                child_seed(seed, "post-batch"), nb_fns,
-                                dataset_indices=range(len(datasets)))
-
-    def summary(j: int) -> PosteriorSummary:
-        return posterior_nb_summary(datasets[j], prior, fixed, n_inner,
-                                    child_seed(seed, "post", j), nb_fns, dataset_index=j)
-
-    return _map_in_order(summary, range(len(datasets)))
+    return chunked_summaries(len(datasets), lambda indices: [datasets[j] for j in indices],
+                             prior, fixed, n_inner, seed, nb_fns)
 
 
 @dataclass(frozen=True)
@@ -276,8 +264,8 @@ def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: St
     inb = _incremental(mu, t)
     p_target = np.asarray(logistic.predict(inb))
 
-    evsi = evsi_from_mu(mu, n_inner, "mm")
-    evsi_im = evsi_im_from_mu(mu, p_target, market_fn, current_shares, n_inner, "mm")
+    evsi = evsi_from_mu(mu)
+    evsi_im = evsi_im_from_mu(mu, p_target, market_fn, current_shares)
     return MomentMatchingResult(
         evsi=evsi, evsi_im=evsi_im, logistic=logistic, rescaled_mu=mu,
         inb=inb, p_target=p_target, summaries=summaries, variance_target=target_var,
@@ -347,8 +335,7 @@ def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
         target_var = np.array([c.variance_reduction(n) for c in curves])
         mu = rescale(cond, _cap_at_fit_variance(target_var, cond))
         p_target = np.asarray(logistic.predict(_incremental(mu, t), n=n))
-        estimates.append(evsi_im_from_mu(mu, p_target, market_fn, current_shares,
-                                         n_inner, "mm"))
+        estimates.append(evsi_im_from_mu(mu, p_target, market_fn, current_shares))
     return SampleSizeScan(sizes=sizes, estimates=tuple(estimates), logistic=logistic,
                           variance_curves=curves, summaries=summaries)
 

@@ -1,4 +1,4 @@
-"""Study designs, data simulation, and posterior sampling.
+"""Study designs, data simulation, and the posterior each study supplies.
 
 Three data collection exercises can inform the decision model:
 
@@ -9,17 +9,21 @@ Three data collection exercises can inform the decision model:
 * ``effectiveness_rct``: a two-arm trial; binomial event counts under the
   standard of care and under the novel treatment.
 
-Each design informs only a subset of the model parameters.  Posterior sampling
-returns draws of the full parameter vector: informed parameters come from
-their posterior, the rest are redrawn fresh from the prior (they are a priori
-independent of the informed block, and the data carry nothing about them).
+Each study informs one model parameter.  For a batch of its datasets, a
+study supplies one small posterior object (:func:`study_posterior`, one
+table entry per kind) with the :class:`ParameterDraw` field it informs and a
+``draw(rng, k)`` that returns ``(k, datasets)`` draws of that field.  The
+inner engine (:func:`voi.nmc.posterior_summaries`) redraws every other
+parameter fresh from the prior: they are a priori independent of the
+informed one, and the data carry nothing about them.
 
-The first two posteriors are conjugate.  The trial posterior over
-``(logit p_event, log odds_ratio)`` has no closed form.  Only its log odds
-ratio marginal feeds the model, so both estimators grid that marginal for
-each dataset and draw from it by inverse-CDF interpolation
-(:func:`rct_marginal_grid`).  A fixed quadrature over the prior's central
-range (:func:`rct_grid_posterior`) is kept as an independent reference.
+The first two posteriors are conjugate: a Beta per dataset, and a Normal on
+the logit scale.  The trial posterior over ``(logit p_event, log
+odds_ratio)`` has no closed form.  Only its log odds ratio marginal feeds
+the model, so it is gridded for each dataset and drawn from by inverse-CDF
+interpolation (:func:`rct_marginal_grid`).  A fixed quadrature over the
+prior's central range (:func:`rct_grid_posterior`) is kept as an
+independent reference.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 from scipy.special import expit, logit
@@ -39,11 +43,15 @@ __all__ = [
     "StudyKind",
     "StudyDesign",
     "Dataset",
-    "PosteriorDraws",
     "LOGIT_RESPONSE_VARIANCE",
+    "BLOCK_ELEMENTS",
     "simulate_dataset",
-    "posterior_side_effects",
-    "posterior_quality",
+    "study_posterior",
+    "SideEffectPosterior",
+    "side_effect_posterior",
+    "QualityPosterior",
+    "quality_posterior",
+    "quality_posterior_moments",
     "RctMarginalGrid",
     "rct_marginal_grid",
     "rct_grid_posterior",
@@ -109,14 +117,6 @@ class Dataset:
     treated_events: int | None = None  # trial: events under novel treatment
 
 
-@dataclass(frozen=True)
-class PosteriorDraws:
-    """R draws of the full parameter vector given one dataset."""
-
-    draws: ParameterDraw
-    dataset: Dataset
-
-
 def simulate_dataset(design: StudyDesign, draw: ParameterDraw, seed: int) -> Dataset:
     """Simulate one dataset from the design at the given parameter values."""
     rng = substream(seed, "data", design.kind.value)
@@ -138,52 +138,77 @@ def _require_kind(dataset: Dataset, kind: StudyKind) -> None:
         raise ValueError(f"dataset comes from {dataset.design.kind.value!r}, expected {kind.value!r}")
 
 
-def posterior_side_effects(dataset: Dataset, prior: PriorSpec, n_draws: int, seed: int) -> PosteriorDraws:
-    """Conjugate posterior for the safety study.
-
-    ``p_side_effect | x ~ Beta(alpha + x, beta + n - x)``; everything else is
-    redrawn from the prior.
-    """
-    _require_kind(dataset, StudyKind.SIDE_EFFECTS)
-    rng = substream(seed, "posterior", dataset.design.kind.value)
-    a = prior.p_side_effect.alpha + dataset.events
-    b = prior.p_side_effect.beta + (dataset.n_effective - dataset.events)
-    p_side = rng.beta(a, b, n_draws)
-    draws = prior.sample(rng, n_draws, {"p_side_effect": p_side})
-    return PosteriorDraws(draws=draws, dataset=dataset)
+def _statistics(datasets: Sequence[Dataset], kind: StudyKind, *names: str) -> list[np.ndarray]:
+    """The named sufficient statistics of a batch of one kind's datasets, as arrays."""
+    if not datasets:
+        raise ValueError("need at least one dataset")
+    for ds in datasets:
+        _require_kind(ds, kind)
+    return [np.array([getattr(ds, name) for ds in datasets], dtype=float) for name in names]
 
 
-def quality_posterior_moments(dataset: Dataset, prior: PriorSpec) -> tuple[float, float]:
+@dataclass(frozen=True)
+class SideEffectPosterior:
+    """``p_side_effect | x ~ Beta(alpha + x, beta + n - x)``, one per dataset."""
+
+    field: ClassVar[str] = "p_side_effect"
+    a: np.ndarray
+    b: np.ndarray
+
+    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """``(k, m)`` draws, column j from dataset j."""
+        return rng.beta(self.a, self.b, (k, self.a.size))
+
+
+def side_effect_posterior(datasets: Sequence[Dataset], prior: PriorSpec) -> SideEffectPosterior:
+    """Conjugate posteriors for a batch of safety studies."""
+    x, n = _statistics(datasets, StudyKind.SIDE_EFFECTS, "events", "n_effective")
+    return SideEffectPosterior(a=prior.p_side_effect.alpha + x,
+                               b=prior.p_side_effect.beta + (n - x))
+
+
+def quality_posterior_moments(n, logit_total, prior: PriorSpec):
     """Posterior (mean, variance) of logit(qol) for the quality survey.
 
     Normal-normal update with known response variance: posterior precision is
-    the prior precision plus n / LOGIT_RESPONSE_VARIANCE.
+    the prior precision plus n / LOGIT_RESPONSE_VARIANCE.  Broadcasts over
+    arrays of survey sizes and totals.
     """
-    _require_kind(dataset, StudyKind.QUALITY_OF_LIFE)
     prior_prec = 1.0 / prior.logit_qol.variance
-    data_prec = dataset.n_effective / LOGIT_RESPONSE_VARIANCE
-    post_prec = prior_prec + data_prec
-    post_mean = (prior.logit_qol.mean * prior_prec + dataset.logit_total / LOGIT_RESPONSE_VARIANCE) / post_prec
+    post_prec = prior_prec + np.asarray(n) / LOGIT_RESPONSE_VARIANCE
+    post_mean = (prior.logit_qol.mean * prior_prec
+                 + np.asarray(logit_total) / LOGIT_RESPONSE_VARIANCE) / post_prec
     return post_mean, 1.0 / post_prec
 
 
-def posterior_quality(dataset: Dataset, prior: PriorSpec, n_draws: int, seed: int) -> PosteriorDraws:
-    """Conjugate posterior for the quality-of-life survey."""
-    rng = substream(seed, "posterior", dataset.design.kind.value)
-    post_mean, post_var = quality_posterior_moments(dataset, prior)
-    qol = expit(rng.normal(post_mean, math.sqrt(post_var), n_draws))
-    draws = prior.sample(rng, n_draws, {"qol_after_event": qol})
-    return PosteriorDraws(draws=draws, dataset=dataset)
+@dataclass(frozen=True)
+class QualityPosterior:
+    """``logit(qol) | data ~ Normal(mean, sd^2)``, one per dataset."""
+
+    field: ClassVar[str] = "qol_after_event"
+    mean: np.ndarray
+    sd: np.ndarray
+
+    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """``(k, m)`` draws on the model's scale, column j from dataset j."""
+        return expit(rng.normal(self.mean, self.sd, (k, self.mean.size)))
+
+
+def quality_posterior(datasets: Sequence[Dataset], prior: PriorSpec) -> QualityPosterior:
+    """Conjugate posteriors for a batch of quality-of-life surveys."""
+    total, n = _statistics(datasets, StudyKind.QUALITY_OF_LIFE, "logit_total", "n_effective")
+    mean, var = quality_posterior_moments(n, total, prior)
+    return QualityPosterior(mean=mean, sd=np.sqrt(var))
 
 
 # ---------------------------------------------------------------------------
 # Trial posterior: the log density of (l, g) = (logit p_event, log OR).
 # ---------------------------------------------------------------------------
 
-# The trial grid evaluates its log density, and draws from its marginals, in
-# blocks of about this many elements, so memory stays flat however many
-# datasets are gridded together.
-_BLOCK_ELEMENTS = 16_384
+# The trial grid evaluates its log density, and the inner engine draws from
+# every posterior, in blocks of about this many elements, so memory stays
+# flat however many datasets are batched together.
+BLOCK_ELEMENTS = 16_384
 
 # Flooring the exponent at the log of the smallest normal double keeps np.exp
 # clear of underflow; it changes only results below that number.
@@ -239,18 +264,6 @@ def _rct_log_density(x1: np.ndarray, n1: np.ndarray, x2: np.ndarray, n2: np.ndar
         return terms[0] + terms[1] - half_prec * d * d
 
     return log_post
-
-
-def _trial_counts(datasets: Sequence[Dataset]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Control events, treated events and per-arm size of each trial dataset."""
-    for ds in datasets:
-        _require_kind(ds, StudyKind.EFFECTIVENESS_RCT)
-    if not datasets:
-        raise ValueError("need at least one dataset")
-    x1 = np.array([ds.control_events for ds in datasets], dtype=float)
-    x2 = np.array([ds.treated_events for ds in datasets], dtype=float)
-    n = np.array([ds.n_effective for ds in datasets], dtype=float)
-    return x1, x2, n
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +329,11 @@ class RctMarginalGrid:
     between nodes.
     """
 
+    field: ClassVar[str] = "odds_ratio"
     nodes: np.ndarray
     stacked_cdf: np.ndarray
 
-    def draw(self, u: np.ndarray) -> np.ndarray:
+    def quantile(self, u: np.ndarray) -> np.ndarray:
         """Map ``(m, k)`` uniforms to log odds ratio draws, row j from dataset j.
 
         One ``np.interp`` call on the stacked CDFs locates every uniform and
@@ -329,22 +343,17 @@ class RctMarginalGrid:
         offset = 2.0 * np.arange(u.shape[0])
         return np.interp(u + offset[:, None], self.stacked_cdf.ravel(), self.nodes.ravel())
 
-    def blocks(self, n_draws: int, seed: int):
-        """Yield ``n_draws`` draws per dataset as ``(k, m)`` blocks.
+    def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
+        """``(k, m)`` odds ratio draws, column j from dataset j.
 
-        A block holds about ``_BLOCK_ELEMENTS`` draws; its uniforms come from
-        the stream ``(seed, "posterior", "effectiveness_rct")`` and are sorted
-        per dataset first, so each dataset's draws within a block come in
-        increasing order.  They are still independent draws, and the caller
-        pairs each with independent prior draws, so the order is immaterial.
+        The uniforms are sorted per dataset first, so each dataset's draws
+        come in increasing order.  They are still independent draws, and the
+        engine pairs each with independent prior draws, so the order is
+        immaterial.
         """
-        rng = substream(seed, "posterior", "effectiveness_rct")
-        m = self.nodes.shape[0]
-        length = max(1, _BLOCK_ELEMENTS // m)
-        for start in range(0, n_draws, length):
-            u = rng.random((m, min(length, n_draws - start)))
-            u.sort(axis=1)
-            yield self.draw(u).T
+        u = rng.random((self.nodes.shape[0], k))
+        u.sort(axis=1)
+        return np.exp(self.quantile(u)).T
 
 
 def rct_marginal_grid(datasets: Sequence[Dataset], prior: PriorSpec) -> RctMarginalGrid:
@@ -358,9 +367,10 @@ def rct_marginal_grid(datasets: Sequence[Dataset], prior: PriorSpec) -> RctMargi
     over the l nodes gives the marginal density of g (the sheared grid has
     the same l spacing at every g node), and a cumulative trapezoid over g
     its CDF.  The log density is evaluated a block of about
-    ``_BLOCK_ELEMENTS`` nodes at a time.
+    ``BLOCK_ELEMENTS`` nodes at a time.
     """
-    x1, x2, n = _trial_counts(datasets)
+    x1, x2, n = _statistics(datasets, StudyKind.EFFECTIVENESS_RCT,
+                            "control_events", "treated_events", "n_effective")
     log_post = _rct_log_density(x1, n, x2, n, prior)
     l_hat, g_hat, h_ll, h_lg, h_gg = _rct_mode(x1, x2, n, prior, log_post)
     peak = log_post(np.stack([l_hat, l_hat + g_hat]))
@@ -370,7 +380,7 @@ def rct_marginal_grid(datasets: Sequence[Dataset], prior: PriorSpec) -> RctMargi
     slope, l_sd = h_lg / h_ll, 1.0 / np.sqrt(h_ll)
 
     cdf = np.zeros_like(nodes)
-    rows = max(1, _BLOCK_ELEMENTS // (_G_NODES * _L_NODES))
+    rows = max(1, BLOCK_ELEMENTS // (_G_NODES * _L_NODES))
     for s in range(0, len(n), rows):
         blk = slice(s, s + rows)
         col = (blk, None, None)
@@ -384,6 +394,27 @@ def rct_marginal_grid(datasets: Sequence[Dataset], prior: PriorSpec) -> RctMargi
     cdf /= cdf[:, -1:]
     cdf += 2.0 * np.arange(len(n))[:, None]
     return RctMarginalGrid(nodes=nodes, stacked_cdf=cdf)
+
+
+# The posterior each study kind supplies for a batch of its datasets.
+_POSTERIOR = {
+    StudyKind.SIDE_EFFECTS: side_effect_posterior,
+    StudyKind.QUALITY_OF_LIFE: quality_posterior,
+    StudyKind.EFFECTIVENESS_RCT: rct_marginal_grid,
+}
+
+
+def study_posterior(datasets: Sequence[Dataset], prior: PriorSpec):
+    """The posterior of the one parameter a batch of datasets informs.
+
+    Every kind's posterior has the ``field`` of :class:`ParameterDraw` it
+    informs and a ``draw(rng, k)`` returning ``(k, len(datasets))`` draws of
+    it on the model's scale, column j from dataset j.  The datasets must all
+    come from the same kind of study.
+    """
+    if not datasets:
+        raise ValueError("need at least one dataset")
+    return _POSTERIOR[datasets[0].design.kind](datasets, prior)
 
 
 def rct_grid_posterior(dataset: Dataset, prior: PriorSpec, n_nodes: int = 200) -> dict:

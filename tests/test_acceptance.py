@@ -31,18 +31,10 @@ from voi.moment_matching import (
     mm_pipeline,
     rescale,
 )
-from voi.nmc import nmc_evsi, nmc_evsi_im, nmc_summaries
+from voi.nmc import nmc_evsi, nmc_evsi_im, nmc_summaries, posterior_summaries
 from voi.rng import child_seed
 import voi.studies as studies
-from voi.studies import (
-    Dataset,
-    StudyDesign,
-    StudyKind,
-    posterior_quality,
-    posterior_side_effects,
-    rct_grid_posterior,
-    rct_marginal_grid,
-)
+from voi.studies import Dataset, StudyDesign, StudyKind, rct_grid_posterior
 
 SEED = 2026
 
@@ -165,11 +157,22 @@ def test_criterion_5_step_market_identity():
 
 # -- criterion 6: posterior samplers against analytic and grid oracles -------
 
+def _engine_draws(ds: Dataset, n_draws: int, seed: int):
+    """The draws the estimators' inner engine evaluates for one dataset, per field."""
+    seen = []
+
+    def capture(draw, fixed):
+        seen.append(draw)
+        return np.zeros(np.shape(draw.p_event))
+
+    posterior_summaries([ds], PRIORS, FIXED, n_draws, seed, nb_fns=(capture,))
+    return lambda field: np.concatenate([np.asarray(getattr(d, field))[:, 0] for d in seen])
+
+
 def test_criterion_6_conjugate_side_effects():
     design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
     ds = Dataset(design=design, n_effective=60, events=15)
-    post = posterior_side_effects(ds, PRIORS, 10_000, child_seed(SEED, "c6-se"))
-    p = np.asarray(post.draws.p_side_effect)
+    p = _engine_draws(ds, 10_000, child_seed(SEED, "c6-se"))("p_side_effect")
     ref = stats.beta(18, 54)
     se = ref.std() / math.sqrt(10_000)
     _check("criterion 6 side-effect conjugate",
@@ -180,8 +183,7 @@ def test_criterion_6_conjugate_side_effects():
 def test_criterion_6_conjugate_quality():
     design = StudyDesign(StudyKind.QUALITY_OF_LIFE, 100)
     ds = Dataset(design=design, n_effective=100, logit_total=55.0)
-    post = posterior_quality(ds, PRIORS, 10_000, child_seed(SEED, "c6-q"))
-    z = logit(np.asarray(post.draws.qol_after_event))
+    z = logit(_engine_draws(ds, 10_000, child_seed(SEED, "c6-q"))("qol_after_event"))
     mean = (6.0 * 0.6 + 55.0 / 2.0) / 56.0
     se = math.sqrt(1.0 / 56.0 / 10_000)
     _check("criterion 6 quality conjugate",
@@ -212,8 +214,7 @@ def test_criterion_6_trial_sampler_vs_grid(x_control, x_treat):
     ds = Dataset(design=design, n_effective=200,
                  control_events=x_control, treated_events=x_treat)
     # The estimators' own path: draws of g = log OR from the gridded marginal.
-    blocks = rct_marginal_grid([ds], PRIORS).blocks(10_000, child_seed(SEED, "c6-trial"))
-    g = np.concatenate(list(blocks))[:, 0]
+    g = np.log(_engine_draws(ds, 10_000, child_seed(SEED, "c6-trial"))("odds_ratio"))
     # Each block comes back sorted, so batch means need the draws shuffled.
     g = np.random.default_rng(child_seed(SEED, "c6-order")).permutation(g)
     # The engine draws no P_C; its joint posterior pairs each g with l | g.

@@ -314,14 +314,17 @@ class TestExitCodes:
 
     def test_estimation_error_in_a_worker_thread_exits_two(self, small_config_path,
                                                             monkeypatch, capsys, cores):
-        real = nmc.posterior_nb_summary
+        # The config's 40 datasets run as chunks of 16, 16 and 8; the engine
+        # fails on the last, which runs on a pool thread with two cores.
+        monkeypatch.setattr(nmc, "CHUNK_SIZE", 16)
+        real = nmc.posterior_summaries
 
-        def fail_on_dataset_3(*args, dataset_index=0, **kwargs):
-            if dataset_index == 3:
+        def fail_on_last_chunk(datasets, *args, **kwargs):
+            if len(datasets) < 16:
                 raise ValueError("nb contains non-finite values")
-            return real(*args, dataset_index=dataset_index, **kwargs)
+            return real(datasets, *args, **kwargs)
 
-        monkeypatch.setattr(nmc, "posterior_nb_summary", fail_on_dataset_3)
+        monkeypatch.setattr(nmc, "posterior_summaries", fail_on_last_chunk)
         assert cli.main(["run", "--config", str(small_config_path), "--method", "nmc"]) == 2
         err = capsys.readouterr().err
         assert err == "estimation error: nb contains non-finite values\n"

@@ -292,6 +292,17 @@ class TestVarianceCurve:
         # 3.0 and 3.2; the first search alone ends at 3.0 and at 31,758).
         assert again.half_life == pytest.approx(fit.half_life, rel=0.25)
 
+    def test_shallow_decaying_minimum_settles_in_the_last_digits(self):
+        # The same inputs as above: both searches end at the bottom of the
+        # decaying minimum, not merely near it.
+        prior_var = 4.7e6
+        sizes = np.rint(np.linspace(10.0, 200.0, 50))
+        y = prior_var * (1.01 + np.random.default_rng(97).normal(0.0, 0.05, 50))
+        fit = fit_variance_curve(y, sizes, prior_var)
+        again = fit_variance_curve(y * (1.0 + 1e-15), sizes, prior_var)
+        assert again.variance_reduction(10.0) == pytest.approx(
+            fit.variance_reduction(10.0), abs=1e-5 * prior_var)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_never_worse_than_no_decay(self, seed):
         prior_var = 4.7e6

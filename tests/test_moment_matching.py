@@ -23,7 +23,8 @@ from voi.moment_matching import (
     rescale,
     variance_reduction_target,
 )
-from voi.nmc import posterior_nb_summary
+import voi.nmc as nmc
+from voi.nmc import posterior_summaries
 from voi.rng import child_seed
 from voi.smoothing import fit_pspline
 from voi.studies import StudyDesign, StudyKind
@@ -243,15 +244,17 @@ class TestPipeline:
 
 
 class TestNestedSummaries:
-    def test_parallel_matches_serial(self, psa, priors, fixed, cores):
-        # Datasets spread over threads give every summary bit for bit as a
-        # plain loop over the same per-dataset streams.
+    def test_parallel_matches_serial(self, psa, priors, fixed, cores, monkeypatch):
+        # Chunks spread over threads give every summary bit for bit as a
+        # plain loop over the same per-chunk streams.
+        monkeypatch.setattr(nmc, "CHUNK_SIZE", 4)
         datasets = quantile_datasets(psa, SIDE_EFFECTS, 10, 5, sizes=range(10, 110, 10))
-        expected = [posterior_nb_summary(ds, priors, fixed, 150, child_seed(44, "post", j),
-                                         dataset_index=j)
-                    for j, ds in enumerate(datasets)]
+        expected = []
+        for start in range(0, 10, 4):
+            expected += posterior_summaries(datasets[start:start + 4], priors, fixed, 150,
+                                            child_seed(44, "post-chunk", start))
         got = nested_summaries(datasets, priors, fixed, 150, 44)
-        assert [s.dataset_index for s in got] == list(range(10))
+        assert [s.n_effective for s in got] == list(range(10, 110, 10))
         for field in ("mu", "p", "nb_var"):
             assert np.array_equal(np.stack([getattr(s, field) for s in got]),
                                   np.stack([getattr(s, field) for s in expected]))

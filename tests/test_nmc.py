@@ -5,8 +5,11 @@ import threading
 
 import numpy as np
 import pytest
+from scipy import stats
+from scipy.special import logit
 
 import voi.nmc as nmc
+from voi.critical_event import FIXED, PRIORS
 from voi.market import CurrentShares, StepShare, ThresholdLinearShare
 from voi.model import expected_nb, evpi
 from voi.nmc import (
@@ -16,13 +19,17 @@ from voi.nmc import (
     nmc_evsi,
     nmc_evsi_im,
     nmc_summaries,
-    posterior_nb_summary,
-    rct_nb_summaries,
-    summarize_nb_matrix,
+    posterior_summaries,
 )
 from voi.model import DEFAULT_NB_FUNCTIONS
 from voi.rng import child_seed, substream
-from voi.studies import Dataset, StudyDesign, StudyKind, simulate_dataset
+from voi.studies import (
+    Dataset,
+    StudyDesign,
+    StudyKind,
+    quality_posterior_moments,
+    simulate_dataset,
+)
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +38,23 @@ def small_summaries(priors, fixed):
     return nmc_summaries(design, priors, fixed, 400, 800, 21)
 
 
+def engine_reduction(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The engine's reduction of a given R x D net-benefit matrix.
+
+    Each treatment's function hands the engine its column, whatever the
+    draws, for one dataset whose R draws fit in one block.
+    """
+    assert nb.shape[0] <= nmc.BLOCK_ELEMENTS
+    fns = tuple(lambda draw, fixed, col=col: col[:, None] for col in np.asarray(nb, float).T)
+    ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60), n_effective=60, events=15)
+    (s,) = posterior_summaries([ds], PRIORS, FIXED, nb.shape[0], 0, fns)
+    return s.mu, s.p, s.nb_var
+
+
 class TestSummarize:
     def test_unanimous_posterior(self):
         nb = np.array([[1.0, 2.0], [0.0, 5.0], [2.0, 3.0]])
-        mu, p, var = summarize_nb_matrix(nb)
+        mu, p, var = engine_reduction(nb)
         np.testing.assert_allclose(mu, [1.0, 10.0 / 3.0])
         np.testing.assert_allclose(p, [0.0, 1.0])
         np.testing.assert_allclose(var, nb.var(axis=0, ddof=1))
@@ -46,7 +66,7 @@ class TestSummarize:
         rng = np.random.default_rng(3)
         nb = rng.integers(0, 3, (5000, n_treat)).astype(float)
         nb[:50] = 1.0  # rows tied across every treatment
-        mu, p, var = summarize_nb_matrix(nb)
+        mu, p, var = engine_reduction(nb)
         wins = np.bincount(np.argmax(nb, axis=1), minlength=n_treat) / nb.shape[0]
         np.testing.assert_array_equal(p, wins)
         np.testing.assert_allclose(mu, nb.mean(axis=0), rtol=1e-12)
@@ -85,7 +105,7 @@ class TestRctStreaming:
         datasets = [Dataset(design=design, n_effective=200, control_events=20 + 3 * j,
                             treated_events=4 + j) for j in range(6)]
         n_draws = 1234
-        summaries = rct_nb_summaries(datasets, priors, fixed, n_draws, 31, nb_fns)
+        summaries = posterior_summaries(datasets, priors, fixed, n_draws, 31, nb_fns)
         nb = np.stack([np.concatenate(blocks) for blocks in recorded], axis=-1)
         assert nb.shape == (n_draws, len(datasets), 2)
         winners = np.argmax(nb, axis=-1)
@@ -94,7 +114,6 @@ class TestRctStreaming:
             np.testing.assert_allclose(s.nb_var, nb[:, j].var(axis=0, ddof=1), rtol=1e-9)
             share = np.bincount(winners[:, j], minlength=2) / n_draws
             np.testing.assert_allclose(s.p, share, rtol=1e-9)
-            assert s.n_draws == n_draws and s.dataset_index == j
 
 
 # Trials at the edges of the data space: (control events, treated events, n).
@@ -107,7 +126,7 @@ class TestRctEngineRobustness:
     def test_extreme_trial_gives_finite_summary(self, priors, fixed, xc, xt, n):
         ds = Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n), n_effective=n,
                      control_events=xc, treated_events=xt)
-        (s,) = rct_nb_summaries([ds], priors, fixed, 2000, 41)
+        (s,) = posterior_summaries([ds], priors, fixed, 2000, 41)
         assert np.all(np.isfinite(s.mu)) and np.all(np.isfinite(s.nb_var))
         assert np.all(s.nb_var > 0.0)
         assert np.all((s.p >= 0.0) & (s.p <= 1.0)) and s.p.sum() == pytest.approx(1.0)
@@ -116,7 +135,7 @@ class TestRctEngineRobustness:
         datasets = [Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n),
                             n_effective=n, control_events=xc, treated_events=xt)
                     for xc, xt, n in EXTREME_TRIALS]
-        summaries = rct_nb_summaries(datasets, priors, fixed, 2000, 42)
+        summaries = posterior_summaries(datasets, priors, fixed, 2000, 42)
         assert [s.n_effective for s in summaries] == [n for _, _, n in EXTREME_TRIALS]
         assert all(np.all(np.isfinite(s.mu)) and np.all(np.isfinite(s.nb_var))
                    for s in summaries)
@@ -169,8 +188,7 @@ class TestNmcEvsi:
         # eliminating uncertainty.
         summaries = [
             PosteriorSummary(mu=psa.nb[s], p=np.eye(2)[int(np.argmax(psa.nb[s]))],
-                             nb_var=np.zeros(2), n_effective=1, dataset_index=s,
-                             n_draws=1)
+                             nb_var=np.zeros(2), n_effective=1)
             for s in range(len(psa))
         ]
         assert nmc_evsi(summaries).value == pytest.approx(evpi(psa), rel=1e-12)
@@ -193,7 +211,7 @@ class TestNmcEvsi:
 def assert_same_summaries(got, expected):
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
-        assert g.dataset_index == e.dataset_index and g.n_effective == e.n_effective
+        assert g.n_effective == e.n_effective
         assert np.array_equal(g.mu, e.mu)
         assert np.array_equal(g.p, e.p)
         assert np.array_equal(g.nb_var, e.nb_var)
@@ -225,36 +243,64 @@ class TestMapInOrder:
             _map_in_order(fail_on_odd, range(10))
 
 
+def _chunk_by_chunk(design, priors, fixed, n_outer, n_inner, seed, chunk):
+    """The nested summaries as a plain loop over the chunks' own streams."""
+    draws = priors.sample(substream(seed, "outer"), n_outer)
+    datasets = [simulate_dataset(design, draws.item(s), child_seed(seed, "data", s))
+                for s in range(n_outer)]
+    expected = []
+    for start in range(0, n_outer, chunk):
+        expected += posterior_summaries(datasets[start:start + chunk], priors, fixed, n_inner,
+                                        child_seed(seed, "post-chunk", start))
+    return expected
+
+
 class TestParallelMatchesSerial:
-    """Spreading datasets over threads leaves every summary bit for bit as a plain loop."""
+    """Spreading chunks over threads leaves every summary bit for bit as a plain loop."""
 
     @pytest.mark.parametrize("kind", [StudyKind.SIDE_EFFECTS, StudyKind.QUALITY_OF_LIFE])
-    def test_conjugate(self, priors, fixed, cores, kind):
+    def test_conjugate(self, priors, fixed, cores, kind, monkeypatch):
+        monkeypatch.setattr(nmc, "CHUNK_SIZE", 5)
         design, seed = StudyDesign(kind, 60), 26
-        draws = priors.sample(substream(seed, "outer"), 12)
-        expected = [
-            posterior_nb_summary(
-                simulate_dataset(design, draws.item(s), child_seed(seed, "data", s)),
-                priors, fixed, 150, child_seed(seed, "post", s), dataset_index=s)
-            for s in range(12)
-        ]
+        expected = _chunk_by_chunk(design, priors, fixed, 12, 150, seed, 5)
         assert_same_summaries(nmc_summaries(design, priors, fixed, 12, 150, seed), expected)
 
     def test_trial_over_several_chunks(self, priors, fixed, cores, monkeypatch):
-        monkeypatch.setattr(nmc, "RCT_CHUNK_SIZE", 3)
-        design, seed, n_outer = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200), 27, 8
-        draws = priors.sample(substream(seed, "outer"), n_outer)
-        datasets = [simulate_dataset(design, draws.item(s), child_seed(seed, "data", s))
-                    for s in range(n_outer)]
-        expected = []
-        for start in range(0, n_outer, 3):
-            chunk = range(start, min(start + 3, n_outer))
-            expected += rct_nb_summaries([datasets[s] for s in chunk], priors, fixed, 150,
-                                         child_seed(seed, "post-chunk", start),
-                                         dataset_indices=chunk)
-        got = nmc_summaries(design, priors, fixed, n_outer, 150, seed)
-        assert_same_summaries(got, expected)
-        assert [s.dataset_index for s in got] == list(range(n_outer))
+        monkeypatch.setattr(nmc, "CHUNK_SIZE", 3)
+        design, seed = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200), 27
+        expected = _chunk_by_chunk(design, priors, fixed, 8, 150, seed, 3)
+        assert_same_summaries(nmc_summaries(design, priors, fixed, 8, 150, seed), expected)
+
+
+class TestDrawsStayWithTheirDataset:
+    """One chunk mixes datasets far apart; each summary matches its own posterior.
+
+    The one net-benefit function returns the informed parameter (for the
+    survey, on the logit scale), so each summary's mean and variance are
+    that dataset's posterior moments.
+    """
+
+    def test_side_effect_extremes(self, priors, fixed):
+        design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
+        events = [0, 60, 0, 30, 60, 0]
+        datasets = [Dataset(design=design, n_effective=60, events=x) for x in events]
+        got = posterior_summaries(datasets, priors, fixed, 4000, 51,
+                                  nb_fns=(lambda draw, _: draw.p_side_effect,))
+        for x, s in zip(events, got):
+            ref = stats.beta(3 + x, 9 + 60 - x)
+            assert abs(s.mu[0] - ref.mean()) <= 4.0 * ref.std() / math.sqrt(4000), x
+            assert s.nb_var[0] == pytest.approx(ref.var(), rel=0.1), x
+
+    def test_quality_far_apart_totals(self, priors, fixed):
+        cases = [(100, -300.0), (100, 300.0), (0, 0.0), (100, -300.0), (5, 40.0)]
+        datasets = [Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, n), n_effective=n,
+                            logit_total=total) for n, total in cases]
+        got = posterior_summaries(datasets, priors, fixed, 4000, 52,
+                                  nb_fns=(lambda draw, _: logit(draw.qol_after_event),))
+        for (n, total), s in zip(cases, got):
+            mean, var = quality_posterior_moments(n, total, priors)
+            assert abs(s.mu[0] - mean) <= 4.0 * math.sqrt(var / 4000), (n, total)
+            assert s.nb_var[0] == pytest.approx(var, rel=0.1), (n, total)
 
 
 class TestNmcEvsiIm:

@@ -9,15 +9,15 @@ from scipy.special import logit
 
 import voi.studies as studies
 from voi.model import ParameterDraw
-from voi.nmc import rct_nb_summaries
+from voi.nmc import posterior_summaries
 from voi.studies import (
     Dataset,
     StudyDesign,
     StudyKind,
-    posterior_quality,
-    posterior_side_effects,
+    quality_posterior,
     quality_posterior_moments,
     rct_marginal_grid,
+    side_effect_posterior,
     simulate_dataset,
 )
 
@@ -27,6 +27,24 @@ DRAW = ParameterDraw.from_primitives(
 
 def _ks_matches_prior(values: np.ndarray, cdf) -> bool:
     return stats.kstest(values, cdf).pvalue > 0.001
+
+
+def engine_blocks(datasets, priors, fixed, n_draws: int, seed: int) -> list[ParameterDraw]:
+    """Every block of draws the inner engine evaluates, in order."""
+    seen = []
+
+    def capture(draw, fixed):
+        seen.append(draw)
+        return np.zeros(np.shape(draw.p_event))
+
+    posterior_summaries(datasets, priors, fixed, n_draws, seed, nb_fns=(capture,))
+    return seen
+
+
+def engine_draws(dataset, priors, fixed, n_draws: int, seed: int):
+    """The engine's draws of each field for one dataset, as one vector per field."""
+    blocks = engine_blocks([dataset], priors, fixed, n_draws, seed)
+    return lambda field: np.concatenate([np.asarray(getattr(d, field))[:, 0] for d in blocks])
 
 
 class TestSimulateDataset:
@@ -81,37 +99,35 @@ class TestSimulateDataset:
 class TestSideEffectPosterior:
     design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
 
-    def test_conjugate_update(self, priors):
+    def test_conjugate_update(self, priors, fixed):
         ds = Dataset(design=self.design, n_effective=60, events=15)
-        post = posterior_side_effects(ds, priors, 10_000, 3)
-        p = np.asarray(post.draws.p_side_effect)
+        p = engine_draws(ds, priors, fixed, 10_000, 3)("p_side_effect")
         # Beta(3 + 15, 9 + 45): mean 0.25.
         ref = stats.beta(18, 54)
         assert abs(p.mean() - 0.25) <= 3.0 * ref.std() / math.sqrt(10_000)
         assert _ks_matches_prior(p, ref.cdf)
 
-    def test_no_events_observed(self, priors):
+    def test_no_events_observed(self, priors, fixed):
         ds = Dataset(design=self.design, n_effective=60, events=0)
-        post = posterior_side_effects(ds, priors, 10_000, 3)
-        p = np.asarray(post.draws.p_side_effect)
+        p = engine_draws(ds, priors, fixed, 10_000, 3)("p_side_effect")
         ref = stats.beta(3, 69)
         assert abs(p.mean() - 3.0 / 72.0) <= 3.0 * ref.std() / math.sqrt(10_000)
 
-    def test_other_parameters_keep_their_priors(self, priors):
+    def test_other_parameters_keep_their_priors(self, priors, fixed):
         ds = Dataset(design=self.design, n_effective=60, events=15)
-        post = posterior_side_effects(ds, priors, 10_000, 3)
-        assert _ks_matches_prior(np.asarray(post.draws.p_event),
-                                 stats.beta(15, 85).cdf)
-        assert _ks_matches_prior(np.log(np.asarray(post.draws.odds_ratio)),
+        pooled = engine_draws(ds, priors, fixed, 10_000, 3)
+        assert len(pooled("p_event")) == 10_000
+        assert _ks_matches_prior(pooled("p_event"), stats.beta(15, 85).cdf)
+        assert _ks_matches_prior(np.log(pooled("odds_ratio")),
                                  stats.norm(-1.5, math.sqrt(1 / 3)).cdf)
-        assert _ks_matches_prior(logit(np.asarray(post.draws.qol_after_event)),
+        assert _ks_matches_prior(logit(pooled("qol_after_event")),
                                  stats.norm(0.6, math.sqrt(1 / 6)).cdf)
 
     def test_kind_mismatch(self, priors):
         ds = Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, 100),
                      n_effective=100, logit_total=40.0)
         with pytest.raises(ValueError):
-            posterior_side_effects(ds, priors, 100, 0)
+            side_effect_posterior([ds], priors)
 
 
 class TestQualityPosterior:
@@ -120,66 +136,50 @@ class TestQualityPosterior:
     def test_moments_at_centered_data(self, priors):
         # Sample mean of logits equal to the prior mean: posterior stays at
         # 0.6 and the precision becomes 6 + 100/2 = 56.
-        ds = Dataset(design=self.design, n_effective=100, logit_total=60.0)
-        mean, var = quality_posterior_moments(ds, priors)
+        mean, var = quality_posterior_moments(100, 60.0, priors)
         assert mean == pytest.approx(0.6)
         assert var == pytest.approx(1.0 / 56.0)
 
-    def test_draws_match_moments(self, priors):
+    def test_draws_match_moments(self, priors, fixed):
         ds = Dataset(design=self.design, n_effective=100, logit_total=60.0)
-        post = posterior_quality(ds, priors, 10_000, 4)
-        z = logit(np.asarray(post.draws.qol_after_event))
+        z = logit(engine_draws(ds, priors, fixed, 10_000, 4)("qol_after_event"))
         assert abs(z.mean() - 0.6) <= 3.0 * math.sqrt(1.0 / 56.0 / 10_000)
         assert z.var(ddof=1) == pytest.approx(1.0 / 56.0, rel=0.08)
 
-    def test_empty_survey_returns_prior(self, priors):
+    def test_empty_survey_returns_prior(self, priors, fixed):
         ds = Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, 0),
                      n_effective=0, logit_total=0.0)
-        mean, var = quality_posterior_moments(ds, priors)
+        mean, var = quality_posterior_moments(ds.n_effective, ds.logit_total, priors)
         assert (mean, var) == (0.6, pytest.approx(1.0 / 6.0))
-        post = posterior_quality(ds, priors, 10_000, 4)
-        assert _ks_matches_prior(logit(np.asarray(post.draws.qol_after_event)),
-                                 stats.norm(0.6, math.sqrt(1 / 6)).cdf)
+        qol = engine_draws(ds, priors, fixed, 10_000, 4)("qol_after_event")
+        assert _ks_matches_prior(logit(qol), stats.norm(0.6, math.sqrt(1 / 6)).cdf)
 
     def test_posterior_tighter_than_prior(self, priors):
         for n in (1, 10, 100, 1000):
-            ds = Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, n),
-                         n_effective=n, logit_total=0.6 * n)
-            _, var = quality_posterior_moments(ds, priors)
+            _, var = quality_posterior_moments(n, 0.6 * n, priors)
             assert var < 1.0 / 6.0
 
-    def test_other_parameters_keep_their_priors(self, priors):
+    def test_other_parameters_keep_their_priors(self, priors, fixed):
         ds = Dataset(design=self.design, n_effective=100, logit_total=55.0)
-        post = posterior_quality(ds, priors, 10_000, 4)
-        assert _ks_matches_prior(np.asarray(post.draws.p_event),
-                                 stats.beta(15, 85).cdf)
-        assert _ks_matches_prior(np.asarray(post.draws.p_side_effect),
-                                 stats.beta(3, 9).cdf)
+        pooled = engine_draws(ds, priors, fixed, 10_000, 4)
+        assert len(pooled("p_event")) == 10_000
+        assert _ks_matches_prior(pooled("p_event"), stats.beta(15, 85).cdf)
+        assert _ks_matches_prior(pooled("p_side_effect"), stats.beta(3, 9).cdf)
 
     def test_kind_mismatch(self, priors):
         ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60),
                      n_effective=60, events=15)
         with pytest.raises(ValueError):
-            posterior_quality(ds, priors, 100, 0)
+            quality_posterior([ds], priors)
 
 
 class TestEffectivenessPosterior:
     def test_untouched_parameters_keep_their_priors(self, priors, fixed):
         # Caveat (b): the trial updates only the odds ratio; the estimators
         # redraw the baseline rate and everything else from the prior.
-        seen = []
-
-        def capture(draw, fixed):
-            seen.append(draw)
-            return np.zeros(np.shape(draw.p_event))
-
         ds = Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200), n_effective=200,
                      control_events=30, treated_events=9)
-        rct_nb_summaries([ds], priors, fixed, 10_000, 13, nb_fns=(capture,))
-
-        def pooled(field):
-            return np.concatenate([np.ravel(getattr(d, field)) for d in seen])
-
+        pooled = engine_draws(ds, priors, fixed, 10_000, 13)
         assert len(pooled("p_event")) == 10_000
         assert _ks_matches_prior(pooled("p_event"), stats.beta(15, 85).cdf)
         assert _ks_matches_prior(pooled("p_side_effect"), stats.beta(3, 9).cdf)
@@ -247,7 +247,7 @@ class TestMarginalGrid:
     def test_draws_match_wide_quadrature(self, priors):
         datasets = [_trial(*case) for case in self.CASES]
         grid = rct_marginal_grid(datasets, priors)
-        draws = grid.draw(np.random.default_rng(7).random((len(datasets), 200_000)))
+        draws = grid.quantile(np.random.default_rng(7).random((len(datasets), 200_000)))
         for case, ds, g in zip(self.CASES, datasets, draws):
             mean, var = _wide_quadrature(ds, priors)
             assert abs(g.mean() - mean) <= 0.02 * math.sqrt(var), case
@@ -266,19 +266,21 @@ class TestMarginalGrid:
         # Uniforms at both ends of [0, 1) map inside each row's own nodes.
         grid = rct_marginal_grid([_trial(*case) for case in self.CASES], priors)
         u = np.tile([0.0, 1e-300, 0.5, 1.0 - 2.0 ** -53], (len(self.CASES), 1))
-        g = grid.draw(u)
+        g = grid.quantile(u)
         assert np.all(g >= grid.nodes[:, :1]) and np.all(g <= grid.nodes[:, -1:])
         assert np.all(np.diff(g, axis=1) >= 0.0)
 
     @pytest.mark.parametrize("m,n_draws", [(1, 5), (3, 20_000), (600, 70)])
-    def test_blocks_cover_n_draws_within_budget(self, priors, m, n_draws):
-        grid = rct_marginal_grid(_trial_datasets(m), priors)
-        blocks = list(grid.blocks(n_draws, 5))
-        assert all(b.shape[1] == m and b.size <= max(m, studies._BLOCK_ELEMENTS)
+    def test_blocks_cover_n_draws_within_budget(self, priors, fixed, m, n_draws):
+        # The engine draws each batch's odds ratios a (k, m) block at a time.
+        blocks = [np.asarray(d.odds_ratio)
+                  for d in engine_blocks(_trial_datasets(m), priors, fixed, n_draws, 5)]
+        assert all(b.shape[1] == m and b.size <= max(m, studies.BLOCK_ELEMENTS)
                    for b in blocks)
         assert sum(len(b) for b in blocks) == n_draws
-        again = np.concatenate(list(grid.blocks(n_draws, 5)))
-        np.testing.assert_array_equal(np.concatenate(blocks), again)
+        again = engine_blocks(_trial_datasets(m), priors, fixed, n_draws, 5)
+        np.testing.assert_array_equal(np.concatenate(blocks),
+                                      np.concatenate([d.odds_ratio for d in again]))
 
     def test_kind_mismatch(self, priors):
         ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60),
@@ -294,3 +296,10 @@ class TestDispatch:
         assert StudyDesign(StudyKind.SIDE_EFFECTS, 60).informed == {"p_side_effect"}
         assert StudyDesign(StudyKind.QUALITY_OF_LIFE, 100).informed == {"qol_after_event"}
         assert StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200).informed == {"odds_ratio"}
+
+    def test_each_posterior_draws_its_informed_field(self, priors):
+        for kind in StudyKind:
+            ds = simulate_dataset(StudyDesign(kind, 20), DRAW, 3)
+            post = studies.study_posterior([ds, ds], priors)
+            assert {post.field} == ds.design.informed
+            assert post.draw(np.random.default_rng(0), 7).shape == (7, 2)
