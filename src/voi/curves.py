@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .rng import substream
 
@@ -53,6 +52,20 @@ _RSS_FLOOR = 1e-14
 # so no exponential the objective forms can overflow; the size power's bound
 # is scaled so that n ** size_power stays below exp(_Z_BOUND).
 _Z_BOUND = 50.0
+
+
+# scipy.optimize loads on the first fit, so a run without moment matching
+# never imports scipy.  The module-level names stay patchable.
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``."""
+    from scipy.optimize import minimize
+    return minimize(*args, **kwargs)
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``."""
+    from scipy.optimize import least_squares
+    return least_squares(*args, **kwargs)
 
 
 class FitError(RuntimeError):

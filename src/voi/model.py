@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .rng import substream
 
@@ -39,6 +38,8 @@ __all__ = [
     "expected_nb",
     "prob_cost_effective",
     "evpi",
+    "expit",
+    "logit",
 ]
 
 
@@ -109,7 +110,11 @@ class NormalPrior:
         return math.sqrt(self.variance)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.normal(self.mean, self.sd, size)
+        # The same numbers as rng.normal(mean, sd, size), scaled in place.
+        x = rng.standard_normal(size)
+        x *= self.sd
+        x += self.mean
+        return x
 
 
 @dataclass(frozen=True)
@@ -143,8 +148,39 @@ class PriorSpec:
             if name not in values:
                 prior, to_model_scale = _PRIOR_OF[name]
                 x = getattr(self, prior).sample(rng, size)
-                values[name] = x if to_model_scale is None else to_model_scale(x)
+                values[name] = x if to_model_scale is None else to_model_scale(x, out=x)
         return ParameterDraw.from_primitives(**values)
+
+
+def expit(x, out=None):
+    """The logistic function ``1 / (1 + exp(-x))``, elementwise.
+
+    scipy.special.expit's formula in numpy: below x = -709.78 ``exp(-x)``
+    overflows and the result is exactly 0, without a warning.  ``out`` may be
+    ``x`` itself.
+    """
+    x = np.asarray(x, dtype=float)
+    if out is None:
+        out = np.empty_like(x)
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(x, out=out), out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
+    return out if out.ndim else out[()]
+
+
+def logit(p):
+    """The log odds ``log(p / (1 - p))``, elementwise.
+
+    Near p = 1/2 the ratio's log would lose digits, so on [0.3, 0.65], where
+    scipy.special.logit also switches form, it is ``2 artanh(2p - 1)``, whose
+    argument is exact for p >= 1/4.
+    """
+    p = np.asarray(p, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where((p < 0.3) | (p > 0.65), np.log(p / (1.0 - p)),
+                       2.0 * np.arctanh(2.0 * p - 1.0))
+    return out if out.ndim else out[()]
 
 
 # The prior behind each sampled ParameterDraw field, and the map from the

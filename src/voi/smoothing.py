@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import BSpline
-from scipy.linalg import cho_factor, cho_solve
 
 __all__ = ["SmoothFit", "fit_pspline"]
 
@@ -33,6 +31,8 @@ class SmoothFit:
 
 def _basis_block(x: np.ndarray, n_knots: int) -> np.ndarray | None:
     """Cubic B-spline design for one feature; None if the feature is constant."""
+    from scipy.interpolate import BSpline
+
     lo, hi = float(x.min()), float(x.max())
     if not hi > lo:
         return None
@@ -58,6 +58,8 @@ def fit_pspline(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
     values at the training points.  With every feature constant the fit is the
     sample mean.
     """
+    from scipy.linalg import cho_factor, cho_solve
+
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:

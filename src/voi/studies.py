@@ -34,9 +34,8 @@ from enum import Enum
 from typing import ClassVar, Sequence
 
 import numpy as np
-from scipy.special import expit, logit
 
-from .model import ParameterDraw, PriorSpec
+from .model import ParameterDraw, PriorSpec, expit, logit
 from .rng import substream
 
 __all__ = [
@@ -191,7 +190,12 @@ class QualityPosterior:
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """``(k, m)`` draws on the model's scale, column j from dataset j."""
-        return expit(rng.normal(self.mean, self.sd, (k, self.mean.size)))
+        # The same numbers as rng.normal(mean, sd, (k, m)), which takes a
+        # slower path for array parameters, scaled and mapped in place.
+        x = rng.standard_normal((k, self.mean.size))
+        x *= self.sd
+        x += self.mean
+        return expit(x, out=x)
 
 
 def quality_posterior(datasets: Sequence[Dataset], prior: PriorSpec) -> QualityPosterior:

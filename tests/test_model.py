@@ -1,10 +1,11 @@
 """Decision-model arithmetic: priors, derived parameters, net benefits, EVPI."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
-from scipy.special import expit
+from scipy import special
 
 from voi.model import (
     BetaPrior,
@@ -16,6 +17,8 @@ from voi.model import (
     derive_pt,
     evpi,
     expected_nb,
+    expit,
+    logit,
     net_benefit_novel,
     net_benefit_standard,
     prob_cost_effective,
@@ -119,6 +122,68 @@ class TestPriors:
             BetaPrior(0.0, 9.0)
         with pytest.raises(ValueError):
             NormalPrior(0.0, 0.0)
+
+
+# expit's arguments: a grid over [-745, 745], the log-odds scale of the
+# packaged quality prior, and the range where exp(-x) first swamps the 1.
+X = np.concatenate([np.linspace(-745.0, 745.0, 400_001),
+                    np.random.default_rng(1).normal(0.6, 3.0, 200_000),
+                    np.random.default_rng(2).uniform(-40.0, -30.0, 200_000)])
+# logit's arguments, 1e-300 to 1 - 1e-16, with scipy's switch points 0.3 and
+# 0.65 and two points next to 1/2.
+P = np.concatenate([np.logspace(-300.0, -1.0, 100_000), np.linspace(1e-6, 1.0 - 1e-6, 400_001),
+                    1.0 - np.logspace(-16.0, -1.0, 50_000), [0.3, 0.65, 0.5 + 1e-9, 0.5 - 1e-9]])
+# An 80-bit long double carries 11 more bits than a double, enough for
+# reference values exact to a small fraction of a double's ulp.
+needs_extended = pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                                    reason="long double is no wider than double here")
+
+
+class TestLogisticMaps:
+    """voi's numpy expit and logit against scipy.special's and against exact values."""
+
+    def test_expit_agrees_with_scipy(self):
+        # Same formula; numpy's exp and the C library's each err by up to a
+        # unit, in either direction, so the two results can sit 4 ulp apart.
+        np.testing.assert_array_max_ulp(expit(X), special.expit(X), maxulp=4)
+        # Below x = -709.78 exp(-x) overflows and both return 0.
+        assert np.all(expit(X[X < -709.79]) == 0.0)
+        assert np.all(special.expit(X[X < -709.79]) == 0.0)
+
+    @needs_extended
+    def test_expit_within_three_ulp_of_exact(self):
+        x = X[X > -709.7]
+        exact = (1.0 / (1.0 + np.exp(-x.astype(np.longdouble)))).astype(float)
+        np.testing.assert_array_max_ulp(expit(x), exact, maxulp=3)
+
+    def test_logit_agrees_with_scipy(self):
+        np.testing.assert_array_max_ulp(logit(P), special.logit(P), maxulp=2)
+
+    @needs_extended
+    def test_logit_within_two_ulp_of_exact(self):
+        p = P.astype(np.longdouble)
+        mid = (P >= 0.25) & (P <= 0.75)
+        # 2p - 1 and 1 - p are exact in extended precision.
+        with np.errstate(divide="ignore"):
+            exact = np.where(mid, np.log1p((2.0 * p - 1.0) / (1.0 - p)),
+                             np.log(p / (1.0 - p))).astype(float)
+        np.testing.assert_array_max_ulp(logit(P), exact, maxulp=2)
+
+    def test_expit_saturates_exactly_and_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert expit(np.array([-1000.0, 1000.0])).tolist() == [0.0, 1.0]
+            assert expit(-1000.0) == 0.0 and expit(1000.0) == 1.0
+
+    def test_expit_in_place(self):
+        x = np.random.default_rng(2).normal(0.0, 2.0, (64, 8))
+        expected = expit(x)
+        assert expit(x, out=x) is x
+        np.testing.assert_array_equal(x, expected)
+
+    def test_scalars_stay_scalars(self):
+        assert np.ndim(expit(0.25)) == 0 and np.ndim(logit(0.25)) == 0
+        assert logit(expit(0.25)) == pytest.approx(0.25, rel=1e-15)
 
 
 class TestPriorSample:

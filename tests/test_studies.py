@@ -8,8 +8,9 @@ from scipy import stats
 from scipy.special import logit
 
 import voi.studies as studies
-from voi.model import ParameterDraw
+from voi.model import ParameterDraw, expit
 from voi.nmc import posterior_summaries
+from voi.rng import substream
 from voi.studies import (
     Dataset,
     StudyDesign,
@@ -153,6 +154,15 @@ class TestQualityPosterior:
         assert (mean, var) == (0.6, pytest.approx(1.0 / 6.0))
         qol = engine_draws(ds, priors, fixed, 10_000, 4)("qol_after_event")
         assert _ks_matches_prior(logit(qol), stats.norm(0.6, math.sqrt(1 / 6)).cdf)
+
+    def test_draws_are_rng_normal_mapped_through_expit(self, priors):
+        # Per-dataset parameters on one (512, 32) block: the in-place draw
+        # gives the numbers rng.normal(mean, sd, shape) gives.
+        totals = np.linspace(-40.0, 140.0, 32)
+        post = quality_posterior([Dataset(design=self.design, n_effective=100, logit_total=t)
+                                  for t in totals], priors)
+        expected = expit(substream(3, "q").normal(post.mean, post.sd, (512, 32)))
+        np.testing.assert_array_equal(post.draw(substream(3, "q"), 512), expected)
 
     def test_posterior_tighter_than_prior(self, priors):
         for n in (1, 10, 100, 1000):
