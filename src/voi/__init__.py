@@ -58,7 +58,6 @@ from .studies import (
     Dataset,
     StudyDesign,
     StudyKind,
-    rct_grid_posterior,
     simulate_dataset,
 )
 
@@ -113,7 +112,6 @@ __all__ = [
     "prob_cost_effective",
     "quantile_datasets",
     "quantile_grid",
-    "rct_grid_posterior",
     "sample_prior",
     "simulate_dataset",
     "substream",

@@ -20,7 +20,6 @@ time and naturally varies).
 from __future__ import annotations
 
 import argparse
-import importlib
 import sys
 import time
 from dataclasses import dataclass
@@ -81,11 +80,6 @@ def run_config(config: RunConfig, psa: PsaSample | None = None):
     """
     if psa is None:
         psa = _psa(config)
-    if config.method in ("mm", "both"):
-        # Moment matching's fitters load scipy on first use; load it here so
-        # that the one-off import lands in no study's seconds.
-        for module in ("scipy.interpolate", "scipy.linalg", "scipy.optimize"):
-            importlib.import_module(module)
     rows: list[ResultRow] = []
     mm_results: dict[int, MomentMatchingResult] = {}
     scans = {}

@@ -13,7 +13,8 @@ Two families are fitted here:
   ``n ** size_power`` so one curve covers a whole range of study sizes.
   Fitting maximizes the Gaussian-residual posterior with Normal(0, 10^2)
   priors on the log-reparameterized coordinates, residual scale profiled out,
-  by a bounded quasi-Newton search (L-BFGS-B) on the analytic gradient from
+  by a bounded Levenberg-Marquardt search on the analytic Hessian (the
+  Gauss-Newton one where the full Hessian is not positive definite) from
   several start points.
 
 * A hyperbolic decay of average posterior variance with sample size,
@@ -21,12 +22,15 @@ Two families are fitted here:
       w(n) = floor + (prior_variance - floor) * half_life / (n + half_life),
 
   which equals the prior variance at n = 0 and tends to ``floor``; the
-  variance-reduction target at size n is ``prior_variance - w(n)``.
+  variance-reduction target at size n is ``prior_variance - w(n)``.  For a
+  given half-life the floor is linear least squares, so the fit searches the
+  half-life alone, over a grid in its logarithm.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,18 +58,51 @@ _RSS_FLOOR = 1e-14
 _Z_BOUND = 50.0
 
 
-# scipy.optimize loads on the first fit, so a run without moment matching
-# never imports scipy.  The module-level names stay patchable.
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``."""
-    from scipy.optimize import minimize
-    return minimize(*args, **kwargs)
+# The logistic search stops once no free coordinate's gradient exceeds _GTOL
+# or a step lowers the value by less than _FTOL of its size; after _MAX_ITER
+# steps it stops unconverged.
+_GTOL, _FTOL, _MAX_ITER = 1e-8, 1e-13, 200
+SearchResult = namedtuple("SearchResult", "x fun success nfev")
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``."""
-    from scipy.optimize import least_squares
-    return least_squares(*args, **kwargs)
+def minimize(fun, x0, args, bounds) -> SearchResult:
+    """Levenberg-Marquardt search for a minimum in a box.
+
+    ``fun(x, *args)`` returns the value, its gradient and a positive definite
+    Hessian or an approximation; ``bounds`` has a ``(low, high)`` per coordinate.
+    Coordinates at a bound whose gradient points out of the box stay there; the
+    rest take the damped Newton step, clipped to the box.  The damping shrinks
+    after a step that lowers the value and grows until one does.
+    """
+    low, high = np.array(bounds, dtype=float).T
+    x = np.clip(np.asarray(x0, dtype=float), low, high)
+    value, grad, curv = fun(x, *args)
+    nfev, damping = 1, 1e-3
+    for _ in range(_MAX_ITER):
+        free = ~(((x <= low) & (grad > 0.0)) | ((x >= high) & (grad < 0.0)))
+        if not np.isfinite(value) or np.max(np.abs(grad[free]), initial=0.0) <= _GTOL:
+            break
+        sub, g = curv[np.ix_(free, free)], grad[free]
+        while damping < 1e16:
+            step = np.zeros_like(x)
+            step[free] = np.linalg.solve(sub + damping * np.diag(np.diag(sub)), -g)
+            trial = np.clip(x + step, low, high)
+            t_value, t_grad, t_curv = fun(trial, *args)
+            nfev += 1
+            if t_value < value:
+                break
+            damping *= 8.0
+        else:
+            # No step lowers the value: x is a minimum to working precision.
+            break
+        done = value - t_value <= _FTOL * max(abs(value), abs(t_value), 1.0)
+        x, value, grad, curv = trial, t_value, t_grad, t_curv
+        damping = max(damping / 8.0, 1e-12)
+        if done:
+            break
+    else:
+        return SearchResult(x=x, fun=float(value), success=False, nfev=nfev)
+    return SearchResult(x=x, fun=float(value), success=bool(np.isfinite(value)), nfev=nfev)
 
 
 class FitError(RuntimeError):
@@ -127,8 +164,13 @@ def _curve(z: np.ndarray, mu_std: np.ndarray, log_sizes: np.ndarray | None):
 
 
 def _logistic_objective(z: np.ndarray, mu_std: np.ndarray, probs: np.ndarray,
-                        log_sizes: np.ndarray | None) -> tuple[float, np.ndarray]:
-    """Negative log posterior of the curve at ``z`` and its gradient in ``z``."""
+                        log_sizes: np.ndarray | None):
+    """Negative log posterior of the curve at ``z``, its gradient and Hessian in ``z``.
+
+    The Hessian is the full one where that is positive definite, and the
+    Gauss-Newton one, which drops the second derivatives of the curve and of
+    ``log(rss)``, where it is not.
+    """
     pred, log_sum, a = _curve(z, mu_std, log_sizes)
     resid = probs - pred
     n_points = probs.size
@@ -136,14 +178,38 @@ def _logistic_objective(z: np.ndarray, mu_std: np.ndarray, probs: np.ndarray,
     value = 0.5 * n_points * math.log(rss) + 0.5 * float(z @ z) / _PRIOR_VAR
     # d pred / d z_k = -shape * pred * d_k, with d_k the derivative of
     # log_sum in z_k, except d_2 = log_sum because d shape / d z_2 = shape.
-    da = np.exp(a - log_sum) * a  # d log_sum / d log(rate)
-    derivs = [np.exp(z[0] - log_sum), da, log_sum]
+    shape = math.exp(z[2])
+    q0, w = np.exp(z[0] - log_sum), np.exp(a - log_sum)
+    da = w * a  # d log_sum / d log(rate)
+    derivs = [q0, da, log_sum]
     if log_sizes is not None:
         derivs.append(da * log_sizes)
+    d = np.stack(derivs, axis=1)
+    jac = d * (-shape * pred)[:, None]
+    pull = resid @ jac
+    grad = -(n_points / rss) * pull + z / _PRIOR_VAR
+    gauss_newton = (n_points / rss) * (jac.T @ jac) + np.eye(z.size) / _PRIOR_VAR
+    # d2 pred = shape * pred * (shape * d d' - m), with m the derivatives of
+    # d: the Hessian of log_sum in (z_0, z_1[, z_3]), and d itself in row
+    # and column 2.
+    d11 = da * (1.0 + a * (1.0 - w))
+    m = np.zeros((n_points, z.size, z.size))
+    m[:, 0, 0], m[:, 1, 1] = q0 * (1.0 - q0), d11
+    m[:, 0, 1] = m[:, 1, 0] = -q0 * da
+    if log_sizes is not None:
+        m[:, 0, 3] = m[:, 3, 0] = -q0 * da * log_sizes
+        m[:, 1, 3] = m[:, 3, 1] = d11 * log_sizes
+        m[:, 3, 3] = d11 * log_sizes**2
+    m[:, :, 2] = m[:, 2, :] = d
     weights = resid * pred
-    scale = n_points * math.exp(z[2]) / rss
-    grad = scale * np.array([float(weights @ d) for d in derivs])
-    return value, grad + z / _PRIOR_VAR
+    curve_terms = shape * (shape * (d.T * weights) @ d - np.tensordot(weights, m, axes=1))
+    hessian = (gauss_newton - (n_points / rss) * curve_terms
+               - (2.0 * n_points / rss**2) * np.outer(pull, pull))
+    try:
+        np.linalg.cholesky(hessian)
+    except np.linalg.LinAlgError:
+        return value, grad, gauss_newton
+    return value, grad, hessian
 
 
 def _standardize(values: np.ndarray) -> tuple[float, float]:
@@ -199,19 +265,14 @@ def _fit_logistic_core(mu_values, probs, sizes, seed: int, n_starts: int) -> Log
     while len(starts) < max(n_starts, 5):
         starts.append(list(rng.normal(0.0, 1.0, len(bounds))))
 
-    best = None
-    for x0 in starts:
-        res = minimize(_logistic_objective, np.array(x0, dtype=float),
-                       args=(mu_std, probs, log_sizes), jac=True, method="L-BFGS-B",
-                       bounds=bounds, options={"ftol": 1e-12, "gtol": 1e-8})
-        if not res.success:
-            continue
-        if best is None or res.fun < best.fun:
-            best = res
-    if best is None:
+    searches = [minimize(_logistic_objective, np.array(x0, dtype=float),
+                         args=(mu_std, probs, log_sizes), bounds=bounds)
+                 for x0 in starts]
+    converged = [res for res in searches if res.success]
+    if not converged:
         raise FitError("generalized logistic fit did not converge from any start")
 
-    z = best.x
+    z = min(converged, key=lambda res: res.fun).x
     resid = probs - _curve(z, mu_std, log_sizes)[0]
     resid_sd = math.sqrt(float(resid @ resid) / n_points)
     return LogisticFit(
@@ -269,29 +330,20 @@ def fit_variance_curve(posterior_variances, sizes, prior_variance: float) -> Var
     if v <= 0.0:
         raise ValueError("prior_variance must be positive")
 
-    def resid(params):
-        floor, half_life = params
-        return floor + (v - floor) * half_life / (n + half_life) - y
-
-    def search(x0):
-        # Tight tolerances carry both searches to the bottom of a shallow
-        # decaying minimum, so inputs that differ in the last digit agree.
-        res = least_squares(resid, x0, bounds=([0.0, 1e-9], [v, 1e12]),
-                            ftol=1e-12, xtol=1e-12, gtol=1e-12)
-        if not res.success:
-            raise FitError("variance curve fit did not converge")
-        return res
-
-    # For an arm the study cannot inform, the variances are flat noise, and a
-    # search can stop in a shallow decaying minimum or anywhere in a flat
-    # valley, wherever the last digits of its inputs send it.  The curve that
-    # does not decay at all, at the mean variance, is that valley's bottom:
-    # search from it too, and keep it when neither search fits better.
-    flat = np.array([min(max(float(y.mean()), 0.0), v), 1e-9])
-    x0 = np.array([min(max(float(y.min()), 0.0), v), max(float(np.median(n)), 1.0)])
-    res = min(search(x0), search(flat), key=lambda r: r.cost)
-    floor, half_life = res.x
-    flat_resid = resid(flat)
-    if 0.5 * float(flat_resid @ flat_resid) <= res.cost:
-        floor, half_life = flat
-    return VarianceCurveFit(floor=float(floor), half_life=float(half_life), prior_variance=v)
+    # For half-life h the curve is floor * keep + v * (1 - keep), keep =
+    # n / (n + h), linear in the floor, whose least-squares value is clipped
+    # to [0, v].  Zoom in on the best half-life of a grid in log h over
+    # [1e-9, 1e12] until the grid's step is far below any digit that matters.
+    low, high, points = math.log(1e-9), math.log(1e12), 241
+    while True:
+        grid = np.linspace(low, high, points)
+        h = np.exp(grid)[:, None]
+        keep, decayed = n / (n + h), y - v * (h / (n + h))
+        floor = np.clip(np.sum(keep * decayed, axis=1)
+                        / np.maximum(np.sum(keep * keep, axis=1), 1e-300), 0.0, v)
+        k = int(np.argmin(np.sum((floor[:, None] * keep - decayed) ** 2, axis=1)))
+        if high - low < 1e-10:
+            break
+        low, high, points = grid[max(k - 1, 0)], grid[min(k + 1, points - 1)], 17
+    return VarianceCurveFit(floor=float(floor[k]), half_life=float(math.exp(grid[k])),
+                            prior_variance=v)

@@ -31,8 +31,6 @@ class SmoothFit:
 
 def _basis_block(x: np.ndarray, n_knots: int) -> np.ndarray | None:
     """Cubic B-spline design for one feature; None if the feature is constant."""
-    from scipy.interpolate import BSpline
-
     lo, hi = float(x.min()), float(x.max())
     if not hi > lo:
         return None
@@ -40,14 +38,22 @@ def _basis_block(x: np.ndarray, n_knots: int) -> np.ndarray | None:
     interior = np.unique(np.quantile(x, probs))
     interior = interior[(interior > lo) & (interior < hi)]
     t = np.concatenate([np.full(_DEGREE + 1, lo), interior, np.full(_DEGREE + 1, hi)])
-    return BSpline.design_matrix(x, t, _DEGREE, extrapolate=False).toarray()
-
-
-def _difference_penalty(p: int) -> np.ndarray:
-    if p < 3:
-        return np.zeros((p, p))
-    d = np.diff(np.eye(p), n=2, axis=0)
-    return d.T @ d
+    n_basis = t.size - _DEGREE - 1
+    # Knot span of each point, t[span] <= x < t[span + 1]; x == hi closes the last.
+    span = np.clip(np.searchsorted(t, x, side="right") - 1, _DEGREE, n_basis - 1)
+    # The degree + 1 functions nonzero on each span, by the Cox-de Boor
+    # recursion (Piegl & Tiller, The NURBS Book, algorithm A2.2).
+    steps = np.arange(1, _DEGREE + 1)
+    left = x[:, None] - t[span[:, None] + 1 - steps]
+    right = t[span[:, None] + steps] - x[:, None]
+    values = np.ones((x.size, 1))
+    for j in steps:
+        lj, rj = left[:, j - 1::-1], right[:, :j]
+        temp = values / (rj + lj)
+        values = np.pad(rj * temp, ((0, 0), (0, 1))) + np.pad(lj * temp, ((0, 0), (1, 0)))
+    design = np.zeros((x.size, n_basis))
+    np.put_along_axis(design, span[:, None] - _DEGREE + np.arange(_DEGREE + 1), values, axis=1)
+    return design
 
 
 def fit_pspline(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
@@ -58,8 +64,6 @@ def fit_pspline(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
     values at the training points.  With every feature constant the fit is the
     sample mean.
     """
-    from scipy.linalg import cho_factor, cho_solve
-
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
@@ -84,7 +88,8 @@ def fit_pspline(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
     penalty = np.zeros((p, p))
     offset = 1
     for size in sizes:
-        penalty[offset:offset + size, offset:offset + size] = _difference_penalty(size)
+        d = np.diff(np.eye(size), n=2, axis=0)  # no rows below three columns
+        penalty[offset:offset + size, offset:offset + size] = d.T @ d
         offset += size
 
     gram = design.T @ design
@@ -101,13 +106,14 @@ def fit_pspline(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
     for lam in lambdas:
         system = gram + lam * penalty + ridge
         try:
-            factor = cho_factor(system)
+            inv_chol = np.linalg.inv(np.linalg.cholesky(system))
         except np.linalg.LinAlgError:
             continue
-        beta = cho_solve(factor, rhs)
+        # system^-1 = inv_chol.T @ inv_chol
+        beta = inv_chol.T @ (inv_chol @ rhs)
         rss = yty - 2.0 * float(beta @ rhs) + float(beta @ (gram @ beta))
         rss = max(rss, 0.0)
-        edf = float(np.trace(cho_solve(factor, gram)))
+        edf = float(np.sum((inv_chol @ gram) * inv_chol))
         denom = max(n - edf, 1.0)
         gcv = n * rss / denom**2
         if best is None or gcv < best[0]:

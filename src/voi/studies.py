@@ -21,9 +21,7 @@ The first two posteriors are conjugate: a Beta per dataset, and a Normal on
 the logit scale.  The trial posterior over ``(logit p_event, log
 odds_ratio)`` has no closed form.  Only its log odds ratio marginal feeds
 the model, so it is gridded for each dataset and drawn from by inverse-CDF
-interpolation (:func:`rct_marginal_grid`).  A fixed quadrature over the
-prior's central range (:func:`rct_grid_posterior`) is kept as an
-independent reference.
+interpolation (:func:`rct_marginal_grid`).
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ __all__ = [
     "quality_posterior_moments",
     "RctMarginalGrid",
     "rct_marginal_grid",
-    "rct_grid_posterior",
 ]
 
 # Known variance of one survey response on the logit scale.
@@ -233,8 +230,8 @@ def _rct_log_post(l: np.ndarray, g: np.ndarray, x1, n1, x2, n2, prior: PriorSpec
 
     The Beta(alpha, beta) prior on p_event becomes, with the Jacobian of the
     logit transform, alpha*l - (alpha+beta)*log(1+e^l) up to a constant, and
-    the treated arm has event probability expit(l + g).  Written out plainly
-    for the quadrature oracle, apart from the grid's folded form below.
+    the treated arm has event probability expit(l + g).  Written out plainly,
+    apart from the grid's folded form below, as the tests' reference.
     """
     a = prior.p_event.alpha
     b = prior.p_event.beta
@@ -419,52 +416,3 @@ def study_posterior(datasets: Sequence[Dataset], prior: PriorSpec):
     if not datasets:
         raise ValueError("need at least one dataset")
     return _POSTERIOR[datasets[0].design.kind](datasets, prior)
-
-
-def rct_grid_posterior(dataset: Dataset, prior: PriorSpec, n_nodes: int = 200) -> dict:
-    """Deterministic quadrature over the trial posterior.
-
-    Lays an ``n_nodes x n_nodes`` grid over the central 99.9% prior ranges of
-    (logit p_event, log odds_ratio) and normalises the posterior density on
-    it.  Returns posterior means and variances of the event probabilities and
-    the log odds ratio.  Serves as an independent oracle for the gridded
-    marginal (:func:`rct_marginal_grid`) on data the prior expects: its nodes
-    follow the prior, not the posterior, and it integrates the plain joint
-    density.  The grid stops where the prior's range does, so it is no
-    reference for data in the prior's tails: at the default 200 nodes, its
-    outermost rows and columns carry 1e-4 of the posterior weight at 45
-    control and 20 treated events of 200, but 0.99 at 200 and 200.
-    """
-    from scipy.stats import beta as beta_dist, norm
-
-    _require_kind(dataset, StudyKind.EFFECTIVENESS_RCT)
-    q = (0.0005, 0.9995)
-    p_lo, p_hi = beta_dist.ppf(q, prior.p_event.alpha, prior.p_event.beta)
-    l_grid = np.linspace(logit(p_lo), logit(p_hi), n_nodes)
-    g_lo, g_hi = norm.ppf(q, prior.log_odds_ratio.mean, prior.log_odds_ratio.sd)
-    g_grid = np.linspace(g_lo, g_hi, n_nodes)
-    L, G = np.meshgrid(l_grid, g_grid, indexing="ij")
-    x1 = float(dataset.control_events)
-    x2 = float(dataset.treated_events)
-    n = float(dataset.n_effective)
-    log_post = _rct_log_post(L, G, x1, n, x2, n, prior)
-    log_post -= log_post.max()
-    w = np.exp(log_post)
-    w /= w.sum()
-
-    p_event = expit(L)
-    p_treated = expit(L + G)
-
-    def moments(values: np.ndarray) -> tuple[float, float]:
-        mean = float((w * values).sum())
-        var = float((w * (values - mean) ** 2).sum())
-        return mean, var
-
-    pe_mean, pe_var = moments(p_event)
-    pt_mean, pt_var = moments(p_treated)
-    g_mean, g_var = moments(G)
-    return {
-        "p_event": (pe_mean, pe_var),
-        "p_event_treated": (pt_mean, pt_var),
-        "log_odds_ratio": (g_mean, g_var),
-    }

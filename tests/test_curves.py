@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
+from scipy.optimize import least_squares, minimize
 
 import voi.curves as curves
 from voi.curves import (
@@ -143,9 +143,10 @@ def _objective_inputs(mu, probs, sizes=None):
 def starts(monkeypatch):
     """Record (start point, result) of every search the logistic fit runs."""
     record = []
+    search = curves.minimize
 
     def recording(fun, x0, *args, **kwargs):
-        res = minimize(fun, x0, *args, **kwargs)
+        res = search(fun, x0, *args, **kwargs)
         record.append((np.array(x0), res))
         return res
 
@@ -184,11 +185,29 @@ class TestLogisticObjective:
             points.append(z)
             assert np.exp(z1) * np.abs(mu_std).max() > np.log(np.finfo(float).max)
         for z in points:
-            value, grad = _logistic_objective(z, mu_std, probs, log_sizes)
+            value, grad, _ = _logistic_objective(z, mu_std, probs, log_sizes)
             fd = _central_difference(
                 lambda x: _logistic_objective(x, mu_std, probs, log_sizes)[0], z)
             assert np.isfinite(value)
             assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
+
+    @pytest.mark.parametrize("sized", [False, True], ids=["single", "sized"])
+    def test_hessian_matches_central_differences_at_the_optimum(self, sized, starts):
+        # At the fitted optimum the Hessian is positive definite, so the
+        # search gets the full one, not its Gauss-Newton part.
+        if sized:
+            mu, probs, sizes = _synthetic_sized(0.5, 0.01, 12)
+            fit_generalized_logistic_n(mu, probs, sizes)
+            inputs = _objective_inputs(mu, probs, sizes)
+        else:
+            mu, probs = _synthetic_single("monotone")
+            fit_generalized_logistic(mu, probs)
+            inputs = _objective_inputs(mu, probs)
+        z = _best_z(starts)
+        hessian = _logistic_objective(z, *inputs)[2]
+        fd = np.column_stack([_central_difference(
+            lambda x, k=k: _logistic_objective(x, *inputs)[1][k], z) for k in range(z.size)])
+        np.testing.assert_allclose(hessian, fd, rtol=0.0, atol=1e-6 * np.abs(fd).max())
 
     @pytest.mark.parametrize("case", SINGLE_CASES)
     def test_single_fit_matches_nelder_mead(self, case, starts):
@@ -230,12 +249,59 @@ class TestLogisticObjective:
         fit_generalized_logistic_n(mu, step, np.full(40, 10_000.0))
 
     def test_single_size_fit_work_is_bounded(self, starts):
-        # Seven quasi-Newton searches on the analytic gradient; the
+        # Seven Levenberg-Marquardt searches on the analytic Hessian; the
         # derivative-free searches this replaced took about 3,000 evaluations.
         fit_generalized_logistic(*_synthetic_single("recovers"))
         assert len(starts) == 7
         assert all(res.success for _, res in starts)
         assert sum(res.nfev for _, res in starts) <= 600
+
+
+def _least_squares_cost(y: np.ndarray, sizes: np.ndarray, prior_var: float) -> float:
+    """The best cost of scipy's bounded least squares from the two starts the
+    fit once searched from, the usual one and the no-decay curve."""
+    def resid(params):
+        floor, half_life = params
+        return floor + (prior_var - floor) * half_life / (sizes + half_life) - y
+
+    starts = ([min(max(y.min(), 0.0), prior_var), max(float(np.median(sizes)), 1.0)],
+              [min(max(y.mean(), 0.0), prior_var), 1e-9])
+    return min(least_squares(resid, x0, bounds=([0.0, 1e-9], [prior_var, 1e12]),
+                             ftol=1e-12, xtol=1e-12, gtol=1e-12).cost for x0 in starts)
+
+
+def _variance_cases() -> dict:
+    """The TestVarianceCurve inputs, then 20 seeded flat-noise and decaying ones."""
+    sizes = np.rint(np.linspace(10.0, 200.0, 50))
+    decay_sizes = np.linspace(5.0, 400.0, 30)
+    cases = {
+        "synthetic_decay": (4.0e8 * (0.3 + 0.7 * 40.0 / (decay_sizes + 40.0))
+                            * (1.0 + np.random.default_rng(16).normal(0.0, 0.01, 30)),
+                            decay_sizes, 4.0e8),
+        "three_points": (np.array([3.0, 2.0, 1.5]), np.array([10.0, 30.0, 90.0]), 4.0),
+        "clipped": (np.array([3.0, 2.0, 1.0]), np.array([10.0, 50.0, 200.0]), 4.0),
+        "flat": (np.full(4, 2.0), np.array([10.0, 50.0, 100.0, 200.0]), 2.0),
+        "flat_noise_271": (4.7e6 * (1.0 + np.random.default_rng(271).normal(0.0, 0.05, 50)),
+                           sizes, 4.7e6),
+        "biased_noise_97": (4.7e6 * (1.01 + np.random.default_rng(97).normal(0.0, 0.05, 50)),
+                            sizes, 4.7e6),
+    }
+    for seed in range(5):
+        cases[f"flat_noise_{seed}"] = (
+            4.7e6 * (1.0 + np.random.default_rng(seed).normal(0.0, 0.05, 50)), sizes, 4.7e6)
+    for seed in range(100, 110):
+        rng = np.random.default_rng(seed)
+        cases[f"flat_noise_{seed}"] = (
+            4.7e6 * (1.0 + rng.uniform(-0.02, 0.02) + rng.normal(0.0, 0.05, 50)), sizes, 4.7e6)
+    for seed in range(200, 210):
+        rng = np.random.default_rng(seed)
+        floor, half_life = rng.uniform(0.05, 0.9), rng.uniform(2.0, 150.0)
+        clean = 1.0e8 * (floor + (1.0 - floor) * half_life / (sizes + half_life))
+        cases[f"decaying_{seed}"] = (clean * (1.0 + rng.normal(0.0, 0.03, 50)), sizes, 1.0e8)
+    return cases
+
+
+VARIANCE_CASES = _variance_cases()
 
 
 class TestVarianceCurve:
@@ -263,8 +329,9 @@ class TestVarianceCurve:
 
     def test_flat_noise_fit_ignores_last_digit(self):
         # Posterior variances of an arm the study cannot inform: noise around
-        # the prior variance.  On these data the search alone stops at a
-        # decaying curve for one input and at the flat one for the other.
+        # the prior variance.  On these data a local search from the usual
+        # start stops at a decaying curve for one input and at the flat one
+        # for the other.
         prior_var = 4.7e6
         sizes = np.rint(np.linspace(10.0, 200.0, 50))
         y = prior_var * (1.0 + np.random.default_rng(271).normal(0.0, 0.05, 50))
@@ -277,10 +344,9 @@ class TestVarianceCurve:
             fit.variance_reduction(10.0), rel=1e-6)
 
     def test_shallow_decaying_minimum_ignores_last_digit(self):
-        # Biased flat noise: from the usual start alone the search stops at a
+        # Biased flat noise: from the usual start a local search stops at a
         # shallow decaying minimum for one input and far from any for the
-        # same input changed in the last digit; the search from the no-decay
-        # curve finds the decaying minimum for both.
+        # same input changed in the last digit.
         prior_var = 4.7e6
         sizes = np.rint(np.linspace(10.0, 200.0, 50))
         y = prior_var * (1.01 + np.random.default_rng(97).normal(0.0, 0.05, 50))
@@ -288,12 +354,12 @@ class TestVarianceCurve:
         again = fit_variance_curve(y * (1.0 + 1e-15), sizes, prior_var)
         assert again.variance_reduction(10.0) == pytest.approx(
             fit.variance_reduction(10.0), abs=1e-3 * prior_var)
-        # The same decaying minimum, up to where the search stops (half-lives
-        # 3.0 and 3.2; the first search alone ends at 3.0 and at 31,758).
+        # The same decaying minimum (a local search from the usual start ends
+        # at half-lives 3.0 and 31,758).
         assert again.half_life == pytest.approx(fit.half_life, rel=0.25)
 
     def test_shallow_decaying_minimum_settles_in_the_last_digits(self):
-        # The same inputs as above: both searches end at the bottom of the
+        # The same inputs as above: both fits end at the bottom of the
         # decaying minimum, not merely near it.
         prior_var = 4.7e6
         sizes = np.rint(np.linspace(10.0, 200.0, 50))
@@ -317,6 +383,16 @@ class TestVarianceCurve:
         fit = fit_variance_curve([3.0, 2.0, 1.0], [10.0, 50.0, 200.0], 4.0)
         red = fit.variance_reduction(np.array([0.0, 10.0, 1e9]))
         assert np.all(red >= 0.0) and np.all(red <= 4.0)
+
+    @pytest.mark.parametrize("case", sorted(VARIANCE_CASES))
+    def test_cost_no_worse_than_scipy_least_squares(self, case):
+        y, sizes, prior_var = VARIANCE_CASES[case]
+        fit = fit_variance_curve(y, sizes, prior_var)
+        resid = fit.posterior_variance(sizes) - y
+        # Both ends sit at the same minimum; the slack is the rounding of a
+        # sum of squares, which differs by up to 1.4e-14 relative here.
+        assert 0.5 * float(resid @ resid) <= _least_squares_cost(y, sizes, prior_var) * (
+            1.0 + 1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""Nested runs import numpy only; scipy loads for moment matching, before timing.
+"""voi imports numpy only: no command and no estimator loads scipy.
 
 Each check runs in a fresh interpreter, since this test process has long
 imported scipy itself.
@@ -60,27 +60,38 @@ print(json.dumps(seen))
     assert seen == {"import voi": [], "voi validate": [], "voi run --method nmc": []}
 
 
-def test_moment_matching_loads_scipy_before_its_first_study(tiny_config):
+@pytest.fixture()
+def tiny_scan_config(tmp_path) -> str:
+    config = default_config(psa_samples=2000, outer_datasets=20, posterior_draws=200,
+                            quantile_sets=8, seed=5, out_dir=str(tmp_path / "out"),
+                            n_grid=(10, 60))
+    path = tmp_path / "tiny_scan.json"
+    path.write_text(config.to_json())
+    return str(path)
+
+
+def test_moment_matching_runs_import_no_scipy(tiny_scan_config):
+    # Every fitter runs: the spline, the single-size and the across-size
+    # logistic, and the variance curves of the by-n scan.
     seen = _run(f"""
 import contextlib, io
-import voi.cli as cli
-loaded = []
-pipeline = cli.mm_pipeline
-def first_call_sees(*args, **kwargs):
-    if not loaded:
-        loaded.append(scipy_modules())
-    return pipeline(*args, **kwargs)
-cli.mm_pipeline = first_call_sees
+from pathlib import Path
+from voi.cli import main
+seen = {{}}
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.main(["run", "--config", {tiny_config!r}, "--method", "mm"]) == 0
-print(json.dumps(loaded[0]))
+    for method in ("mm", "both"):
+        assert main(["run", "--config", {tiny_scan_config!r}, "--method", method]) == 0
+        seen[f"voi run --method {{method}}"] = scipy_modules()
+seen["by-n files"] = sorted(p.name for p in Path({tiny_scan_config!r}).parent.glob("out/by_n*"))
+print(json.dumps(seen))
 """)
-    assert {"scipy.optimize", "scipy.interpolate", "scipy.linalg"} <= set(seen)
+    assert seen == {"voi run --method mm": [], "voi run --method both": [],
+                    "by-n files": ["by_n_study1.csv", "by_n_study2.csv", "by_n_study3.csv"]}
 
 
 def test_traced_pass_still_wraps_the_logistic_search(tiny_config):
-    # The benchmark's tracer patches voi.curves.minimize by name; the lazy
-    # loader must stay a module-level function that every fit calls.
+    # The benchmark's tracer patches voi.curves.minimize by name; the search
+    # must stay a module-level function that every fit calls.
     seen = _run(f"""
 import contextlib, io
 sys.path.insert(0, {str(PERFBENCH)!r})
