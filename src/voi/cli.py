@@ -5,6 +5,9 @@ Three subcommands:
 * ``voi run --config cfg.json [--method nmc|mm|both] [--seed N] [--out DIR]``
   estimates the value of every configured study and writes ``results.csv``
   (plus ``by_n_study<k>.csv`` per study when the config has an ``n_grid``).
+  It prints each estimate, then the prior sample's summary: every
+  treatment's expected net benefit and probability of being best, the EVPI
+  and the value of the market as it stands.
 * ``voi trend --config cfg.json --study K [--seed N] [--out DIR]`` writes the
   fitted probability trend ``trend_study<k>.csv`` (512 grid rows) and the
   incremental net benefit sample ``inb_density_study<k>.csv``.
@@ -28,10 +31,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import ConfigError, RunConfig
+from .config import METHODS, ConfigError, RunConfig
 from .curves import FitError, LogisticFit
 from .market import current_decision_value
-from .model import PsaSample, prob_cost_effective, sample_prior
+from .model import PsaSample, evpi, expected_nb, prob_cost_effective, sample_prior
 from .moment_matching import MomentMatchingResult, mm_by_n_pipeline, mm_pipeline
 from .nmc import nmc_evsi, nmc_evsi_im, nmc_summaries
 from .rng import child_seed
@@ -161,15 +164,18 @@ def _cmd_run(args) -> int:
     config = _load_config(args)
     psa = _psa(config)
     value_now = current_decision_value(psa, config.current_shares)
-    prob = prob_cost_effective(psa)
+    means, probs, value_perfect = expected_nb(psa), prob_cost_effective(psa), evpi(psa)
     table, _, scans = run_config(config, psa)
     out = _write_outputs(config, table, scans)
-    print(f"current decision value: {value_now:,.0f}")
-    print(f"probability novel treatment is cost effective: {prob[-1]:.3f}")
     for row in table.rows:
         print(f"study {row.study} [{row.method}] evsi={row.evsi:,.1f} "
               f"evsi_im={row.evsi_im:,.1f} se={row.std_error:,.1f} "
               f"({row.seconds:.1f}s)")
+    print(f"PSA ({len(psa)} samples)")
+    for d, (mean, prob) in enumerate(zip(means, probs), start=1):
+        print(f"  treatment {d}: E[NB] = {mean:,.0f}   P(best) = {prob:.3f}")
+    print(f"  EVPI = {value_perfect:,.0f}")
+    print(f"  current decision value = {value_now:,.0f}")
     print(f"wrote {out / 'results.csv'}")
     return 0
 
@@ -213,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="estimate the value of every configured study")
     run.add_argument("--config", required=True)
-    run.add_argument("--method", choices=("nmc", "mm", "both"))
+    run.add_argument("--method", choices=METHODS)
     run.add_argument("--seed", type=int)
     run.add_argument("--out")
     run.set_defaults(fn=_cmd_run)

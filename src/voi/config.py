@@ -1,6 +1,6 @@
 """Run configuration: JSON parsing, validation, and canonical serialization.
 
-The JSON schema (all keys required unless marked optional):
+The JSON schema, with the shipped case study's run settings:
 
     {
       "seed": 2026,
@@ -9,7 +9,7 @@ The JSON schema (all keys required unless marked optional):
       "outer_datasets": 5000,           // nested MC outer loop size
       "posterior_draws": 10000,         // posterior sample size per dataset
       "quantile_sets": 50,              // moment matching: datasets per study
-      "out_dir": "results",             // optional, default "results"
+      "out_dir": "results",
       "n_grid": [20, 60, 100],          // optional: sample-size scan
       "model": {
         "fixed": {"life_years": ..., "event_cost": ..., "treatment_cost": ...,
@@ -27,6 +27,10 @@ The JSON schema (all keys required unless marked optional):
       "current_shares": [1.0, 0.0]
     }
 
+The seven run settings (``seed`` to ``out_dir``) are optional, and so are the
+market keys whose fields have defaults (``saturation_at``,
+``target_treatment``): an absent one takes its dataclass field's default.
+Every other key is required.
 ``target_treatment`` is 1-based in the file (treatments are numbered 1, 2)
 and 0-based inside the package.  ``market_share.kind`` may also be
 "step_at_argmax" (no further keys) or "table" with
@@ -37,9 +41,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields, replace
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
-from typing import get_type_hints
+from typing import get_origin, get_type_hints
 
 import numpy as np
 
@@ -52,14 +57,17 @@ from .market import (
 )
 from .model import DEFAULT_NB_FUNCTIONS, BetaPrior, FixedParams, NormalPrior, PriorSpec
 from .studies import StudyDesign, StudyKind
-from . import critical_event
 
-__all__ = ["ConfigError", "RunConfig", "default_config"]
+__all__ = ["METHODS", "ConfigError", "RunConfig"]
 
 METHODS = ("nmc", "mm", "both")
 N_TREATMENTS = len(DEFAULT_NB_FUNCTIONS)
 # Each prior type's "dist" in the file; its other keys are the prior's fields.
 _DIST_NAMES = {BetaPrior: "beta", NormalPrior: "normal"}
+# Each market type's "kind" in the file; its other keys are the type's fields,
+# with the 0-based ``target`` written as the 1-based ``target_treatment``.
+_MARKET_KINDS = {"threshold_linear": ThresholdLinearShare, "step_at_argmax": StepShare,
+                 "table": TableShare}
 
 
 class ConfigError(ValueError):
@@ -127,30 +135,21 @@ class RunConfig:
     # -- serialization -----------------------------------------------------
 
     def to_dict(self) -> dict:
-        market: dict = {}
-        if isinstance(self.market, ThresholdLinearShare):
-            market = {"kind": "threshold_linear", "threshold": self.market.threshold,
-                      "saturation_at": self.market.saturation_at}
-        elif isinstance(self.market, StepShare):
-            market = {"kind": "step_at_argmax"}
-        elif isinstance(self.market, TableShare):
-            market = {"kind": "table", "points": [list(p) for p in self.market.points]}
-        market["target_treatment"] = self.market.target + 1
+        market = self.market
         out = {
-            "seed": self.seed,
-            "method": self.method,
-            "psa_samples": self.psa_samples,
-            "outer_datasets": self.outer_datasets,
-            "posterior_draws": self.posterior_draws,
-            "quantile_sets": self.quantile_sets,
-            "out_dir": self.out_dir,
+            **{f.name: getattr(self, f.name) for f in _run_settings()},
             "model": {
                 "fixed": {f.name: getattr(self.fixed, f.name) for f in fields(self.fixed)},
                 "priors": {f.name: _prior_dict(getattr(self.priors, f.name))
                            for f in fields(self.priors)},
             },
             "studies": [{"kind": s.kind.value, "n": s.n} for s in self.studies],
-            "market_share": market,
+            "market_share": {
+                "kind": next(k for k, c in _MARKET_KINDS.items() if c is type(market)),
+                **{f.name: _plain(getattr(market, f.name))
+                   for f in fields(market) if f.name != "target"},
+                "target_treatment": market.target + 1,
+            },
             "current_shares": list(self.current_shares.shares),
         }
         if self.n_grid is not None:
@@ -182,61 +181,45 @@ class RunConfig:
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "configuration must be a JSON object")
 
-        def number(field: str, value) -> float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(field, "must be a number")
-            return float(value)
-
-        def get(field: str, expected, *, default=_MISSING):
-            if field.split(".")[-1] not in _leaf(raw, field):
-                if default is not _MISSING:
-                    return default
-                raise ConfigError(field, "is required")
-            value = _leaf(raw, field)[field.split(".")[-1]]
+        def get(field: str, expected, default=MISSING):
+            """The value at dotted path ``field``, of type ``expected``; ``default`` if absent."""
+            *parents, key = field.split(".")
+            node = raw
+            for depth, part in enumerate(parents, start=1):
+                node = node.get(part)
+                if not isinstance(node, dict):
+                    raise ConfigError(".".join(parents[:depth]), "must be an object")
+            if key not in node:
+                if default is MISSING:
+                    raise ConfigError(field, "is required")
+                return default
+            value = node[key]
             if expected is float:
-                return number(field, value)
+                return _number(field, value)
+            if get_origin(expected) is tuple:  # a table's rows of numbers
+                return tuple(tuple(_number(field, v) for v in row) for row in value)
             if expected is int:
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise ConfigError(field, "must be an integer")
-                return value
-            if not isinstance(value, expected):
+            elif not isinstance(value, expected):
                 raise ConfigError(field, f"must be of type {expected.__name__}")
             return value
 
-        def _leaf(node: dict, field: str) -> dict:
-            parts = field.split(".")
-            for part in parts[:-1]:
-                node = node.get(part)
-                if not isinstance(node, dict):
-                    raise ConfigError(".".join(parts[: parts.index(part) + 1]),
-                                      "must be an object")
-            return node
+        def values(field: str, kind, skip=()) -> dict:
+            """``kind``'s fields from the object at ``field``, defaults where it has none."""
+            hints = get_type_hints(kind)
+            return {f.name: get(f"{field}.{f.name}", hints[f.name], f.default)
+                    for f in fields(kind) if f.name not in skip}
 
-        method = get("method", str, default="both")
-        if method not in METHODS:
-            raise ConfigError("method", f"must be one of {METHODS}")
+        def prior(field: str, kind):
+            dist = _DIST_NAMES[kind]
+            if get(field, dict).get("dist") != dist:
+                raise ConfigError(field + ".dist", f"must be '{dist}'")
+            with _blamed_on(field):
+                return kind(**values(field, kind))
 
-        def prior(field: str, cls):
-            spec = get(field, dict)
-            kind = _DIST_NAMES[cls]
-            if spec.get("dist") != kind:
-                raise ConfigError(field + ".dist", f"must be '{kind}'")
-            try:
-                return cls(*(number(f"{field}.{g.name}", spec[g.name]) for g in fields(cls)))
-            except ConfigError:
-                raise
-            except KeyError as exc:
-                raise ConfigError(field, f"missing key {exc}") from exc
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(field, str(exc)) from exc
-
-        try:
-            fixed = FixedParams(**{f.name: get(f"model.fixed.{f.name}", float)
-                                   for f in fields(FixedParams)})
-        except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
-            raise ConfigError("model.fixed", str(exc)) from exc
+        with _blamed_on("model.fixed"):
+            fixed = FixedParams(**values("model.fixed", FixedParams))
 
         prior_types = get_type_hints(PriorSpec)
         priors = PriorSpec(**{f.name: prior(f"model.priors.{f.name}", prior_types[f.name])
@@ -248,48 +231,27 @@ class RunConfig:
             field = f"studies[{i}]"
             if not isinstance(entry, dict) or "kind" not in entry or "n" not in entry:
                 raise ConfigError(field, "must be an object with 'kind' and 'n'")
-            try:
+            with _blamed_on(field):
                 studies.append(StudyDesign(StudyKind(entry["kind"]), entry["n"]))
-            except ValueError as exc:
-                raise ConfigError(field, str(exc)) from exc
 
         market_raw = get("market_share", dict)
-        target = market_raw.get("target_treatment", 2)
-        if isinstance(target, bool) or not isinstance(target, int) or target < 1:
-            raise ConfigError("market_share.target_treatment", "must be a 1-based treatment number")
-        kind = market_raw.get("kind")
-        try:
-            if kind == "threshold_linear":
-                market: MarketShareFunction = ThresholdLinearShare(
-                    threshold=number("market_share.threshold", market_raw["threshold"]),
-                    saturation_at=number("market_share.saturation_at",
-                                         market_raw.get("saturation_at", 1.0)),
-                    target=target - 1,
-                )
-            elif kind == "step_at_argmax":
-                market = StepShare(target=target - 1)
-            elif kind == "table":
-                points = tuple(tuple(number("market_share.points", v) for v in p)
-                               for p in market_raw["points"])
-                market = TableShare(points=points, target=target - 1)
-            else:
-                raise ConfigError("market_share.kind",
-                                  "must be 'threshold_linear', 'step_at_argmax' or 'table'")
-        except ConfigError:
-            raise
-        except KeyError as exc:
-            raise ConfigError("market_share", f"missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("market_share", str(exc)) from exc
+        kind = get("market_share.kind", str)
+        if kind not in _MARKET_KINDS:
+            raise ConfigError("market_share.kind", f"must be one of {tuple(_MARKET_KINDS)}")
+        with _blamed_on("market_share"):
+            market_args = values("market_share", _MARKET_KINDS[kind], skip=("target",))
+            if "target_treatment" in market_raw:
+                target = get("market_share.target_treatment", int)
+                if target < 1:
+                    raise ConfigError("market_share.target_treatment",
+                                      "must be a 1-based treatment number")
+                market_args["target"] = target - 1
+            market = _MARKET_KINDS[kind](**market_args)
 
         shares_raw = get("current_shares", list)
-        try:
-            shares = CurrentShares(tuple(number(f"current_shares[{i}]", s)
+        with _blamed_on("current_shares"):
+            shares = CurrentShares(tuple(_number(f"current_shares[{i}]", s)
                                          for i, s in enumerate(shares_raw)))
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError("current_shares", str(exc)) from exc
 
         n_grid_raw = raw.get("n_grid")
         n_grid = None
@@ -305,14 +267,8 @@ class RunConfig:
             studies=tuple(studies),
             market=market,
             current_shares=shares,
-            method=method,
-            psa_samples=get("psa_samples", int, default=10_000),
-            outer_datasets=get("outer_datasets", int, default=5_000),
-            posterior_draws=get("posterior_draws", int, default=10_000),
-            quantile_sets=get("quantile_sets", int, default=50),
             n_grid=n_grid,
-            seed=get("seed", int, default=1),
-            out_dir=get("out_dir", str, default="results"),
+            **{f.name: get(f.name, type(f.default), f.default) for f in _run_settings()},
         )
 
     @classmethod
@@ -331,28 +287,33 @@ class RunConfig:
         return cls.from_json(path.read_text())
 
 
+def _run_settings():
+    """RunConfig's scalar run settings: the fields whose default is a number or a string."""
+    return [f for f in fields(RunConfig) if isinstance(f.default, (int, str))]
+
+
+def _number(field: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(field, "must be a number")
+    return float(value)
+
+
+def _plain(value):
+    """``value`` with its tuples as lists, the way JSON reads it back."""
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
 def _prior_dict(prior: BetaPrior | NormalPrior) -> dict:
     return {"dist": _DIST_NAMES[type(prior)], **{f.name: getattr(prior, f.name)
                                                  for f in fields(prior)}}
 
 
-class _Missing:
-    pass
-
-
-_MISSING = _Missing()
-
-
-def default_config(**overrides) -> RunConfig:
-    """The packaged example problem at its headline run settings."""
-    cfg = RunConfig(
-        fixed=critical_event.FIXED,
-        priors=critical_event.PRIORS,
-        studies=critical_event.STUDIES,
-        market=critical_event.MARKET,
-        current_shares=critical_event.CURRENT_SHARES,
-        seed=2026,
-    )
-    if overrides:
-        cfg = cfg.override(**overrides)
-    return cfg
+@contextmanager
+def _blamed_on(field: str):
+    """Report a constructor's TypeError or ValueError as a ConfigError on ``field``."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(field, str(exc)) from exc

@@ -1,34 +1,44 @@
-"""Shared fixtures: the packaged decision problem and a reusable prior sample."""
+"""Shared fixtures: the shipped decision problem and a reusable prior sample."""
+
+from pathlib import Path
 
 import pytest
 
-from voi.critical_event import CURRENT_SHARES, FIXED, MARKET, PRIORS, STUDIES
+from voi.config import RunConfig
 from voi.model import sample_prior
 
-
-@pytest.fixture(scope="session")
-def fixed():
-    return FIXED
+SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "critical_event.json"
 
 
 @pytest.fixture(scope="session")
-def priors():
-    return PRIORS
+def case() -> RunConfig:
+    """The shipped case study as read from its file; vary it with ``case.override``."""
+    return RunConfig.from_file(SHIPPED)
 
 
 @pytest.fixture(scope="session")
-def studies():
-    return STUDIES
+def fixed(case):
+    return case.fixed
 
 
 @pytest.fixture(scope="session")
-def market_fn():
-    return MARKET
+def priors(case):
+    return case.priors
 
 
 @pytest.fixture(scope="session")
-def current_shares():
-    return CURRENT_SHARES
+def studies(case):
+    return case.studies
+
+
+@pytest.fixture(scope="session")
+def market_fn(case):
+    return case.market
+
+
+@pytest.fixture(scope="session")
+def current_shares(case):
+    return case.current_shares
 
 
 @pytest.fixture(scope="session")

@@ -19,8 +19,6 @@ import pytest
 from scipy import stats
 from scipy.special import expit, logit
 
-from voi.config import default_config
-from voi.critical_event import CURRENT_SHARES, FIXED, MARKET, PRIORS
 from voi.cli import run_config
 from voi.curves import fit_generalized_logistic, fit_generalized_logistic_n, fit_variance_curve
 from voi.market import CurrentShares, StepShare, market_share
@@ -56,23 +54,23 @@ def _batch_se(x: np.ndarray, n_batches: int = 25) -> float:
 
 
 @pytest.fixture(scope="module")
-def psa10k():
-    return sample_prior(PRIORS, FIXED, 10_000, child_seed(SEED, "psa"))
+def psa10k(priors, fixed):
+    return sample_prior(priors, fixed, 10_000, child_seed(SEED, "psa"))
 
 
 @pytest.fixture(scope="module")
-def full_run(psa10k):
+def full_run(case, psa10k):
     """Both estimators on all three studies at the shipped settings."""
-    table, mm_results, scans = run_config(default_config(), psa10k)
+    table, mm_results, scans = run_config(case, psa10k)
     rows = {(r.study, r.method): r for r in table.rows}
     return rows, mm_results
 
 
 # -- criterion 1: prior sample reproduces the decision problem's summaries --
 
-def test_criterion_1_psa_summaries():
+def test_criterion_1_psa_summaries(priors, fixed):
     t0 = time.perf_counter()
-    psa = sample_prior(PRIORS, FIXED, 10_000, child_seed(SEED, "psa"))
+    psa = sample_prior(priors, fixed, 10_000, child_seed(SEED, "psa"))
     mean_nb = psa.nb.mean(axis=0)
     p2 = prob_cost_effective(psa)[1]
     elapsed = time.perf_counter() - t0
@@ -125,12 +123,13 @@ def test_criterion_3_mm_speedup(full_run, study):
 
 # -- criterion 4: agreement holds away from the shipped design size ----------
 
-def test_criterion_4_small_study_against_heavy_oracle(psa10k):
+def test_criterion_4_small_study_against_heavy_oracle(psa10k, priors, fixed, market_fn,
+                                                      current_shares):
     design = StudyDesign(StudyKind.SIDE_EFFECTS, 10)
-    summaries = nmc_summaries(design, PRIORS, FIXED, 20_000, 20_000,
+    summaries = nmc_summaries(design, priors, fixed, 20_000, 20_000,
                               child_seed(SEED, "oracle-n10"))
-    ref = nmc_evsi_im(summaries, MARKET, CURRENT_SHARES)
-    mm = mm_pipeline(psa10k, PRIORS, FIXED, design, MARKET, CURRENT_SHARES,
+    ref = nmc_evsi_im(summaries, market_fn, current_shares)
+    mm = mm_pipeline(psa10k, priors, fixed, design, market_fn, current_shares,
                      50, 10_000, child_seed(SEED, "mm-n10")).evsi_im
     combined = math.hypot(ref.std_error, mm.std_error)
     _check("criterion 4 ten-patient study",
@@ -141,9 +140,9 @@ def test_criterion_4_small_study_against_heavy_oracle(psa10k):
 
 # -- criterion 5: the adjusted estimator nests the plain one -----------------
 
-def test_criterion_5_step_market_identity():
+def test_criterion_5_step_market_identity(priors, fixed):
     design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
-    summaries = nmc_summaries(design, PRIORS, FIXED, 300, 500,
+    summaries = nmc_summaries(design, priors, fixed, 300, 500,
                               child_seed(SEED, "step-check"))
     grand = np.stack([s.mu for s in summaries]).mean(axis=0)
     incumbent = CurrentShares((1.0, 0.0)) if grand[0] >= grand[1] \
@@ -157,7 +156,7 @@ def test_criterion_5_step_market_identity():
 
 # -- criterion 6: posterior samplers against analytic and grid oracles -------
 
-def _engine_draws(ds: Dataset, n_draws: int, seed: int):
+def _engine_draws(case, ds: Dataset, n_draws: int, seed: int):
     """The draws the estimators' inner engine evaluates for one dataset, per field."""
     seen = []
 
@@ -165,14 +164,14 @@ def _engine_draws(ds: Dataset, n_draws: int, seed: int):
         seen.append(draw)
         return np.zeros(np.shape(draw.p_event))
 
-    posterior_summaries([ds], PRIORS, FIXED, n_draws, seed, nb_fns=(capture,))
+    posterior_summaries([ds], case.priors, case.fixed, n_draws, seed, nb_fns=(capture,))
     return lambda field: np.concatenate([np.asarray(getattr(d, field))[:, 0] for d in seen])
 
 
-def test_criterion_6_conjugate_side_effects():
+def test_criterion_6_conjugate_side_effects(case):
     design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
     ds = Dataset(design=design, n_effective=60, events=15)
-    p = _engine_draws(ds, 10_000, child_seed(SEED, "c6-se"))("p_side_effect")
+    p = _engine_draws(case, ds, 10_000, child_seed(SEED, "c6-se"))("p_side_effect")
     ref = stats.beta(18, 54)
     se = ref.std() / math.sqrt(10_000)
     _check("criterion 6 side-effect conjugate",
@@ -180,10 +179,10 @@ def test_criterion_6_conjugate_side_effects():
            f"sample mean {p.mean():.5f} vs Beta(18,54) mean {ref.mean():.5f}")
 
 
-def test_criterion_6_conjugate_quality():
+def test_criterion_6_conjugate_quality(case):
     design = StudyDesign(StudyKind.QUALITY_OF_LIFE, 100)
     ds = Dataset(design=design, n_effective=100, logit_total=55.0)
-    z = logit(_engine_draws(ds, 10_000, child_seed(SEED, "c6-q"))("qol_after_event"))
+    z = logit(_engine_draws(case, ds, 10_000, child_seed(SEED, "c6-q"))("qol_after_event"))
     mean = (6.0 * 0.6 + 55.0 / 2.0) / 56.0
     se = math.sqrt(1.0 / 56.0 / 10_000)
     _check("criterion 6 quality conjugate",
@@ -191,7 +190,7 @@ def test_criterion_6_conjugate_quality():
            f"sample mean {z.mean():.5f} vs conjugate mean {mean:.5f}")
 
 
-def _control_rate_given_g(ds: Dataset, g: np.ndarray) -> np.ndarray:
+def _control_rate_given_g(ds: Dataset, g: np.ndarray, priors) -> np.ndarray:
     """E[P_C | g, data] for each draw g, by quadrature over l = logit P_C.
 
     The nodes on [-12, 6] hold the conditional posterior of l at every g the
@@ -202,13 +201,13 @@ def _control_rate_given_g(ds: Dataset, g: np.ndarray) -> np.ndarray:
     out = np.empty_like(g)
     for s in range(0, len(g), 500):
         lp = studies._rct_log_post(l, g[s:s + 500, None], float(ds.control_events), n,
-                                   float(ds.treated_events), n, PRIORS)
+                                   float(ds.treated_events), n, priors)
         w = np.exp(lp - lp.max(axis=1, keepdims=True))
         out[s:s + 500] = (w @ expit(l)) / w.sum(axis=1)
     return out
 
 
-def _grid_posterior_means(ds: Dataset, n_nodes: int = 200) -> tuple[float, float]:
+def _grid_posterior_means(ds: Dataset, priors, n_nodes: int = 200) -> tuple[float, float]:
     """Posterior means of P_C and log OR by a fixed quadrature over the prior's range.
 
     An independent oracle for the gridded marginal on data the prior
@@ -220,30 +219,30 @@ def _grid_posterior_means(ds: Dataset, n_nodes: int = 200) -> tuple[float, float
     but 0.99 at 200 and 200.
     """
     q = (0.0005, 0.9995)
-    p_lo, p_hi = stats.beta.ppf(q, PRIORS.p_event.alpha, PRIORS.p_event.beta)
-    g_lo, g_hi = stats.norm.ppf(q, PRIORS.log_odds_ratio.mean, PRIORS.log_odds_ratio.sd)
+    p_lo, p_hi = stats.beta.ppf(q, priors.p_event.alpha, priors.p_event.beta)
+    g_lo, g_hi = stats.norm.ppf(q, priors.log_odds_ratio.mean, priors.log_odds_ratio.sd)
     L, G = np.meshgrid(np.linspace(logit(p_lo), logit(p_hi), n_nodes),
                        np.linspace(g_lo, g_hi, n_nodes), indexing="ij")
     n = float(ds.n_effective)
     log_post = studies._rct_log_post(L, G, float(ds.control_events), n,
-                                     float(ds.treated_events), n, PRIORS)
+                                     float(ds.treated_events), n, priors)
     w = np.exp(log_post - log_post.max())
     w /= w.sum()
     return float((w * expit(L)).sum()), float((w * G).sum())
 
 
 @pytest.mark.parametrize("x_control,x_treat", [(30, 9), (45, 20), (18, 3)])
-def test_criterion_6_trial_sampler_vs_grid(x_control, x_treat):
+def test_criterion_6_trial_sampler_vs_grid(case, x_control, x_treat):
     design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200)
     ds = Dataset(design=design, n_effective=200,
                  control_events=x_control, treated_events=x_treat)
     # The estimators' own path: draws of g = log OR from the gridded marginal.
-    g = np.log(_engine_draws(ds, 10_000, child_seed(SEED, "c6-trial"))("odds_ratio"))
+    g = np.log(_engine_draws(case, ds, 10_000, child_seed(SEED, "c6-trial"))("odds_ratio"))
     # Each block comes back sorted, so batch means need the draws shuffled.
     g = np.random.default_rng(child_seed(SEED, "c6-order")).permutation(g)
     # The engine draws no P_C; its joint posterior pairs each g with l | g.
-    p_control = _control_rate_given_g(ds, g)
-    grid_p_control, grid_g = _grid_posterior_means(ds)
+    p_control = _control_rate_given_g(ds, g, case.priors)
+    grid_p_control, grid_g = _grid_posterior_means(ds, case.priors)
     for name, draws, target in (("P_C", p_control, grid_p_control),
                                 ("log OR", g, grid_g)):
         se = _batch_se(draws)
@@ -254,9 +253,9 @@ def test_criterion_6_trial_sampler_vs_grid(x_control, x_treat):
 
 # -- criterion 7: structural properties ---------------------------------------
 
-def test_criterion_7_market_shares_dense_grid():
+def test_criterion_7_market_shares_dense_grid(market_fn):
     p = np.linspace(0.0, 1.0, 10_001)
-    total = market_share(MARKET, p).sum(axis=-1)
+    total = market_share(market_fn, p).sum(axis=-1)
     _check("criterion 7 market shares", bool(np.allclose(total, 1.0, atol=1e-12)),
            "shares sum to 1 across a 10,001-point probability grid")
 
@@ -299,9 +298,9 @@ def test_criterion_7_rescale_precision():
            "means preserved and variances hit to relative 1e-9")
 
 
-def test_criterion_7_zero_information_study():
+def test_criterion_7_zero_information_study(priors, fixed):
     design = StudyDesign(StudyKind.SIDE_EFFECTS, 0)
-    summaries = nmc_summaries(design, PRIORS, FIXED, 300, 400,
+    summaries = nmc_summaries(design, priors, fixed, 300, 400,
                               child_seed(SEED, "c7-zero"))
     est = nmc_evsi(summaries)
     _check("criterion 7 zero-information study",
@@ -309,9 +308,9 @@ def test_criterion_7_zero_information_study():
            f"evsi={est.value:.3g} within 3se={3 * est.std_error:.3g} of zero")
 
 
-def test_criterion_7_full_run_determinism():
-    config = default_config(psa_samples=2000, outer_datasets=30,
-                            posterior_draws=250, quantile_sets=8, seed=9)
+def test_criterion_7_full_run_determinism(case):
+    config = case.override(psa_samples=2000, outer_datasets=30,
+                           posterior_draws=250, quantile_sets=8, seed=9)
     table_a, _, _ = run_config(config)
     table_b, _, _ = run_config(config)
     same = all(
@@ -353,11 +352,12 @@ def test_criterion_8_size_power_recovery():
            f"u={fit.size_power:.3f} vs 0.5 within 0.15")
 
 
-def test_criterion_8_scan_consistent_with_single_size(psa10k, full_run):
+def test_criterion_8_scan_consistent_with_single_size(psa10k, full_run, priors, fixed,
+                                                       market_fn, current_shares):
     rows, mm_results = full_run
-    scan = mm_by_n_pipeline(psa10k, PRIORS, FIXED,
+    scan = mm_by_n_pipeline(psa10k, priors, fixed,
                             StudyDesign(StudyKind.SIDE_EFFECTS, 60),
-                            MARKET, CURRENT_SHARES, 50, 10_000,
+                            market_fn, current_shares, 50, 10_000,
                             [10, 60, 200], child_seed(SEED, "mm-by-n", 1))
     at_design = scan.estimates[list(scan.sizes).index(60)]
     single = mm_results[1].evsi_im

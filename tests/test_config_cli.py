@@ -14,9 +14,10 @@ from hypothesis import strategies as st
 
 import voi.cli as cli
 import voi.nmc as nmc
-from voi.config import ConfigError, RunConfig, default_config
-from voi.critical_event import MARKET
-from voi.market import StepShare, TableShare
+from voi.config import ConfigError, RunConfig
+from voi.market import StepShare, TableShare, current_decision_value
+from voi.model import evpi, expected_nb, prob_cost_effective, sample_prior
+from voi.rng import child_seed
 from voi.curves import FitError
 
 SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "critical_event.json"
@@ -26,82 +27,91 @@ SHIPPED = Path(__file__).resolve().parents[1] / "configs" / "critical_event.json
 SHIPPED_HASH = "a0f0086ee243ef25"
 
 
-def _small_config(**overrides) -> RunConfig:
-    base = dict(psa_samples=2000, outer_datasets=40, posterior_draws=300,
-                quantile_sets=8, seed=5)
-    base.update(overrides)
-    config = default_config(**base)
+def _small_config(case: RunConfig, **overrides) -> RunConfig:
     # Keep only the fastest study so command round trips stay quick.
-    d = config.to_dict()
-    d["studies"] = [{"kind": "side_effects", "n": 60}]
-    return RunConfig.from_dict(d)
+    small = dict(psa_samples=2000, outer_datasets=40, posterior_draws=300,
+                 quantile_sets=8, seed=5, studies=case.studies[:1])
+    return case.override(**{**small, **overrides})
 
 
 @pytest.fixture()
-def small_config_path(tmp_path) -> Path:
+def small_config_path(case, tmp_path) -> Path:
     path = tmp_path / "small.json"
-    path.write_text(_small_config(out_dir=str(tmp_path / "results")).to_json())
+    path.write_text(_small_config(case, out_dir=str(tmp_path / "results")).to_json())
     return path
 
 
 class TestConfig:
-    def test_shipped_file_matches_packaged_problem(self):
-        assert RunConfig.from_file(SHIPPED) == default_config()
+    def test_shipped_hash_frozen(self, case):
+        assert case.config_hash() == SHIPPED_HASH
 
-    def test_shipped_hash_frozen(self):
-        assert RunConfig.from_file(SHIPPED).config_hash() == SHIPPED_HASH
+    def test_absent_optional_keys_take_field_defaults(self, tmp_path):
+        d = json.loads(SHIPPED.read_text())
+        for key in ("method", "psa_samples", "outer_datasets", "posterior_draws",
+                    "quantile_sets", "seed", "out_dir"):
+            del d[key]
+        del d["market_share"]["saturation_at"]
+        del d["market_share"]["target_treatment"]
+        path = tmp_path / "defaults.json"
+        path.write_text(json.dumps(d))
+        config = RunConfig.from_file(path)
+        assert (config.method, config.psa_samples, config.outer_datasets,
+                config.posterior_draws, config.quantile_sets, config.seed,
+                config.out_dir) == ("both", 10_000, 5_000, 10_000, 50, 1, "results")
+        assert config.n_grid is None
+        market = config.to_dict()["market_share"]
+        assert (market["saturation_at"], market["target_treatment"]) == (1.0, 2)
 
-    def test_round_trip_preserves_everything(self):
-        for market in (MARKET, StepShare(target=0),
+    def test_round_trip_preserves_everything(self, case):
+        for market in (case.market, StepShare(target=0),
                        TableShare(points=((0.0, 0.0), (0.5, 0.2), (1.0, 1.0)))):
-            config = default_config(seed=7, method="mm", n_grid=[10, 50, 200], market=market)
+            config = case.override(seed=7, method="mm", n_grid=[10, 50, 200], market=market)
             again = RunConfig.from_dict(json.loads(config.to_json()))
             assert again == config
             assert again.config_hash() == config.config_hash()
 
-    def test_hash_tracks_content_not_bookkeeping(self):
-        base = default_config()
-        assert base.config_hash() != default_config(psa_samples=5000).config_hash()
+    def test_hash_tracks_content_not_bookkeeping(self, case):
+        assert case.config_hash() != case.override(psa_samples=5000).config_hash()
         # Seed and output directory are reported separately; they don't
         # change what is being estimated.
-        assert base.config_hash() == default_config(seed=1).config_hash()
-        assert base.config_hash() == base.override(out_dir="elsewhere").config_hash()
+        assert case.config_hash() == case.override(seed=1).config_hash()
+        assert case.config_hash() == case.override(out_dir="elsewhere").config_hash()
 
-    def test_override_changes_one_field(self):
-        config = default_config().override(method="nmc")
+    def test_override_changes_one_field(self, case):
+        config = case.override(method="nmc")
         assert config.method == "nmc"
-        assert config.seed == default_config().seed
+        assert config.seed == case.seed
 
-    def test_errors_name_their_field(self):
+    def test_errors_name_their_field(self, case):
         with pytest.raises(ConfigError, match="psa_samples"):
-            default_config(psa_samples=0)
+            case.override(psa_samples=0)
         with pytest.raises(ConfigError, match="method"):
-            default_config(method="bogus")
+            case.override(method="bogus")
         with pytest.raises(ConfigError, match="seed"):
-            default_config(seed="nope")
+            case.override(seed="nope")
         with pytest.raises(ConfigError, match="n_grid"):
-            default_config(n_grid=[10, -5])
+            case.override(n_grid=[10, -5])
 
-    def test_dict_errors_name_their_path(self):
-        d = default_config().to_dict()
+    def test_dict_errors_name_their_path(self, case):
+        d = case.to_dict()
         d["model"]["priors"]["p_event"]["dist"] = "gamma"
         with pytest.raises(ConfigError, match="p_event"):
             RunConfig.from_dict(d)
 
-    def test_bool_is_not_a_count(self):
-        d = default_config().to_dict()
+    def test_bool_is_not_a_count(self, case):
+        d = case.to_dict()
         d["psa_samples"] = True
         with pytest.raises(ConfigError, match="psa_samples"):
             RunConfig.from_dict(d)
 
-    def test_bad_market_kind(self):
-        d = default_config().to_dict()
+    def test_bad_market_kind(self, case):
+        d = case.to_dict()
         d["market_share"] = {"kind": "mystery"}
         with pytest.raises(ConfigError, match="market_share"):
             RunConfig.from_dict(d)
 
-    def test_current_shares_checked(self):
-        d = default_config().to_dict()
+    def test_current_shares_checked(self, case):
+        d = case.to_dict()
         d["current_shares"] = [0.7, 0.7]
         with pytest.raises(ConfigError, match="current_shares"):
             RunConfig.from_dict(d)
@@ -114,8 +124,8 @@ class TestConfig:
         (("market_share", "threshold"), float("-inf")),
         (("current_shares",), [float("nan"), 0.0]),
     ])
-    def test_non_finite_numbers_rejected(self, path, value):
-        d = default_config().to_dict()
+    def test_non_finite_numbers_rejected(self, case, path, value):
+        d = case.to_dict()
         node = d
         for key in path[:-1]:
             node = node[key]
@@ -132,10 +142,10 @@ class TestConfig:
         (("current_shares",), ["1", False], "current_shares"),
         (("current_shares",), [1.0, None], "current_shares"),
     ])
-    def test_non_numbers_rejected(self, path, value, field):
+    def test_non_numbers_rejected(self, case, path, value, field):
         # Booleans and strings are not numbers, even where float() would
         # take them.
-        d = default_config().to_dict()
+        d = case.to_dict()
         node = d
         for key in path[:-1]:
             node = node[key]
@@ -143,30 +153,30 @@ class TestConfig:
         with pytest.raises(ConfigError, match=rf"{field}.*must be a number"):
             RunConfig.from_dict(d)
 
-    def test_non_number_table_point_rejected(self):
-        d = default_config().to_dict()
+    def test_non_number_table_point_rejected(self, case):
+        d = case.to_dict()
         d["market_share"] = {"kind": "table", "points": [[0.0, 0.0], ["1", True]],
                              "target_treatment": 2}
         with pytest.raises(ConfigError, match="market_share.points.*must be a number"):
             RunConfig.from_dict(d)
 
-    def test_integers_are_numbers(self):
-        d = default_config().to_dict()
+    def test_integers_are_numbers(self, case):
+        d = case.to_dict()
         d["current_shares"] = [1, 0]
         d["model"]["priors"]["p_event"]["alpha"] = 2
         config = RunConfig.from_dict(d)
         assert config.current_shares.shares == (1.0, 0.0)
         assert config.priors.p_event.alpha == 2.0
 
-    def test_non_finite_table_point_rejected(self):
-        d = default_config().to_dict()
+    def test_non_finite_table_point_rejected(self, case):
+        d = case.to_dict()
         d["market_share"] = {"kind": "table", "points": [[0.0, 0.0], [float("nan"), 1.0]],
                              "target_treatment": 2}
         with pytest.raises(ConfigError, match="market_share.points"):
             RunConfig.from_dict(d)
 
-    def test_target_treatment_beyond_treatments(self):
-        d = default_config().to_dict()
+    def test_target_treatment_beyond_treatments(self, case):
+        d = case.to_dict()
         d["market_share"]["target_treatment"] = 3
         with pytest.raises(ConfigError, match="target_treatment"):
             RunConfig.from_dict(d)
@@ -230,8 +240,28 @@ class TestRunCommand:
         _, _, rows_b = _read_rows(out_b / "results.csv")
         assert rows_a[0][2] != rows_b[0][2]
 
-    def test_by_n_outputs_when_grid_configured(self, tmp_path):
-        config = _small_config(out_dir=str(tmp_path / "res"),
+    def test_prints_estimates_then_prior_summary(self, small_config_path, tmp_path, capsys):
+        assert cli.main(["run", "--config", str(small_config_path),
+                         "--out", str(tmp_path / "out")]) == 0
+        config = RunConfig.from_file(small_config_path)
+        psa = sample_prior(config.priors, config.fixed, config.psa_samples,
+                           child_seed(config.seed, "psa"))
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" evsi=")[0] for line in lines[:2]] == ["study 1 [nmc]",
+                                                                  "study 1 [mm]"]
+        assert lines[2:] == [
+            "PSA (2000 samples)",
+            *(f"  treatment {d}: E[NB] = {m:,.0f}   P(best) = {p:.3f}"
+              for d, (m, p) in enumerate(zip(expected_nb(psa), prob_cost_effective(psa)),
+                                         start=1)),
+            f"  EVPI = {evpi(psa):,.0f}",
+            f"  current decision value = "
+            f"{current_decision_value(psa, config.current_shares):,.0f}",
+            f"wrote {tmp_path / 'out' / 'results.csv'}",
+        ]
+
+    def test_by_n_outputs_when_grid_configured(self, case, tmp_path):
+        config = _small_config(case, out_dir=str(tmp_path / "res"),
                                n_grid=[10, 60, 200], method="mm")
         path = tmp_path / "grid.json"
         path.write_text(config.to_json())
@@ -242,9 +272,9 @@ class TestRunCommand:
 
 
 @pytest.fixture(scope="module")
-def trend_dir(tmp_path_factory):
+def trend_dir(case, tmp_path_factory):
     tmp = tmp_path_factory.mktemp("trend")
-    config = _small_config(out_dir=str(tmp / "res"))
+    config = _small_config(case, out_dir=str(tmp / "res"))
     path = tmp / "config.json"
     path.write_text(config.to_json())
     assert cli.main(["trend", "--config", str(path), "--study", "1"]) == 0
@@ -281,8 +311,8 @@ class TestTrendCommand:
         assert columns == ["inb"]
         assert len(rows) == 2000
 
-    def test_study_index_checked(self, tmp_path):
-        config = _small_config(out_dir=str(tmp_path / "res"))
+    def test_study_index_checked(self, case, tmp_path):
+        config = _small_config(case, out_dir=str(tmp_path / "res"))
         path = tmp_path / "config.json"
         path.write_text(config.to_json())
         assert cli.main(["trend", "--config", str(path), "--study", "7"]) == 1
@@ -353,14 +383,31 @@ class TestExitCodes:
         lambda d: d.update(seed=-1),
     ], ids=["wtp-nan", "alpha-inf", "target-3", "alpha-true", "threshold-string",
             "shares-mixed", "seed-negative"])
-    def test_bad_values_exit_one(self, command, edit, tmp_path, capsys):
-        d = _small_config(out_dir=str(tmp_path / "res")).to_dict()
+    def test_bad_values_exit_one(self, case, command, edit, tmp_path, capsys):
+        d = _small_config(case, out_dir=str(tmp_path / "res")).to_dict()
         edit(d)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(d))
         assert cli.main([command, "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("market", [
+        {"kind": "threshold_linear", "saturation_at": 1.0, "target_treatment": 2},
+        {"kind": "table", "target_treatment": 2},
+    ], ids=["threshold-absent", "points-absent"])
+    def test_market_key_without_default_is_required(self, command, market, case, tmp_path,
+                                                    capsys):
+        d = _small_config(case, out_dir=str(tmp_path / "res")).to_dict()
+        d["market_share"] = market
+        path = tmp_path / "market.json"
+        path.write_text(json.dumps(d))
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'market_share.")
+        assert err.endswith("is required\n") and "Traceback" not in err
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("command", ["run", "trend"])

@@ -13,7 +13,6 @@ from pathlib import Path
 import pytest
 
 import voi
-from voi.config import default_config
 
 SRC = Path(voi.__file__).resolve().parents[1]
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -35,9 +34,9 @@ def _run(script: str) -> dict:
 
 
 @pytest.fixture()
-def tiny_config(tmp_path) -> str:
-    config = default_config(psa_samples=2000, outer_datasets=20, posterior_draws=200,
-                            quantile_sets=8, seed=5, out_dir=str(tmp_path / "out"))
+def tiny_config(case, tmp_path) -> str:
+    config = case.override(psa_samples=2000, outer_datasets=20, posterior_draws=200,
+                           quantile_sets=8, seed=5, out_dir=str(tmp_path / "out"))
     path = tmp_path / "tiny.json"
     path.write_text(config.to_json())
     return str(path)
@@ -61,10 +60,10 @@ print(json.dumps(seen))
 
 
 @pytest.fixture()
-def tiny_scan_config(tmp_path) -> str:
-    config = default_config(psa_samples=2000, outer_datasets=20, posterior_draws=200,
-                            quantile_sets=8, seed=5, out_dir=str(tmp_path / "out"),
-                            n_grid=(10, 60))
+def tiny_scan_config(case, tmp_path) -> str:
+    config = case.override(psa_samples=2000, outer_datasets=20, posterior_draws=200,
+                           quantile_sets=8, seed=5, out_dir=str(tmp_path / "out"),
+                           n_grid=(10, 60))
     path = tmp_path / "tiny_scan.json"
     path.write_text(config.to_json())
     return str(path)

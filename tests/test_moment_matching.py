@@ -10,7 +10,6 @@ from scipy import stats
 
 import voi.moment_matching as moment_matching
 from voi.cli import run_config
-from voi.config import default_config
 from voi.model import DEFAULT_NB_FUNCTIONS
 from voi.moment_matching import (
     ConditionalExpectationFit,
@@ -295,7 +294,7 @@ class TestByN:
 
 
 class TestSharedRegression:
-    def test_scan_reuses_the_single_size_regression(self, monkeypatch):
+    def test_scan_reuses_the_single_size_regression(self, case, monkeypatch):
         # mm_pipeline and the by-n scan of a study regress the same PSA on the
         # same features, so run_config fits it once per treatment per study.
         calls = []
@@ -305,8 +304,8 @@ class TestSharedRegression:
             return fit_pspline(*args, **kwargs)
 
         monkeypatch.setattr(moment_matching, "fit_pspline", counting)
-        config = default_config(method="mm", psa_samples=2000, posterior_draws=1000,
-                                quantile_sets=8, n_grid=[20, 100], seed=6)
+        config = case.override(method="mm", psa_samples=2000, posterior_draws=1000,
+                               quantile_sets=8, n_grid=[20, 100], seed=6)
         table, mm_results, scans = run_config(config)
         n_treat = len(DEFAULT_NB_FUNCTIONS)
         assert len(calls) == n_treat * len(config.studies)

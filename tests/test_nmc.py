@@ -9,7 +9,6 @@ from scipy import stats
 from scipy.special import logit
 
 import voi.nmc as nmc
-from voi.critical_event import FIXED, PRIORS
 from voi.market import CurrentShares, StepShare, ThresholdLinearShare
 from voi.model import expected_nb, evpi
 from voi.nmc import (
@@ -38,21 +37,24 @@ def small_summaries(priors, fixed):
     return nmc_summaries(design, priors, fixed, 400, 800, 21)
 
 
-def engine_reduction(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@pytest.fixture(scope="module")
+def engine_reduction(priors, fixed):
     """The engine's reduction of a given R x D net-benefit matrix.
 
     Each treatment's function hands the engine its column, whatever the
     draws, for one dataset whose R draws fit in one block.
     """
-    assert nb.shape[0] <= nmc.BLOCK_ELEMENTS
-    fns = tuple(lambda draw, fixed, col=col: col[:, None] for col in np.asarray(nb, float).T)
-    ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60), n_effective=60, events=15)
-    (s,) = posterior_summaries([ds], PRIORS, FIXED, nb.shape[0], 0, fns)
-    return s.mu, s.p, s.nb_var
+    def reduce(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        assert nb.shape[0] <= nmc.BLOCK_ELEMENTS
+        fns = tuple(lambda draw, fixed, col=col: col[:, None] for col in np.asarray(nb, float).T)
+        ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60), n_effective=60, events=15)
+        (s,) = posterior_summaries([ds], priors, fixed, nb.shape[0], 0, fns)
+        return s.mu, s.p, s.nb_var
+    return reduce
 
 
 class TestSummarize:
-    def test_unanimous_posterior(self):
+    def test_unanimous_posterior(self, engine_reduction):
         nb = np.array([[1.0, 2.0], [0.0, 5.0], [2.0, 3.0]])
         mu, p, var = engine_reduction(nb)
         np.testing.assert_allclose(mu, [1.0, 10.0 / 3.0])
@@ -60,7 +62,7 @@ class TestSummarize:
         np.testing.assert_allclose(var, nb.var(axis=0, ddof=1))
 
     @pytest.mark.parametrize("n_treat", [2, 3])
-    def test_matches_argmax_reduction_with_ties(self, n_treat):
+    def test_matches_argmax_reduction_with_ties(self, engine_reduction, n_treat):
         # Values on a coarse grid tie often; every tie goes to the lowest
         # index, as np.argmax breaks them.
         rng = np.random.default_rng(3)
