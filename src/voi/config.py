@@ -30,7 +30,8 @@ The JSON schema, with the shipped case study's run settings:
 The seven run settings (``seed`` to ``out_dir``) are optional, and so are the
 market keys whose fields have defaults (``saturation_at``,
 ``target_treatment``): an absent one takes its dataclass field's default.
-Every other key is required.
+Every other key is required, and a key the schema does not name, at any
+level, is an error.
 ``target_treatment`` is 1-based in the file (treatments are numbered 1, 2)
 and 0-based inside the package.  ``market_share.kind`` may also be
 "step_at_argmax" (no further keys) or "table" with
@@ -180,6 +181,8 @@ class RunConfig:
     def from_dict(cls, raw: dict) -> "RunConfig":
         if not isinstance(raw, dict):
             raise ConfigError("<root>", "configuration must be a JSON object")
+        _known_keys(raw, "", [f.name for f in _run_settings()]
+                    + ["n_grid", "model", "studies", "market_share", "current_shares"])
 
         def get(field: str, expected, default=MISSING):
             """The value at dotted path ``field``, of type ``expected``; ``default`` if absent."""
@@ -205,22 +208,29 @@ class RunConfig:
                 raise ConfigError(field, f"must be of type {expected.__name__}")
             return value
 
-        def values(field: str, kind, skip=()) -> dict:
-            """``kind``'s fields from the object at ``field``, defaults where it has none."""
+        def values(field: str, kind, skip=(), extra=()) -> dict:
+            """``kind``'s fields from the object at ``field``, defaults where it has none.
+
+            The object may hold no keys but those fields and ``extra``.
+            """
             hints = get_type_hints(kind)
-            return {f.name: get(f"{field}.{f.name}", hints[f.name], f.default)
-                    for f in fields(kind) if f.name not in skip}
+            wanted = [f for f in fields(kind) if f.name not in skip]
+            _known_keys(get(field, dict), field, [f.name for f in wanted] + list(extra))
+            return {f.name: get(f"{field}.{f.name}", hints[f.name], f.default) for f in wanted}
 
         def prior(field: str, kind):
             dist = _DIST_NAMES[kind]
             if get(field, dict).get("dist") != dist:
                 raise ConfigError(field + ".dist", f"must be '{dist}'")
             with _blamed_on(field):
-                return kind(**values(field, kind))
+                return kind(**values(field, kind, extra=("dist",)))
 
+        _known_keys(get("model", dict), "model", ("fixed", "priors"))
         with _blamed_on("model.fixed"):
             fixed = FixedParams(**values("model.fixed", FixedParams))
 
+        _known_keys(get("model.priors", dict), "model.priors",
+                    [f.name for f in fields(PriorSpec)])
         prior_types = get_type_hints(PriorSpec)
         priors = PriorSpec(**{f.name: prior(f"model.priors.{f.name}", prior_types[f.name])
                               for f in fields(PriorSpec)})
@@ -231,6 +241,7 @@ class RunConfig:
             field = f"studies[{i}]"
             if not isinstance(entry, dict) or "kind" not in entry or "n" not in entry:
                 raise ConfigError(field, "must be an object with 'kind' and 'n'")
+            _known_keys(entry, field, ("kind", "n"))
             with _blamed_on(field):
                 studies.append(StudyDesign(StudyKind(entry["kind"]), entry["n"]))
 
@@ -239,7 +250,8 @@ class RunConfig:
         if kind not in _MARKET_KINDS:
             raise ConfigError("market_share.kind", f"must be one of {tuple(_MARKET_KINDS)}")
         with _blamed_on("market_share"):
-            market_args = values("market_share", _MARKET_KINDS[kind], skip=("target",))
+            market_args = values("market_share", _MARKET_KINDS[kind], skip=("target",),
+                                 extra=("kind", "target_treatment"))
             if "target_treatment" in market_raw:
                 target = get("market_share.target_treatment", int)
                 if target < 1:
@@ -290,6 +302,13 @@ class RunConfig:
 def _run_settings():
     """RunConfig's scalar run settings: the fields whose default is a number or a string."""
     return [f for f in fields(RunConfig) if isinstance(f.default, (int, str))]
+
+
+def _known_keys(node: dict, field: str, known) -> None:
+    """Refuse the first key of the object at ``field`` that is not in ``known``."""
+    for key in node:
+        if key not in known:
+            raise ConfigError(f"{field}.{key}" if field else str(key), "is not a known key")
 
 
 def _number(field: str, value) -> float:

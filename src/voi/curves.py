@@ -68,15 +68,18 @@ SearchResult = namedtuple("SearchResult", "x fun success nfev")
 def minimize(fun, x0, args, bounds) -> SearchResult:
     """Levenberg-Marquardt search for a minimum in a box.
 
-    ``fun(x, *args)`` returns the value, its gradient and a positive definite
-    Hessian or an approximation; ``bounds`` has a ``(low, high)`` per coordinate.
+    ``fun(x, *args)`` returns the value and a function of no arguments that
+    returns its gradient and a positive definite Hessian or an
+    approximation; the search asks for them only at accepted points, and
+    ``nfev`` counts values.  ``bounds`` has a ``(low, high)`` per coordinate.
     Coordinates at a bound whose gradient points out of the box stay there; the
     rest take the damped Newton step, clipped to the box.  The damping shrinks
     after a step that lowers the value and grows until one does.
     """
     low, high = np.array(bounds, dtype=float).T
     x = np.clip(np.asarray(x0, dtype=float), low, high)
-    value, grad, curv = fun(x, *args)
+    value, derivatives = fun(x, *args)
+    grad, curv = derivatives()
     nfev, damping = 1, 1e-3
     for _ in range(_MAX_ITER):
         free = ~(((x <= low) & (grad > 0.0)) | ((x >= high) & (grad < 0.0)))
@@ -87,7 +90,7 @@ def minimize(fun, x0, args, bounds) -> SearchResult:
             step = np.zeros_like(x)
             step[free] = np.linalg.solve(sub + damping * np.diag(np.diag(sub)), -g)
             trial = np.clip(x + step, low, high)
-            t_value, t_grad, t_curv = fun(trial, *args)
+            t_value, derivatives = fun(trial, *args)
             nfev += 1
             if t_value < value:
                 break
@@ -96,10 +99,11 @@ def minimize(fun, x0, args, bounds) -> SearchResult:
             # No step lowers the value: x is a minimum to working precision.
             break
         done = value - t_value <= _FTOL * max(abs(value), abs(t_value), 1.0)
-        x, value, grad, curv = trial, t_value, t_grad, t_curv
-        damping = max(damping / 8.0, 1e-12)
+        x, value = trial, t_value
         if done:
             break
+        grad, curv = derivatives()
+        damping = max(damping / 8.0, 1e-12)
     else:
         return SearchResult(x=x, fun=float(value), success=False, nfev=nfev)
     return SearchResult(x=x, fun=float(value), success=bool(np.isfinite(value)), nfev=nfev)
@@ -163,11 +167,13 @@ def _curve(z: np.ndarray, mu_std: np.ndarray, log_sizes: np.ndarray | None):
     return np.exp(-math.exp(z[2]) * log_sum), log_sum, a
 
 
-def _logistic_objective(z: np.ndarray, mu_std: np.ndarray, probs: np.ndarray,
-                        log_sizes: np.ndarray | None):
-    """Negative log posterior of the curve at ``z``, its gradient and Hessian in ``z``.
+def _logistic_value(z: np.ndarray, mu_std: np.ndarray, probs: np.ndarray,
+                    log_sizes: np.ndarray | None):
+    """Negative log posterior of the curve at ``z``, and its derivatives on demand.
 
-    The Hessian is the full one where that is positive definite, and the
+    Returns the value and a function of no arguments that returns the
+    gradient and Hessian in ``z``, from the value's own intermediates.  The
+    Hessian is the full one where that is positive definite, and the
     Gauss-Newton one, which drops the second derivatives of the curve and of
     ``log(rss)``, where it is not.
     """
@@ -176,40 +182,51 @@ def _logistic_objective(z: np.ndarray, mu_std: np.ndarray, probs: np.ndarray,
     n_points = probs.size
     rss = float(resid @ resid) + n_points * _RSS_FLOOR
     value = 0.5 * n_points * math.log(rss) + 0.5 * float(z @ z) / _PRIOR_VAR
-    # d pred / d z_k = -shape * pred * d_k, with d_k the derivative of
-    # log_sum in z_k, except d_2 = log_sum because d shape / d z_2 = shape.
-    shape = math.exp(z[2])
-    q0, w = np.exp(z[0] - log_sum), np.exp(a - log_sum)
-    da = w * a  # d log_sum / d log(rate)
-    derivs = [q0, da, log_sum]
-    if log_sizes is not None:
-        derivs.append(da * log_sizes)
-    d = np.stack(derivs, axis=1)
-    jac = d * (-shape * pred)[:, None]
-    pull = resid @ jac
-    grad = -(n_points / rss) * pull + z / _PRIOR_VAR
-    gauss_newton = (n_points / rss) * (jac.T @ jac) + np.eye(z.size) / _PRIOR_VAR
-    # d2 pred = shape * pred * (shape * d d' - m), with m the derivatives of
-    # d: the Hessian of log_sum in (z_0, z_1[, z_3]), and d itself in row
-    # and column 2.
-    d11 = da * (1.0 + a * (1.0 - w))
-    m = np.zeros((n_points, z.size, z.size))
-    m[:, 0, 0], m[:, 1, 1] = q0 * (1.0 - q0), d11
-    m[:, 0, 1] = m[:, 1, 0] = -q0 * da
-    if log_sizes is not None:
-        m[:, 0, 3] = m[:, 3, 0] = -q0 * da * log_sizes
-        m[:, 1, 3] = m[:, 3, 1] = d11 * log_sizes
-        m[:, 3, 3] = d11 * log_sizes**2
-    m[:, :, 2] = m[:, 2, :] = d
-    weights = resid * pred
-    curve_terms = shape * (shape * (d.T * weights) @ d - np.tensordot(weights, m, axes=1))
-    hessian = (gauss_newton - (n_points / rss) * curve_terms
-               - (2.0 * n_points / rss**2) * np.outer(pull, pull))
-    try:
-        np.linalg.cholesky(hessian)
-    except np.linalg.LinAlgError:
-        return value, grad, gauss_newton
-    return value, grad, hessian
+
+    def derivatives():
+        # d pred / d z_k = -shape * pred * d_k, with d_k the derivative of
+        # log_sum in z_k, except d_2 = log_sum because d shape / d z_2 = shape.
+        shape = math.exp(z[2])
+        q0, w = np.exp(z[0] - log_sum), np.exp(a - log_sum)
+        da = w * a  # d log_sum / d log(rate)
+        derivs = [q0, da, log_sum]
+        if log_sizes is not None:
+            derivs.append(da * log_sizes)
+        d = np.stack(derivs, axis=1)
+        jac = d * (-shape * pred)[:, None]
+        pull = resid @ jac
+        grad = -(n_points / rss) * pull + z / _PRIOR_VAR
+        gauss_newton = (n_points / rss) * (jac.T @ jac) + np.eye(z.size) / _PRIOR_VAR
+        # d2 pred = shape * pred * (shape * d d' - m), with m the derivatives
+        # of d: the Hessian of log_sum in (z_0, z_1[, z_3]), and d itself in
+        # row and column 2.
+        d11 = da * (1.0 + a * (1.0 - w))
+        m = np.zeros((n_points, z.size, z.size))
+        m[:, 0, 0], m[:, 1, 1] = q0 * (1.0 - q0), d11
+        m[:, 0, 1] = m[:, 1, 0] = -q0 * da
+        if log_sizes is not None:
+            m[:, 0, 3] = m[:, 3, 0] = -q0 * da * log_sizes
+            m[:, 1, 3] = m[:, 3, 1] = d11 * log_sizes
+            m[:, 3, 3] = d11 * log_sizes**2
+        m[:, :, 2] = m[:, 2, :] = d
+        weights = resid * pred
+        curve_terms = shape * (shape * (d.T * weights) @ d - np.tensordot(weights, m, axes=1))
+        hessian = (gauss_newton - (n_points / rss) * curve_terms
+                   - (2.0 * n_points / rss**2) * np.outer(pull, pull))
+        try:
+            np.linalg.cholesky(hessian)
+        except np.linalg.LinAlgError:
+            return grad, gauss_newton
+        return grad, hessian
+
+    return value, derivatives
+
+
+def _logistic_objective(z: np.ndarray, mu_std: np.ndarray, probs: np.ndarray,
+                        log_sizes: np.ndarray | None):
+    """The value of :func:`_logistic_value` at ``z`` with its gradient and Hessian."""
+    value, derivatives = _logistic_value(z, mu_std, probs, log_sizes)
+    return (value, *derivatives())
 
 
 def _standardize(values: np.ndarray) -> tuple[float, float]:
@@ -265,7 +282,7 @@ def _fit_logistic_core(mu_values, probs, sizes, seed: int, n_starts: int) -> Log
     while len(starts) < max(n_starts, 5):
         starts.append(list(rng.normal(0.0, 1.0, len(bounds))))
 
-    searches = [minimize(_logistic_objective, np.array(x0, dtype=float),
+    searches = [minimize(_logistic_value, np.array(x0, dtype=float),
                          args=(mu_std, probs, log_sizes), bounds=bounds)
                  for x0 in starts]
     converged = [res for res in searches if res.success]

@@ -137,6 +137,7 @@ def posterior_summaries(
     n_draws: int,
     seed: int,
     nb_fns=DEFAULT_NB_FUNCTIONS,
+    grid_memo: dict | None = None,
 ) -> list[PosteriorSummary]:
     """Summaries for a batch of one study kind's datasets, reduced block by block.
 
@@ -147,8 +148,9 @@ def posterior_summaries(
     evaluated and folded into running moments and win counts in one pass.
     Moments accumulate relative to the first block's first row, which keeps
     the variance accumulation well conditioned at net-benefit magnitudes.
+    ``grid_memo`` goes to :func:`voi.studies.study_posterior`.
     """
-    posterior = study_posterior(datasets, prior)
+    posterior = study_posterior(datasets, prior, grid_memo)
     kind = datasets[0].design.kind.value
     rng = substream(seed, "posterior", kind)
     fill_rng = substream(seed, "posterior", kind, "complement")
@@ -187,12 +189,17 @@ def chunked_summaries(n_datasets: int, datasets_at: Callable[[range], Sequence[D
     ``datasets_at(range(start, stop))``, inside its own task, and its
     posterior streams from ``child_seed(seed, "post-chunk", start)``.  Chunks
     run on one thread per usable core; the result does not depend on the
-    number of cores.
+    number of cores.  The chunks share one grid memo for this call, so the
+    trial's posterior grids each distinct statistic about once, whichever
+    chunk meets it first; two threads may grid the same statistic, which
+    gives the same row.
     """
+    grid_memo: dict = {}
+
     def chunk(start: int) -> list[PosteriorSummary]:
         indices = range(start, min(start + CHUNK_SIZE, n_datasets))
         return posterior_summaries(datasets_at(indices), prior, fixed, n_draws,
-                                   child_seed(seed, "post-chunk", start), nb_fns)
+                                   child_seed(seed, "post-chunk", start), nb_fns, grid_memo)
 
     chunks = _map_in_order(chunk, range(0, n_datasets, CHUNK_SIZE))
     return [summary for summaries in chunks for summary in summaries]

@@ -216,13 +216,21 @@ BLOCK_ELEMENTS = 16_384
 _EXP_FLOOR = math.log(np.finfo(float).tiny)
 
 
-def _softplus(x: np.ndarray) -> np.ndarray:
+def _softplus(x: np.ndarray, out: np.ndarray | None = None,
+              spare: np.ndarray | None = None) -> np.ndarray:
     """``log(1 + e^x)`` for any finite x, without overflow or underflow.
 
     The same formula as ``np.logaddexp(0, x)``, at about a sixth of its cost
-    on the grid's ``(2, datasets, g nodes, l nodes)`` arrays.
+    on the grid's ``(2, datasets, g nodes, l nodes)`` arrays.  ``out`` and
+    ``spare``, arrays of x's shape, take the result and a temporary; without
+    them both are allocated.
     """
-    return np.maximum(x, 0.0) + np.log1p(np.exp(np.maximum(-np.abs(x), _EXP_FLOOR)))
+    out = np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.maximum(out, _EXP_FLOOR, out=out)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    return np.add(np.maximum(x, 0.0, out=spare), out, out=out)
 
 
 def _rct_log_post(l: np.ndarray, g: np.ndarray, x1, n1, x2, n2, prior: PriorSpec) -> np.ndarray:
@@ -252,17 +260,28 @@ def _rct_log_density(x1: np.ndarray, n1: np.ndarray, x2: np.ndarray, n2: np.ndar
     x1, x2)`` and ``B = (a + b + n1, n2)``.  The per-dataset constants are
     folded here once; the returned function maps a ``(2, m, ...)`` array of
     points to ``(m, ...)`` log densities, the counts broadcasting against
-    the trailing axes.
+    the trailing axes.  Its optional ``work``, two arrays of the points'
+    shape, holds every intermediate, and the result is a view into the
+    second; without it they are allocated.
     """
     a, b = prior.p_event.alpha, prior.p_event.beta
     lin = np.stack([a + x1, x2])
     curv = np.stack([a + b + n1, n2])
     mean, half_prec = prior.log_odds_ratio.mean, 0.5 / prior.log_odds_ratio.variance
 
-    def log_post(z: np.ndarray) -> np.ndarray:
-        terms = lin * z - curv * _softplus(z)
-        d = z[1] - z[0] - mean
-        return terms[0] + terms[1] - half_prec * d * d
+    def log_post(z: np.ndarray, work=(None, None)) -> np.ndarray:
+        curved, terms = work
+        curved = _softplus(z, curved, terms)
+        np.multiply(curv, curved, out=curved)
+        terms = np.multiply(lin, z, out=terms)
+        np.subtract(terms, curved, out=terms)
+        # (g - m)^2 / 2v, in the rows of the softplus's spent array.
+        d = np.subtract(z[1], z[0], out=curved[0])
+        np.subtract(d, mean, out=d)
+        penalty = np.multiply(half_prec, d, out=curved[1])
+        np.multiply(penalty, d, out=penalty)
+        lp = np.add(terms[0], terms[1], out=terms[0])
+        return np.subtract(lp, penalty, out=lp)
 
     return log_post
 
@@ -357,8 +376,9 @@ class RctMarginalGrid:
         return np.exp(self.quantile(u)).T
 
 
-def rct_marginal_grid(datasets: Sequence[Dataset], prior: PriorSpec) -> RctMarginalGrid:
-    """Grid the marginal posterior of g = log OR for each trial dataset.
+def _grid_rows(x1: np.ndarray, x2: np.ndarray, n: np.ndarray,
+               prior: PriorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial statistic's g nodes and marginal CDF, one row each.
 
     The grid is laid out by the normal approximation at the joint mode.  Its
     g nodes span ``_GRID_SPAN`` standard deviations of g either side of the
@@ -367,11 +387,11 @@ def rct_marginal_grid(datasets: Sequence[Dataset], prior: PriorSpec) -> RctMargi
     span ``_GRID_SPAN`` conditional standard deviations.  Summing the density
     over the l nodes gives the marginal density of g (the sheared grid has
     the same l spacing at every g node), and a cumulative trapezoid over g
-    its CDF.  The log density is evaluated a block of about
-    ``BLOCK_ELEMENTS`` nodes at a time.
+    its CDF, from 0 to exactly 1.  The log density is evaluated a block of
+    about ``BLOCK_ELEMENTS`` nodes at a time, in three arrays that every
+    block reuses.  Every step works row by row, so a row does not depend on
+    the other statistics in the batch.
     """
-    x1, x2, n = _statistics(datasets, StudyKind.EFFECTIVENESS_RCT,
-                            "control_events", "treated_events", "n_effective")
     log_post = _rct_log_density(x1, n, x2, n, prior)
     l_hat, g_hat, h_ll, h_lg, h_gg = _rct_mode(x1, x2, n, prior, log_post)
     peak = log_post(np.stack([l_hat, l_hat + g_hat]))
@@ -382,37 +402,72 @@ def rct_marginal_grid(datasets: Sequence[Dataset], prior: PriorSpec) -> RctMargi
 
     cdf = np.zeros_like(nodes)
     rows = max(1, BLOCK_ELEMENTS // (_G_NODES * _L_NODES))
+    # The block's points (l, l + g) and the log density's two work arrays;
+    # each block takes a contiguous prefix of each, the last one a shorter one.
+    buffers = np.empty((3, 2 * min(rows, len(n)) * _G_NODES * _L_NODES))
     for s in range(0, len(n), rows):
         blk = slice(s, s + rows)
         col = (blk, None, None)
+        shape = (2, min(rows, len(n) - s), _G_NODES, _L_NODES)
+        z, *work = (b[:math.prod(shape)].reshape(shape) for b in buffers)
         g = nodes[blk, :, None]
-        l = l_hat[col] - slope[col] * (g - g_hat[col]) + l_sd[col] * l_span
-        lp = _rct_log_density(x1[col], n[col], x2[col], n[col], prior)(np.stack([l, l + g]))
+        np.add(l_hat[col] - slope[col] * (g - g_hat[col]), l_sd[col] * l_span, out=z[0])
+        np.add(z[0], g, out=z[1])
+        lp = _rct_log_density(x1[col], n[col], x2[col], n[col], prior)(z, work)
         # The density relative to its value at the mode, summed over l.
-        density = np.exp(lp - peak[col]).sum(axis=-1)
+        np.subtract(lp, peak[col], out=lp)
+        density = np.exp(lp, out=lp).sum(axis=-1)
         # Cumulative trapezoid; the constant node spacing cancels below.
         np.cumsum(density[:, 1:] + density[:, :-1], axis=1, out=cdf[blk, 1:])
     cdf /= cdf[:, -1:]
-    cdf += 2.0 * np.arange(len(n))[:, None]
-    return RctMarginalGrid(nodes=nodes, stacked_cdf=cdf)
+    return nodes, cdf
 
 
-# The posterior each study kind supplies for a batch of its datasets.
-_POSTERIOR = {
+def rct_marginal_grid(datasets: Sequence[Dataset], prior: PriorSpec,
+                      grid_memo: dict | None = None) -> RctMarginalGrid:
+    """Grid the marginal posterior of g = log OR for each trial dataset.
+
+    Datasets with the same statistic ``(control_events, treated_events, n)``
+    share one grid row (:func:`_grid_rows`).  ``grid_memo``, a dict that the
+    caller keeps for one prior, maps each statistic gridded so far to its
+    nodes and CDF; only the statistics it lacks are gridded, in one batch,
+    and added to it.  Rows do not depend on their batch, so the result is
+    the same with or without the memo.
+    """
+    stats = _statistics(datasets, StudyKind.EFFECTIVENESS_RCT,
+                        "control_events", "treated_events", "n_effective")
+    keys = list(zip(*(column.tolist() for column in stats)))
+    memo = {} if grid_memo is None else grid_memo
+    new = list(dict.fromkeys(key for key in keys if key not in memo))
+    if new:
+        memo.update(zip(new, zip(*_grid_rows(*np.array(new).T, prior))))
+    rows = [memo[key] for key in keys]
+    cdf = np.stack([row[1] for row in rows])
+    cdf += 2.0 * np.arange(len(rows))[:, None]
+    return RctMarginalGrid(nodes=np.stack([row[0] for row in rows]), stacked_cdf=cdf)
+
+
+# The posterior each conjugate study kind supplies for a batch of its datasets.
+_CONJUGATE = {
     StudyKind.SIDE_EFFECTS: side_effect_posterior,
     StudyKind.QUALITY_OF_LIFE: quality_posterior,
-    StudyKind.EFFECTIVENESS_RCT: rct_marginal_grid,
 }
 
 
-def study_posterior(datasets: Sequence[Dataset], prior: PriorSpec):
+def study_posterior(datasets: Sequence[Dataset], prior: PriorSpec,
+                    grid_memo: dict | None = None):
     """The posterior of the one parameter a batch of datasets informs.
 
     Every kind's posterior has the ``field`` of :class:`ParameterDraw` it
     informs and a ``draw(rng, k)`` returning ``(k, len(datasets))`` draws of
     it on the model's scale, column j from dataset j.  The datasets must all
-    come from the same kind of study.
+    come from the same kind of study.  The trial's posterior reuses the grid
+    rows in ``grid_memo`` (:func:`rct_marginal_grid`); the conjugate ones
+    ignore it.
     """
     if not datasets:
         raise ValueError("need at least one dataset")
-    return _POSTERIOR[datasets[0].design.kind](datasets, prior)
+    kind = datasets[0].design.kind
+    if kind is StudyKind.EFFECTIVENESS_RCT:
+        return rct_marginal_grid(datasets, prior, grid_memo)
+    return _CONJUGATE[kind](datasets, prior)

@@ -110,6 +110,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="market_share"):
             RunConfig.from_dict(d)
 
+    @pytest.mark.parametrize("path,field", [
+        ((), "extra"), (("model",), "model.extra"), (("model", "fixed"), "model.fixed.extra"),
+        (("model", "priors"), "model.priors.extra"),
+        (("model", "priors", "p_event"), "model.priors.p_event.extra"),
+        (("studies", 0), "studies[0].extra"), (("market_share",), "market_share.extra"),
+    ])
+    def test_unknown_keys_rejected(self, case, path, field):
+        d = case.to_dict()
+        node = d
+        for key in path:
+            node = node[key]
+        node["extra"] = 1
+        with pytest.raises(ConfigError, match="is not a known key") as err:
+            RunConfig.from_dict(d)
+        assert err.value.field == field
+
     def test_current_shares_checked(self, case):
         d = case.to_dict()
         d["current_shares"] = [0.7, 0.7]
@@ -408,6 +424,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: field 'market_share.")
         assert err.endswith("is required\n") and "Traceback" not in err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_misspelt_key_exits_one(self, command, case, tmp_path, capsys):
+        # A misspelt run setting would otherwise run silently at its default.
+        d = _small_config(case, out_dir=str(tmp_path / "res")).to_dict()
+        d["psa_sampels"] = d.pop("psa_samples")
+        path = tmp_path / "misspelt.json"
+        path.write_text(json.dumps(d))
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: field 'psa_sampels': is not a known key\n"
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("command", ["run", "trend"])

@@ -2,6 +2,7 @@
 
 import math
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from scipy.special import logit
 
 import voi.nmc as nmc
 from voi.market import CurrentShares, StepShare, ThresholdLinearShare
-from voi.model import expected_nb, evpi
+from voi.model import NormalPrior, expected_nb, evpi
 from voi.nmc import (
     PosteriorSummary,
     _map_in_order,
@@ -272,6 +273,45 @@ class TestParallelMatchesSerial:
         design, seed = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200), 27
         expected = _chunk_by_chunk(design, priors, fixed, 8, 150, seed, 3)
         assert_same_summaries(nmc_summaries(design, priors, fixed, 8, 150, seed), expected)
+
+
+def _repeating_trials(m: int) -> list[Dataset]:
+    """Trial datasets whose statistics repeat, as they do across an outer loop."""
+    design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200)
+    return [Dataset(design=design, n_effective=200, control_events=25 + j % 3,
+                    treated_events=5 + j % 2) for j in range(m)]
+
+
+class TestGridMemo:
+    """The trial's grid memo saves work and changes no summary."""
+
+    def test_memo_backed_summaries_match_memo_free(self, priors, fixed):
+        datasets = _repeating_trials(9)
+        memo = {}
+        posterior_summaries(datasets[:2], priors, fixed, 150, 30, grid_memo=memo)
+        assert len(memo) == 2
+        got = posterior_summaries(datasets, priors, fixed, 150, 31, grid_memo=memo)
+        assert len(memo) == 6
+        assert_same_summaries(got, posterior_summaries(datasets, priors, fixed, 150, 31))
+
+    def test_memo_stays_within_one_call(self, priors, fixed, cores, monkeypatch):
+        # Two calls on the same statistics under different priors: a memo
+        # that outlived its call would hand the second the first's grids.
+        monkeypatch.setattr(nmc, "CHUNK_SIZE", 3)
+        datasets = _repeating_trials(8)
+        vague = replace(priors, log_odds_ratio=NormalPrior(0.0, 4.0))
+        results = []
+        for prior in (priors, vague, priors):
+            got = nmc.chunked_summaries(len(datasets), lambda idx: [datasets[j] for j in idx],
+                                        prior, fixed, 150, 32)
+            expected = []
+            for start in range(0, len(datasets), 3):
+                expected += posterior_summaries(datasets[start:start + 3], prior, fixed, 150,
+                                                child_seed(32, "post-chunk", start))
+            assert_same_summaries(got, expected)
+            results.append(got)
+        assert not np.array_equal(results[0][0].mu, results[1][0].mu)
+        assert_same_summaries(results[2], results[0])
 
 
 class TestDrawsStayWithTheirDataset:

@@ -280,6 +280,43 @@ class TestMarginalGrid:
         assert np.all(g >= grid.nodes[:, :1]) and np.all(g <= grid.nodes[:, -1:])
         assert np.all(np.diff(g, axis=1) >= 0.0)
 
+    def test_rows_do_not_depend_on_their_batch(self, priors):
+        # A memo reuses a statistic's row whichever batch gridded it, so each
+        # row, with the batched mode search and line search behind it, must
+        # be bit for bit the row the statistic gets alone.  The batch holds
+        # every case, some twice, shuffled, and ends in a one-row block.
+        order = np.random.default_rng(8).permutation(2 * len(self.CASES) + 1) % len(self.CASES)
+        cases = [self.CASES[i] for i in order]
+        alone = {case: [row[0] for row in studies._grid_rows(*np.array([case], float).T, priors)]
+                 for case in self.CASES}
+        nodes, cdf = studies._grid_rows(*np.array(cases, float).T, priors)
+        grid = rct_marginal_grid([_trial(*case) for case in cases], priors)
+        for j, case in enumerate(cases):
+            np.testing.assert_array_equal(nodes[j], alone[case][0], err_msg=str(case))
+            np.testing.assert_array_equal(cdf[j], alone[case][1], err_msg=str(case))
+            np.testing.assert_array_equal(grid.nodes[j], alone[case][0], err_msg=str(case))
+            np.testing.assert_array_equal(grid.stacked_cdf[j], alone[case][1] + 2.0 * j,
+                                          err_msg=str(case))
+
+    def test_memo_reuses_rows_and_grids_only_new_statistics(self, priors, monkeypatch):
+        memo = {}
+        first = rct_marginal_grid([_trial(*case) for case in self.CASES[:4]], priors, memo)
+        assert set(memo) == {tuple(map(float, case)) for case in self.CASES[:4]}
+        gridded = []
+        real = studies._grid_rows
+
+        def recording(x1, x2, n, prior):
+            gridded.extend(zip(x1.tolist(), x2.tolist(), n.tolist()))
+            return real(x1, x2, n, prior)
+
+        monkeypatch.setattr(studies, "_grid_rows", recording)
+        cases = self.CASES[2:6] + self.CASES[5:6]
+        again = rct_marginal_grid([_trial(*case) for case in cases], priors, memo)
+        assert gridded == [tuple(map(float, case)) for case in self.CASES[4:6]]
+        np.testing.assert_array_equal(again.nodes[:2], first.nodes[2:4])
+        np.testing.assert_array_equal(
+            again.stacked_cdf, rct_marginal_grid([_trial(*c) for c in cases], priors).stacked_cdf)
+
     @pytest.mark.parametrize("m,n_draws", [(1, 5), (3, 20_000), (600, 70)])
     def test_blocks_cover_n_draws_within_budget(self, priors, fixed, m, n_draws):
         # The engine draws each batch's odds ratios a (k, m) block at a time.
