@@ -287,7 +287,8 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        # A RecursionError is JSON nested deeper than the parser can follow.
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError("<root>", f"invalid JSON: {exc}") from exc
         return cls.from_dict(raw)
 
@@ -296,7 +297,11 @@ class RunConfig:
         path = Path(path)
         if not path.exists():
             raise ConfigError("<file>", f"no such config file: {path}")
-        return cls.from_json(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError("<file>", f"not UTF-8 text: {exc}") from exc
+        return cls.from_json(text)
 
 
 def _run_settings():

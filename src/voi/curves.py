@@ -62,6 +62,9 @@ _Z_BOUND = 50.0
 # or a step lowers the value by less than _FTOL of its size; after _MAX_ITER
 # steps it stops unconverged.
 _GTOL, _FTOL, _MAX_ITER = 1e-8, 1e-13, 200
+# The logistic's fixed starts (five, or ten with the size term) are topped up
+# to this many with random ones from the seed's stream.
+_MIN_STARTS = 7
 SearchResult = namedtuple("SearchResult", "x fun success nfev")
 
 
@@ -237,7 +240,7 @@ def _standardize(values: np.ndarray) -> tuple[float, float]:
     return center, scale
 
 
-def _fit_logistic_core(mu_values, probs, sizes, seed: int, n_starts: int) -> LogisticFit:
+def _fit_logistic_core(mu_values, probs, sizes, seed: int) -> LogisticFit:
     mu_values = np.asarray(mu_values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if mu_values.shape != probs.shape or mu_values.ndim != 1:
@@ -279,7 +282,7 @@ def _fit_logistic_core(mu_values, probs, sizes, seed: int, n_starts: int) -> Log
         u_max = _Z_BOUND / max(1.0, float(log_sizes.max()))
         bounds.append((-u_max, u_max))
     rng = substream(seed, "logistic-fit")
-    while len(starts) < max(n_starts, 5):
+    while len(starts) < _MIN_STARTS:
         starts.append(list(rng.normal(0.0, 1.0, len(bounds))))
 
     searches = [minimize(_logistic_value, np.array(x0, dtype=float),
@@ -303,15 +306,14 @@ def _fit_logistic_core(mu_values, probs, sizes, seed: int, n_starts: int) -> Log
     )
 
 
-def fit_generalized_logistic(mu_values, probs, *, seed: int = 0, n_starts: int = 7) -> LogisticFit:
+def fit_generalized_logistic(mu_values, probs, *, seed: int = 0) -> LogisticFit:
     """Fit the single-sample-size curve to (mu, probability) pairs."""
-    return _fit_logistic_core(mu_values, probs, None, seed, n_starts)
+    return _fit_logistic_core(mu_values, probs, None, seed)
 
 
-def fit_generalized_logistic_n(mu_values, probs, sizes, *, seed: int = 0,
-                               n_starts: int = 10) -> LogisticFit:
+def fit_generalized_logistic_n(mu_values, probs, sizes, *, seed: int = 0) -> LogisticFit:
     """Fit the across-sample-size curve to (mu, probability, n) triples."""
-    return _fit_logistic_core(mu_values, probs, sizes, seed, n_starts)
+    return _fit_logistic_core(mu_values, probs, sizes, seed)
 
 
 @dataclass(frozen=True)

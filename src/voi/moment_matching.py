@@ -17,22 +17,24 @@ method needs only a handful of carefully chosen datasets:
 4. The probability of being best is carried along by a generalized logistic
    fitted to the Q pairs of (posterior mean incremental net benefit,
    probability); market shares and the value assembly then proceed exactly as
-   in the nested estimator.  The fit is a bounded quasi-Newton search on the
-   analytic gradient of its log posterior, from a few fixed start points.
+   in the nested estimator.  The fit is a bounded Levenberg-Marquardt search
+   on the analytic Hessian of its log posterior, from a few fixed starts.
 
 A variant re-uses one set of nested runs across a whole range of study sizes
 by spreading the Q datasets over sample sizes, fitting a variance decay curve
 per treatment and a sample-size-indexed logistic, and predicting the value at
-any size on a grid.  The step-3 regression depends on the PSA and the
-study's informed parameters but not on its size, so a single-size pass and a
-scan of the same study share one fit.  Steps 3 and 4 assume two treatments
-(the incremental net benefit path).
+any size on a grid.  Both passes share one calibration (steps 1 and 2,
+:func:`_calibrate`) and one valuation (:func:`_value`: cap, rescale,
+incremental net benefit, probability, ``evsi_im``).  The step-3 regression
+depends on the PSA and the study's informed parameters but not on its size,
+so a single-size pass and a scan of the same study share one fit.  Steps 3
+and 4 assume two treatments (the incremental net benefit path).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +60,6 @@ from .smoothing import fit_pspline
 from .studies import Dataset, StudyDesign, StudyKind, simulate_dataset
 
 __all__ = [
-    "ConditionalExpectationFit",
     "MomentMatchingResult",
     "SampleSizeScan",
     "quantile_grid",
@@ -70,8 +71,6 @@ __all__ = [
     "mm_pipeline",
     "mm_by_n_pipeline",
 ]
-
-_ALL_FIELDS = frozenset(PriorSpec.FIELD_ORDER)
 
 
 def quantile_grid(psa: PsaSample, n_points: int) -> ParameterDraw:
@@ -134,15 +133,6 @@ def nested_summaries(datasets: Sequence[Dataset], prior: PriorSpec, fixed: Fixed
                              prior, fixed, n_inner, seed, nb_fns)
 
 
-@dataclass(frozen=True)
-class ConditionalExpectationFit:
-    """Per-treatment smooth estimates of E[net benefit | informed parameters]."""
-
-    fitted: np.ndarray        # S x D fitted values at the PSA draws
-    residual_var: np.ndarray  # length D
-    features: tuple[str, ...]
-
-
 _REGRESSION_FEATURES = {
     StudyKind.SIDE_EFFECTS: ("p_side_effect",),
     StudyKind.QUALITY_OF_LIFE: ("qol_after_event",),
@@ -154,23 +144,12 @@ _REGRESSION_FEATURES = {
 }
 
 
-def fit_conditional_expectation(psa: PsaSample, design: StudyDesign) -> ConditionalExpectationFit:
-    """Regress each net-benefit column on the study's informed parameters."""
-    if design.informed >= _ALL_FIELDS:
-        return ConditionalExpectationFit(
-            fitted=psa.nb.copy(),
-            residual_var=np.zeros(psa.n_treatments),
-            features=tuple(sorted(_ALL_FIELDS)),
-        )
-    features = _REGRESSION_FEATURES[design.kind]
-    x = np.column_stack([np.asarray(getattr(psa.draws, name)) for name in features])
-    fitted = np.empty_like(psa.nb)
-    resid = np.empty(psa.n_treatments)
-    for d in range(psa.n_treatments):
-        fit = fit_pspline(x, psa.nb[:, d])
-        fitted[:, d] = fit.fitted
-        resid[d] = fit.residual_var
-    return ConditionalExpectationFit(fitted=fitted, residual_var=resid, features=features)
+def fit_conditional_expectation(psa: PsaSample, design: StudyDesign) -> np.ndarray:
+    """S x D smooth estimates of E[net benefit | the study's informed parameters]."""
+    x = np.column_stack([np.asarray(getattr(psa.draws, name))
+                         for name in _REGRESSION_FEATURES[design.kind]])
+    return np.column_stack([fit_pspline(x, psa.nb[:, d]).fitted
+                            for d in range(psa.n_treatments)])
 
 
 def variance_reduction_target(psa: PsaSample, posterior_nb_variances) -> np.ndarray:
@@ -188,38 +167,31 @@ def variance_reduction_target(psa: PsaSample, posterior_nb_variances) -> np.ndar
     return np.clip(prior_var - mean_posterior, 0.0, prior_var)
 
 
-def _cap_at_fit_variance(target: np.ndarray, fit: ConditionalExpectationFit) -> np.ndarray:
+def _cap_at_fit_variance(target: np.ndarray, cond: np.ndarray) -> np.ndarray:
     # A dataset moves a posterior mean only through the parameters the study
     # updates, so Var(E[NB_d | data]) can never exceed the variance of the
     # conditional expectation on those parameters.  Without this ceiling,
     # Monte Carlo noise in the prior-minus-posterior variance difference gets
     # amplified onto a near-flat fit for any treatment the study cannot move.
-    return np.minimum(target, fit.fitted.var(axis=0, ddof=1))
+    return np.minimum(target, cond.var(axis=0, ddof=1))
 
 
-def rescale(fit: ConditionalExpectationFit, target: np.ndarray) -> np.ndarray:
-    """Affinely rescale the fitted values to the target variance, per column.
+def rescale(cond: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Affinely rescale the S x D fitted values to the target variance, per column.
 
     Means are preserved exactly; a zero target collapses the column to its
     mean.  A column whose fit is constant carries no ranking information and
     stays at its mean whatever the target.
     """
     target = np.asarray(target, dtype=float)
-    g = fit.fitted
-    if target.shape != (g.shape[1],):
+    if target.shape != (cond.shape[1],):
         raise ValueError("need one target variance per treatment")
     if np.any(target < 0.0):
         raise ValueError("target variances must be nonnegative")
-    means = g.mean(axis=0)
-    variances = g.var(axis=0, ddof=1)
-    out = np.empty_like(g)
-    for d in range(g.shape[1]):
-        if variances[d] > 0.0:
-            factor = math.sqrt(target[d] / variances[d])
-        else:
-            factor = 0.0
-        out[:, d] = means[d] + (g[:, d] - means[d]) * factor
-    return out
+    means = cond.mean(axis=0)
+    variances = cond.var(axis=0, ddof=1)
+    ratio = np.divide(target, variances, out=np.zeros_like(variances), where=variances > 0.0)
+    return means + (cond - means) * np.sqrt(ratio)
 
 
 @dataclass(frozen=True)
@@ -234,7 +206,7 @@ class MomentMatchingResult:
     p_target: np.ndarray         # S predicted probabilities for the target
     summaries: list[PosteriorSummary]
     variance_target: np.ndarray
-    cond: ConditionalExpectationFit
+    cond: np.ndarray             # S x 2 fitted E[NB | informed parameters]
 
 
 def _incremental(mu: np.ndarray, target: int) -> np.ndarray:
@@ -243,31 +215,51 @@ def _incremental(mu: np.ndarray, target: int) -> np.ndarray:
     return mu[:, target] - mu[:, 1 - target]
 
 
+def _calibrate(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
+               target: int, n_sets: int, n_inner: int, seed: int, nb_fns,
+               sizes: list[int] | None = None):
+    """Steps 1 and 2: the Q nested runs, at the design size or at ``sizes``.
+
+    Returns the summaries, their (Q, D) posterior variances, and the
+    incremental net benefit and target probability of each dataset.
+    """
+    datasets = quantile_datasets(psa, design, n_sets, child_seed(seed, "mm-data"), sizes)
+    summaries = nested_summaries(datasets, prior, fixed, n_inner,
+                                 child_seed(seed, "mm-post"), nb_fns)
+    inb_q = _incremental(np.stack([s.mu for s in summaries]), target)
+    return (summaries, np.stack([s.nb_var for s in summaries]), inb_q,
+            np.stack([s.p for s in summaries])[:, target])
+
+
+def _value(cond: np.ndarray, target_var: np.ndarray, predict,
+           market_fn: MarketShareFunction, current_shares: CurrentShares):
+    """Steps 3 and 4 from a variance target: calibrated means to ``evsi_im``.
+
+    ``predict`` maps incremental net benefits to target probabilities.
+    Returns the capped target, the rescaled means, their incremental net
+    benefits and target probabilities, and the ``evsi_im`` estimate.
+    """
+    capped = _cap_at_fit_variance(target_var, cond)
+    mu = rescale(cond, capped)
+    inb = _incremental(mu, market_fn.target)
+    p_target = np.asarray(predict(inb))
+    return capped, mu, inb, p_target, evsi_im_from_mu(mu, p_target, market_fn, current_shares)
+
+
 def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
                 market_fn: MarketShareFunction, current_shares: CurrentShares,
                 n_sets: int, n_inner: int, seed: int,
                 nb_fns=DEFAULT_NB_FUNCTIONS) -> MomentMatchingResult:
     """Full moment-matching pass for one study at its design sample size."""
-    datasets = quantile_datasets(psa, design, n_sets, child_seed(seed, "mm-data"))
-    summaries = nested_summaries(datasets, prior, fixed, n_inner,
-                                 child_seed(seed, "mm-post"), nb_fns)
+    summaries, posterior_var, inb_q, p_q = _calibrate(
+        psa, prior, fixed, design, market_fn.target, n_sets, n_inner, seed, nb_fns)
     cond = fit_conditional_expectation(psa, design)
-    posterior_var = np.stack([s.nb_var for s in summaries])
-    target_var = _cap_at_fit_variance(variance_reduction_target(psa, posterior_var), cond)
-    mu = rescale(cond, target_var)
-
-    t = market_fn.target
-    mu_q = np.stack([s.mu for s in summaries])
-    p_q = np.stack([s.p for s in summaries])
-    logistic = fit_generalized_logistic(_incremental(mu_q, t), p_q[:, t],
-                                        seed=child_seed(seed, "mm-fit"))
-    inb = _incremental(mu, t)
-    p_target = np.asarray(logistic.predict(inb))
-
-    evsi = evsi_from_mu(mu)
-    evsi_im = evsi_im_from_mu(mu, p_target, market_fn, current_shares)
+    logistic = fit_generalized_logistic(inb_q, p_q, seed=child_seed(seed, "mm-fit"))
+    target_var, mu, inb, p_target, evsi_im = _value(
+        cond, variance_reduction_target(psa, posterior_var), logistic.predict,
+        market_fn, current_shares)
     return MomentMatchingResult(
-        evsi=evsi, evsi_im=evsi_im, logistic=logistic, rescaled_mu=mu,
+        evsi=evsi_from_mu(mu), evsi_im=evsi_im, logistic=logistic, rescaled_mu=mu,
         inb=inb, p_target=p_target, summaries=summaries, variance_target=target_var,
         cond=cond,
     )
@@ -279,7 +271,7 @@ class SampleSizeScan:
 
     sizes: tuple[int, ...]
     estimates: tuple[EvsiEstimate, ...]
-    logistic: LogisticFit | None
+    logistic: LogisticFit
     variance_curves: tuple[VarianceCurveFit, ...]
     summaries: list[PosteriorSummary]
 
@@ -288,54 +280,31 @@ def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
                      design: StudyDesign, market_fn: MarketShareFunction,
                      current_shares: CurrentShares, n_sets: int, n_inner: int,
                      n_grid: Sequence[int], seed: int,
-                     nb_fns=DEFAULT_NB_FUNCTIONS,
-                     cond: ConditionalExpectationFit | None = None) -> SampleSizeScan:
+                     nb_fns=DEFAULT_NB_FUNCTIONS, *, cond: np.ndarray) -> SampleSizeScan:
     """Calibrate once across [min(n_grid), max(n_grid)], predict at each size.
 
     The Q quantile datasets are spread over sample sizes covering the grid's
     range; the nested runs then support a per-treatment variance decay curve
     and a sample-size-indexed logistic, from which the value at every grid
-    size follows without further simulation.  The regression on the PSA does
-    not depend on the study size, so a single-size pass on the same PSA and
-    design can hand over its ``cond``; it is fitted here only when none is
-    given.
+    size follows without further simulation.  ``cond`` is the single-size
+    pass's regression on the same PSA and design, which does not depend on
+    the study size.
     """
     sizes = tuple(int(n) for n in n_grid)
-    if not sizes:
-        return SampleSizeScan(sizes=(), estimates=(), logistic=None,
-                              variance_curves=(), summaries=[])
-    if any(n < 1 for n in sizes):
-        raise ValueError("grid sizes must be at least 1")
-    lo, hi = min(sizes), max(sizes)
-    calib_sizes = np.rint(np.linspace(lo, hi, n_sets)).astype(int)
-
-    datasets = quantile_datasets(psa, design, n_sets, child_seed(seed, "mm-data"),
-                                 sizes=calib_sizes.tolist())
-    summaries = nested_summaries(datasets, prior, fixed, n_inner,
-                                 child_seed(seed, "mm-post"), nb_fns)
-    if cond is None:
-        cond = fit_conditional_expectation(psa, design)
-
-    posterior_var = np.stack([s.nb_var for s in summaries])
-    realized = np.array([s.n_effective for s in summaries], dtype=float)
+    if not sizes or min(sizes) < 1:
+        raise ValueError("the grid needs at least one size, each at least 1")
+    calib_sizes = np.rint(np.linspace(min(sizes), max(sizes), n_sets)).astype(int).tolist()
+    summaries, posterior_var, inb_q, p_q = _calibrate(
+        psa, prior, fixed, design, market_fn.target, n_sets, n_inner, seed, nb_fns,
+        sizes=calib_sizes)
     prior_var = psa.nb.var(axis=0, ddof=1)
-    curves = tuple(
-        fit_variance_curve(posterior_var[:, d], realized, prior_var[d])
-        for d in range(psa.n_treatments)
-    )
-
-    t = market_fn.target
-    mu_q = np.stack([s.mu for s in summaries])
-    p_q = np.stack([s.p for s in summaries])
-    logistic = fit_generalized_logistic_n(_incremental(mu_q, t), p_q[:, t], realized,
+    curves = tuple(fit_variance_curve(posterior_var[:, d], calib_sizes, prior_var[d])
+                   for d in range(psa.n_treatments))
+    logistic = fit_generalized_logistic_n(inb_q, p_q, calib_sizes,
                                           seed=child_seed(seed, "mm-fit"))
-
-    estimates = []
-    for n in sizes:
-        target_var = np.array([c.variance_reduction(n) for c in curves])
-        mu = rescale(cond, _cap_at_fit_variance(target_var, cond))
-        p_target = np.asarray(logistic.predict(_incremental(mu, t), n=n))
-        estimates.append(evsi_im_from_mu(mu, p_target, market_fn, current_shares))
-    return SampleSizeScan(sizes=sizes, estimates=tuple(estimates), logistic=logistic,
+    estimates = tuple(
+        _value(cond, np.array([c.variance_reduction(n) for c in curves]),
+               partial(logistic.predict, n=n), market_fn, current_shares)[-1]
+        for n in sizes)
+    return SampleSizeScan(sizes=sizes, estimates=estimates, logistic=logistic,
                           variance_curves=curves, summaries=summaries)
-

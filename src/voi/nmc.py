@@ -97,7 +97,6 @@ class PosteriorSummary:
     mu: np.ndarray
     p: np.ndarray
     nb_var: np.ndarray
-    n_effective: int
 
 
 @dataclass(frozen=True)
@@ -175,9 +174,8 @@ def posterior_summaries(
     var = (sumsq - sums * sums / n_draws) / (n_draws - 1)
     p = counts / n_draws
     p[:, 0] = np.maximum(0.0, 1.0 - p[:, 1:].sum(axis=1))
-    return [PosteriorSummary(mu=mu[j].copy(), p=p[j].copy(), nb_var=var[j].copy(),
-                             n_effective=ds.n_effective)
-            for j, ds in enumerate(datasets)]
+    return [PosteriorSummary(mu=mu[j].copy(), p=p[j].copy(), nb_var=var[j].copy())
+            for j in range(m)]
 
 
 def chunked_summaries(n_datasets: int, datasets_at: Callable[[range], Sequence[Dataset]],

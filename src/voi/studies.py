@@ -63,18 +63,6 @@ class StudyKind(str, Enum):
     EFFECTIVENESS_RCT = "effectiveness_rct"
 
 
-# Each study is run to resolve uncertainty in exactly one target parameter.
-# The trial's two binomial arms also carry information about the baseline
-# event rate, but only the treatment-effect update (the odds ratio marginal,
-# baseline integrated out) feeds the decision model; the baseline rate is
-# redrawn from the prior like every other non-target parameter.
-_INFORMED = {
-    StudyKind.SIDE_EFFECTS: frozenset({"p_side_effect"}),
-    StudyKind.QUALITY_OF_LIFE: frozenset({"qol_after_event"}),
-    StudyKind.EFFECTIVENESS_RCT: frozenset({"odds_ratio"}),
-}
-
-
 @dataclass(frozen=True)
 class StudyDesign:
     """A study kind plus its sample size (per arm for the trial).
@@ -91,11 +79,6 @@ class StudyDesign:
         if not isinstance(self.n, (int, np.integer)) or self.n < 0:
             raise ValueError("n must be a nonnegative integer")
         object.__setattr__(self, "n", int(self.n))
-
-    @property
-    def informed(self) -> frozenset:
-        """Names of the ParameterDraw fields the study is informative about."""
-        return _INFORMED[self.kind]
 
     def with_n(self, n: int) -> "StudyDesign":
         return replace(self, n=n)
@@ -349,6 +332,11 @@ class RctMarginalGrid:
     between nodes.
     """
 
+    # The trial's two binomial arms also carry information about the baseline
+    # event rate, but only the treatment-effect update (the odds ratio
+    # marginal, baseline integrated out) feeds the decision model; the
+    # baseline rate is redrawn from the prior like every other parameter the
+    # study does not inform.
     field: ClassVar[str] = "odds_ratio"
     nodes: np.ndarray
     stacked_cdf: np.ndarray

@@ -23,12 +23,7 @@ from voi.cli import run_config
 from voi.curves import fit_generalized_logistic, fit_generalized_logistic_n, fit_variance_curve
 from voi.market import CurrentShares, StepShare, market_share
 from voi.model import ParameterDraw, prob_cost_effective, sample_prior
-from voi.moment_matching import (
-    ConditionalExpectationFit,
-    mm_by_n_pipeline,
-    mm_pipeline,
-    rescale,
-)
+from voi.moment_matching import mm_by_n_pipeline, mm_pipeline, rescale
 from voi.nmc import nmc_evsi, nmc_evsi_im, nmc_summaries, posterior_summaries
 from voi.rng import child_seed
 import voi.studies as studies
@@ -288,10 +283,8 @@ def test_criterion_7_variance_targets_bounded(psa10k, full_run):
 def test_criterion_7_rescale_precision():
     rng = np.random.default_rng(78)
     g = rng.normal(2.0e6, 3.0e4, (5000, 2))
-    fit = ConditionalExpectationFit(fitted=g, residual_var=np.zeros(2),
-                                    features=("p_side_effect",))
     target = np.array([1.0e8, 4.0e8])
-    out = rescale(fit, target)
+    out = rescale(g, target)
     ok = bool(np.allclose(out.mean(axis=0), g.mean(axis=0), rtol=1e-9)
               and np.allclose(out.var(axis=0, ddof=1), target, rtol=1e-9))
     _check("criterion 7 rescaling", ok,
@@ -358,7 +351,8 @@ def test_criterion_8_scan_consistent_with_single_size(psa10k, full_run, priors, 
     scan = mm_by_n_pipeline(psa10k, priors, fixed,
                             StudyDesign(StudyKind.SIDE_EFFECTS, 60),
                             market_fn, current_shares, 50, 10_000,
-                            [10, 60, 200], child_seed(SEED, "mm-by-n", 1))
+                            [10, 60, 200], child_seed(SEED, "mm-by-n", 1),
+                            cond=mm_results[1].cond)
     at_design = scan.estimates[list(scan.sizes).index(60)]
     single = mm_results[1].evsi_im
     combined = math.hypot(at_design.std_error, single.std_error)

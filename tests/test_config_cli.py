@@ -346,10 +346,17 @@ class TestExitCodes:
         assert cli.main(["run"]) == 1
         assert cli.main(["explode", "--config", "x"]) == 1
 
-    def test_broken_json_exits_one(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{]")
-        assert cli.main(["validate", "--config", str(path)]) == 1
+    def test_broken_json_exits_one(self, tmp_path, capsys):
+        # Malformed JSON, bytes that are not UTF-8 and nesting deeper than
+        # the parser can follow are all config errors, without a traceback.
+        contents = {"broken.json": b"{]", "latin.json": b'\xff\xfe{"seed": 1}',
+                    "deep.json": b"[" * 200_000 + b"]" * 200_000}
+        for name, content in contents.items():
+            path = tmp_path / name
+            path.write_bytes(content)
+            for command in ("validate", "run"):
+                assert cli.main([command, "--config", str(path)]) == 1, (name, command)
+                assert capsys.readouterr().err.startswith("config error: "), (name, command)
 
     def test_fit_failure_exits_two(self, small_config_path, monkeypatch):
         def boom(*args, **kwargs):

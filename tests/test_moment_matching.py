@@ -12,7 +12,6 @@ import voi.moment_matching as moment_matching
 from voi.cli import run_config
 from voi.model import DEFAULT_NB_FUNCTIONS
 from voi.moment_matching import (
-    ConditionalExpectationFit,
     fit_conditional_expectation,
     mm_by_n_pipeline,
     mm_pipeline,
@@ -121,35 +120,42 @@ class TestVarianceTarget:
             variance_reduction_target(psa, np.zeros((12, 3)))
 
 
-def _fit(values: np.ndarray) -> ConditionalExpectationFit:
-    values = np.asarray(values, dtype=float)
-    return ConditionalExpectationFit(
-        fitted=values, residual_var=np.zeros(values.shape[1]),
-        features=("p_side_effect",))
-
-
 class TestRescale:
     def test_identity_at_own_variance(self):
         rng = np.random.default_rng(35)
         g = rng.normal(100.0, 5.0, (200, 2))
-        out = rescale(_fit(g), g.var(axis=0, ddof=1))
+        out = rescale(g, g.var(axis=0, ddof=1))
         np.testing.assert_allclose(out, g, rtol=1e-12)
 
     def test_zero_target_collapses_to_mean(self):
         rng = np.random.default_rng(36)
         g = rng.normal(100.0, 5.0, (200, 2))
-        out = rescale(_fit(g), np.zeros(2))
+        out = rescale(g, np.zeros(2))
         np.testing.assert_allclose(out, np.tile(g.mean(axis=0), (200, 1)))
 
     def test_constant_column_stays_at_mean(self):
         g = np.column_stack([np.full(50, 7.0), np.linspace(0.0, 1.0, 50)])
-        out = rescale(_fit(g), np.array([4.0, 1.0]))
+        out = rescale(g, np.array([4.0, 1.0]))
         np.testing.assert_allclose(out[:, 0], 7.0)
+
+    def test_equals_the_per_column_loop(self):
+        # The elementwise form does the loop's arithmetic: math.sqrt and
+        # np.sqrt are both correctly rounded, so every value is bit for bit.
+        rng = np.random.default_rng(34)
+        g = np.column_stack([rng.normal(2.0e6, 3.0e4, 300), np.full(300, 7.0),
+                             rng.normal(-5.0, 0.1, 300)])
+        target = np.array([1.0e8, 4.0, 0.0])
+        means, variances = g.mean(axis=0), g.var(axis=0, ddof=1)
+        expected = np.empty_like(g)
+        for d in range(3):
+            factor = math.sqrt(target[d] / variances[d]) if variances[d] > 0.0 else 0.0
+            expected[:, d] = means[d] + (g[:, d] - means[d]) * factor
+        assert np.array_equal(rescale(g, target), expected)
 
     def test_negative_target_rejected(self):
         g = np.random.default_rng(37).normal(0.0, 1.0, (50, 2))
         with pytest.raises(ValueError):
-            rescale(_fit(g), np.array([-1.0, 1.0]))
+            rescale(g, np.array([-1.0, 1.0]))
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=4, max_size=60),
@@ -157,7 +163,7 @@ class TestRescale:
     def test_moments_hit_exactly(self, values, target):
         g = np.array(values)[:, None]
         assume(g.var(ddof=1) > 1e-12)
-        out = rescale(_fit(g), np.array([target]))
+        out = rescale(g, np.array([target]))
         np.testing.assert_allclose(out.mean(), g.mean(), rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(out.var(ddof=1), target, rtol=1e-9, atol=1e-9)
 
@@ -165,28 +171,36 @@ class TestRescale:
 class TestConditionalExpectation:
     def test_smooths_toward_the_informed_parameter(self, psa):
         fit = fit_conditional_expectation(psa, SIDE_EFFECTS)
-        assert fit.features == ("p_side_effect",)
+        assert fit.shape == psa.nb.shape
         # The novel arm's conditional mean falls as side-effect risk rises.
-        rho = stats.spearmanr(np.asarray(psa.draws.p_side_effect),
-                              fit.fitted[:, 1]).statistic
+        rho = stats.spearmanr(np.asarray(psa.draws.p_side_effect), fit[:, 1]).statistic
         assert rho < -0.99
 
     def test_conditional_variance_below_total(self, psa):
         for design in (SIDE_EFFECTS, TRIAL,
                        StudyDesign(StudyKind.QUALITY_OF_LIFE, 100)):
             fit = fit_conditional_expectation(psa, design)
-            assert np.all(fit.fitted.var(axis=0, ddof=1)
+            assert np.all(fit.var(axis=0, ddof=1)
                           <= psa.nb.var(axis=0, ddof=1) * (1.0 + 1e-9))
 
-    def test_trial_uses_both_arm_probabilities(self, psa):
-        fit = fit_conditional_expectation(psa, TRIAL)
-        assert fit.features == ("p_event", "p_event_treated")
+    def test_trial_uses_both_arm_probabilities(self, psa, monkeypatch):
+        features = []
+
+        def recording(x, y):
+            features.append(x)
+            return fit_pspline(x, y)
+
+        monkeypatch.setattr(moment_matching, "fit_pspline", recording)
+        fit_conditional_expectation(psa, TRIAL)
+        expected = np.column_stack([psa.draws.p_event, psa.draws.p_event_treated])
+        assert len(features) == 2
+        assert all(np.array_equal(x, expected) for x in features)
 
     def test_standard_arm_ignores_side_effects(self, psa):
         # NB of the standard of care does not depend on side-effect risk, so
         # its conditional expectation on that parameter is essentially flat.
         fit = fit_conditional_expectation(psa, SIDE_EFFECTS)
-        assert fit.fitted[:, 0].std(ddof=1) < 0.01 * psa.nb[:, 0].std(ddof=1)
+        assert fit[:, 0].std(ddof=1) < 0.01 * psa.nb[:, 0].std(ddof=1)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +213,8 @@ def result(psa, priors, fixed, market_fn, current_shares):
 def scan(psa, priors, fixed, market_fn, current_shares):
     return mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
                             current_shares, n_sets=16, n_inner=2000,
-                            n_grid=[10, 30, 60, 120, 240], seed=40)
+                            n_grid=[10, 30, 60, 120, 240], seed=40,
+                            cond=fit_conditional_expectation(psa, SIDE_EFFECTS))
 
 
 class TestPipeline:
@@ -253,7 +268,6 @@ class TestNestedSummaries:
             expected += posterior_summaries(datasets[start:start + 4], priors, fixed, 150,
                                             child_seed(44, "post-chunk", start))
         got = nested_summaries(datasets, priors, fixed, 150, 44)
-        assert [s.n_effective for s in got] == list(range(10, 110, 10))
         for field in ("mu", "p", "nb_var"):
             assert np.array_equal(np.stack([getattr(s, field) for s in got]),
                                   np.stack([getattr(s, field) for s in expected]))
@@ -280,17 +294,51 @@ class TestByN:
         assert last.value >= first.value - 3.0 * combined
 
     def test_empty_grid(self, psa, priors, fixed, market_fn, current_shares):
-        scan = mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
-                                current_shares, n_sets=8, n_inner=500,
-                                n_grid=[], seed=41)
-        assert scan.sizes == ()
-        assert scan.estimates == ()
+        # run_config scans only a nonempty grid; an empty one is an error.
+        with pytest.raises(ValueError):
+            mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
+                             current_shares, n_sets=8, n_inner=500, n_grid=[], seed=41,
+                             cond=psa.nb)
 
     def test_bad_sizes_rejected(self, psa, priors, fixed, market_fn, current_shares):
         with pytest.raises(ValueError):
             mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
                              current_shares, n_sets=8, n_inner=500,
-                             n_grid=[0, 10], seed=42)
+                             n_grid=[0, 10], seed=42, cond=psa.nb)
+
+    def test_fits_at_the_simulated_sizes(self, psa, priors, fixed, market_fn,
+                                         current_shares, monkeypatch):
+        # The variance curves and the sized logistic are fitted at the sizes
+        # the calibration datasets were simulated at.
+        datasets, seen = [], []
+        simulate = moment_matching.quantile_datasets
+
+        def simulating(*args, **kwargs):
+            result = simulate(*args, **kwargs)
+            datasets.extend(result)
+            return result
+
+        def record_sizes(name, position):
+            fit = getattr(moment_matching, name)
+
+            def recording(*args, **kwargs):
+                seen.append(np.asarray(args[position], dtype=float))
+                return fit(*args, **kwargs)
+
+            monkeypatch.setattr(moment_matching, name, recording)
+
+        monkeypatch.setattr(moment_matching, "quantile_datasets", simulating)
+        record_sizes("fit_variance_curve", 1)
+        record_sizes("fit_generalized_logistic_n", 2)
+        grid = [60, 15, 200]
+        mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn, current_shares,
+                         n_sets=9, n_inner=300, n_grid=grid, seed=43,
+                         cond=fit_conditional_expectation(psa, SIDE_EFFECTS))
+        expected = np.rint(np.linspace(min(grid), max(grid), 9))
+        assert len(seen) == 3  # two variance curves and the logistic
+        for sizes in seen:
+            np.testing.assert_array_equal(sizes, expected)
+            np.testing.assert_array_equal(sizes, [d.n_effective for d in datasets])
 
 
 class TestSharedRegression:
@@ -311,12 +359,3 @@ class TestSharedRegression:
         assert len(calls) == n_treat * len(config.studies)
         assert sorted(scans) == sorted(mm_results) == [1, 2, 3]
         assert [r.method for r in table.rows] == ["mm"] * 3
-
-    def test_handed_fit_gives_the_same_scan(self, psa, priors, fixed, market_fn,
-                                           current_shares):
-        own = mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn, current_shares,
-                               8, 1500, [20, 100], 43)
-        handed = mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
-                                  current_shares, 8, 1500, [20, 100], 43,
-                                  cond=fit_conditional_expectation(psa, SIDE_EFFECTS))
-        assert own.estimates == handed.estimates

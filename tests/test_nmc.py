@@ -139,7 +139,6 @@ class TestRctEngineRobustness:
                             n_effective=n, control_events=xc, treated_events=xt)
                     for xc, xt, n in EXTREME_TRIALS]
         summaries = posterior_summaries(datasets, priors, fixed, 2000, 42)
-        assert [s.n_effective for s in summaries] == [n for _, _, n in EXTREME_TRIALS]
         assert all(np.all(np.isfinite(s.mu)) and np.all(np.isfinite(s.nb_var))
                    for s in summaries)
 
@@ -191,7 +190,7 @@ class TestNmcEvsi:
         # eliminating uncertainty.
         summaries = [
             PosteriorSummary(mu=psa.nb[s], p=np.eye(2)[int(np.argmax(psa.nb[s]))],
-                             nb_var=np.zeros(2), n_effective=1)
+                             nb_var=np.zeros(2))
             for s in range(len(psa))
         ]
         assert nmc_evsi(summaries).value == pytest.approx(evpi(psa), rel=1e-12)
@@ -214,7 +213,6 @@ class TestNmcEvsi:
 def assert_same_summaries(got, expected):
     assert len(got) == len(expected)
     for g, e in zip(got, expected):
-        assert g.n_effective == e.n_effective
         assert np.array_equal(g.mu, e.mu)
         assert np.array_equal(g.p, e.p)
         assert np.array_equal(g.nb_var, e.nb_var)

@@ -38,3 +38,23 @@ def test_write_outputs_takes_the_table_second():
     # The probe reads the result table from the writer's second argument.
     second = list(inspect.signature(cli._write_outputs).parameters)[1]
     assert typing.get_type_hints(cli._write_outputs)[second] is cli.ResultTable
+
+
+# Traced names that no longer exist: the functions were deleted or renamed
+# after the tracer was written, so a traced pass skips them.  A refactor that
+# drops another traced name shows up here; repairing the tracer empties it.
+STALE_TARGETS = {
+    *(f"voi.nmc.{name}" for name in (
+        "posterior_side_effects", "posterior_quality", "run_rct_chains",
+        "posterior_nb_summary", "rct_nb_summaries", "evsi_im_terms")),
+    *(f"voi.moment_matching.{name}" for name in (
+        "posterior_nb_summary", "rct_nb_summaries", "assemble_evsi_im", "evsi_im_terms")),
+}
+
+
+def test_only_the_known_stale_tracer_targets_are_unresolved():
+    # Resolved as Tracer.install resolves them.
+    tracing = _load("tracing")
+    unresolved = {f"{path}.{attr}" for path, attr, _ in tracing._TARGETS
+                  if vars(tracing._resolve(path)).get(attr) is None}
+    assert unresolved == STALE_TARGETS
