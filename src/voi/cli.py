@@ -14,10 +14,10 @@ Three subcommands:
 * ``voi validate --config cfg.json`` parses and checks the configuration.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 when estimation
-fails (curve fits or any other ``ValueError``).  Every output file embeds the
-config hash and seed in a leading ``#`` comment line; rerunning with the same
-config and seed reproduces the same estimates (the ``seconds`` column is wall
-time and naturally varies).
+fails (curve fits, any other ``ValueError`` or an array too large to
+allocate).  Every output file embeds the config hash and seed in a leading
+``#`` comment line; rerunning with the same config and seed reproduces the
+same estimates (the ``seconds`` column is wall time and naturally varies).
 """
 
 from __future__ import annotations
@@ -252,8 +252,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     # After ConfigError, which is a ValueError too: any other ValueError comes
-    # from estimation.
-    except (FitError, ValueError) as exc:
+    # from estimation, as does a sample or study too large to allocate.
+    except (FitError, ValueError, MemoryError) as exc:
         print(f"estimation error: {exc}", file=sys.stderr)
         return 2
 

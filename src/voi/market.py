@@ -9,14 +9,15 @@ Three response shapes are supported:
   that reaches full uptake at ``saturation_at``.
 * ``StepShare``: all-or-nothing adoption of whichever treatment looks best.
   Inside the value assembly this puts the whole market on the treatment with
-  the highest posterior mean net benefit, which is exactly what the
+  the higher posterior mean net benefit, which is exactly what the
   unadjusted value-of-information estimators assume.
 * ``TableShare``: piecewise-linear interpolation through user breakpoints.
 
-The assembly below combines per-dataset posterior mean net benefits ``mu``
-(an S x D matrix) with the per-dataset shares and subtracts the value of the
-market as it stands today, yielding the implementation-adjusted expected value
-of the study.
+With two treatments, moving a share of the market to the target treatment
+gains that share times the target's incremental net benefit (INB): its
+posterior mean net benefit minus the other's.  The assembly below averages
+``(share after - share now) * inb`` over datasets, which yields the
+implementation-adjusted expected value of the study.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ __all__ = [
     "MarketShareFunction",
     "CurrentShares",
     "market_share",
-    "share_matrix",
     "current_decision_value",
     "assemble_evsi_im",
 ]
@@ -75,8 +75,8 @@ class StepShare:
     """Whole market to the apparently best treatment.
 
     Applied to a probability alone the step sits at 1/2 (ties keep the
-    incumbent); applied inside the assembly it follows the argmax of the
-    posterior mean net benefits, ties to the lowest index.
+    incumbent); applied inside the assembly it follows the sign of the
+    incremental net benefit, ties to the lower-indexed treatment.
     """
 
     target: int = 1
@@ -160,28 +160,6 @@ def market_share(fn: MarketShareFunction, p) -> np.ndarray:
     return out
 
 
-def share_matrix(fn: MarketShareFunction, p_target: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Per-dataset shares, S x D, for the value assembly.
-
-    ``StepShare`` allocates the market by the argmax of each row of ``mu``
-    (ties to the lowest index); the probability-driven shapes read
-    ``p_target`` and require D = 2.
-    """
-    mu = np.asarray(mu, dtype=float)
-    n, d = mu.shape
-    if isinstance(fn, StepShare):
-        winners = np.argmax(mu, axis=1)
-        out = np.zeros((n, d))
-        out[np.arange(n), winners] = 1.0
-        return out
-    if d != 2:
-        raise ValueError("probability-driven shares are defined for two treatments")
-    p_target = np.asarray(p_target, dtype=float)
-    if p_target.shape != (n,):
-        raise ValueError("p_target must have one probability per dataset")
-    return market_share(fn, p_target)
-
-
 def current_decision_value(psa: PsaSample, shares: CurrentShares) -> float:
     """Expected net benefit of the market as currently split."""
     m = shares.as_array()
@@ -191,24 +169,26 @@ def current_decision_value(psa: PsaSample, shares: CurrentShares) -> float:
     return float(np.sum(m * means))
 
 
-def assemble_evsi_im(mu: np.ndarray, p_target: np.ndarray, fn: MarketShareFunction,
+def assemble_evsi_im(inb: np.ndarray, p_target: np.ndarray | None, fn: MarketShareFunction,
                      shares: CurrentShares) -> tuple[float, np.ndarray]:
     """Implementation-adjusted expected value of a study and its per-dataset terms.
 
-    The value is ``mean_s sum_d share_d(X_s) mu[s, d]`` minus ``sum_d
-    share_d_now * mean_s mu[s, d]``: what the market is expected to be worth
-    once shares respond to the study, less what the same simulations say the
-    current split is worth.  Both terms are computed from ``mu``, so the
-    common simulation noise cancels.  Term s is dataset s's share-weighted
-    posterior mean net benefit after the study minus its value under today's
-    shares; the terms average to the value up to a reordering of exact sums,
-    and their spread yields a delta-method standard error.
+    ``inb`` and ``p_target`` are each dataset's incremental net benefit of
+    the target treatment ``fn.target`` and probability that it is best.  Term
+    s is ``(target share after - target share now) * inb[s]``: what the
+    market gains once shares respond to dataset s, with today's split valued
+    on the same posterior means, so the common simulation noise cancels.
+    The value is the mean of the terms; their spread yields its standard
+    error.  ``StepShare`` ignores ``p_target`` and moves the whole market to
+    the higher posterior mean, ties to the lower index (``inb > 0`` for
+    target 1, ``inb >= 0`` for target 0).
     """
-    mu = np.asarray(mu, dtype=float)
-    m_after = share_matrix(fn, p_target, mu)
-    m_now = shares.as_array()
-    if m_now.size != mu.shape[1]:
-        raise ValueError("share vector length must match the number of treatments")
-    after = np.sum(m_after * mu, axis=1)
-    value = float(np.mean(after)) - float(np.sum(m_now * mu.mean(axis=0)))
-    return value, after - np.sum(m_now * mu, axis=1)
+    inb = np.asarray(inb, dtype=float)
+    if isinstance(fn, StepShare):
+        after = (inb > 0.0) if fn.target == 1 else (inb >= 0.0)
+    elif np.shape(p_target) != inb.shape:
+        raise ValueError("p_target must have one probability per dataset")
+    else:
+        after = market_share(fn, p_target)[..., fn.target]
+    terms = (after - shares.shares[fn.target]) * inb
+    return float(np.mean(terms)), terms

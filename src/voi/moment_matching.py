@@ -6,17 +6,18 @@ method needs only a handful of carefully chosen datasets:
 1. Build Q datasets whose generating parameters sit at the (q - 0.5) / Q
    marginal sample quantiles of the parameters the study informs, so the
    datasets sweep the informative range evenly.
-2. Sample each dataset's posterior once and record, per treatment, the
-   posterior mean net benefit, the probability of being best, and the
-   posterior variance of net benefit.
+2. Sample each dataset's posterior once and record its incremental net
+   benefit (INB), the probability that the novel treatment is best, and
+   both treatments' posterior variances of net benefit.
 3. Regress each treatment's net benefit on the informed parameters over the
    PSA sample (penalized splines, GCV smoothing).  The fitted values have the
    right conditional-mean shape but too little spread, so they are linearly
    rescaled to the variance the nested runs say posterior means should have:
-   prior variance minus the average posterior variance.
+   prior variance minus the average posterior variance.  The rescaled means
+   give each PSA draw one INB for the market's target treatment.
 4. The probability of being best is carried along by a generalized logistic
-   fitted to the Q pairs of (posterior mean incremental net benefit,
-   probability); market shares and the value assembly then proceed exactly as
+   fitted to the Q pairs of (INB, probability), both for the target; market
+   shares and the value assembly on the INB column then proceed exactly as
    in the nested estimator.  The fit is a bounded Levenberg-Marquardt search
    on the analytic Hessian of its log posterior, from a few fixed starts.
 
@@ -27,8 +28,7 @@ any size on a grid.  Both passes share one calibration (steps 1 and 2,
 :func:`_calibrate`) and one valuation (:func:`_value`: cap, rescale,
 incremental net benefit, probability, ``evsi_im``).  The step-3 regression
 depends on the PSA and the study's informed parameters but not on its size,
-so a single-size pass and a scan of the same study share one fit.  Steps 3
-and 4 assume two treatments (the incremental net benefit path).
+so a single-size pass and a scan of the same study share one fit.
 """
 
 from __future__ import annotations
@@ -50,10 +50,10 @@ from .market import CurrentShares, MarketShareFunction
 from .model import DEFAULT_NB_FUNCTIONS, FixedParams, ParameterDraw, PriorSpec, PsaSample
 from .nmc import (
     EvsiEstimate,
-    PosteriorSummary,
+    PosteriorSummaries,
     chunked_summaries,
-    evsi_from_mu,
-    evsi_im_from_mu,
+    evsi_from_inb,
+    evsi_im_from_inb,
 )
 from .rng import child_seed, substream
 from .smoothing import fit_pspline
@@ -122,7 +122,7 @@ def quantile_datasets(psa: PsaSample, design: StudyDesign, n_sets: int, seed: in
 
 def nested_summaries(datasets: Sequence[Dataset], prior: PriorSpec, fixed: FixedParams,
                      n_inner: int, seed: int,
-                     nb_fns=DEFAULT_NB_FUNCTIONS) -> list[PosteriorSummary]:
+                     nb_fns=DEFAULT_NB_FUNCTIONS) -> PosteriorSummaries:
     """Posterior summaries for each dataset, through the nested estimator's engine.
 
     The datasets run in chunks through :func:`voi.nmc.chunked_summaries`, the
@@ -204,31 +204,18 @@ class MomentMatchingResult:
     rescaled_mu: np.ndarray      # S x 2 calibrated posterior means
     inb: np.ndarray              # S incremental net benefits (target minus other)
     p_target: np.ndarray         # S predicted probabilities for the target
-    summaries: list[PosteriorSummary]
+    summaries: PosteriorSummaries
     variance_target: np.ndarray
     cond: np.ndarray             # S x 2 fitted E[NB | informed parameters]
 
 
-def _incremental(mu: np.ndarray, target: int) -> np.ndarray:
-    if mu.shape[1] != 2:
-        raise ValueError("the moment-matching probability path needs exactly two treatments")
-    return mu[:, target] - mu[:, 1 - target]
-
-
 def _calibrate(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
-               target: int, n_sets: int, n_inner: int, seed: int, nb_fns,
-               sizes: list[int] | None = None):
-    """Steps 1 and 2: the Q nested runs, at the design size or at ``sizes``.
-
-    Returns the summaries, their (Q, D) posterior variances, and the
-    incremental net benefit and target probability of each dataset.
-    """
+               n_sets: int, n_inner: int, seed: int, nb_fns,
+               sizes: list[int] | None = None) -> PosteriorSummaries:
+    """Steps 1 and 2: the Q nested runs, at the design size or at ``sizes``."""
     datasets = quantile_datasets(psa, design, n_sets, child_seed(seed, "mm-data"), sizes)
-    summaries = nested_summaries(datasets, prior, fixed, n_inner,
-                                 child_seed(seed, "mm-post"), nb_fns)
-    inb_q = _incremental(np.stack([s.mu for s in summaries]), target)
-    return (summaries, np.stack([s.nb_var for s in summaries]), inb_q,
-            np.stack([s.p for s in summaries])[:, target])
+    return nested_summaries(datasets, prior, fixed, n_inner, child_seed(seed, "mm-post"),
+                            nb_fns)
 
 
 def _value(cond: np.ndarray, target_var: np.ndarray, predict,
@@ -241,9 +228,9 @@ def _value(cond: np.ndarray, target_var: np.ndarray, predict,
     """
     capped = _cap_at_fit_variance(target_var, cond)
     mu = rescale(cond, capped)
-    inb = _incremental(mu, market_fn.target)
+    inb = mu[:, market_fn.target] - mu[:, 1 - market_fn.target]
     p_target = np.asarray(predict(inb))
-    return capped, mu, inb, p_target, evsi_im_from_mu(mu, p_target, market_fn, current_shares)
+    return capped, mu, inb, p_target, evsi_im_from_inb(inb, p_target, market_fn, current_shares)
 
 
 def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
@@ -251,15 +238,15 @@ def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: St
                 n_sets: int, n_inner: int, seed: int,
                 nb_fns=DEFAULT_NB_FUNCTIONS) -> MomentMatchingResult:
     """Full moment-matching pass for one study at its design sample size."""
-    summaries, posterior_var, inb_q, p_q = _calibrate(
-        psa, prior, fixed, design, market_fn.target, n_sets, n_inner, seed, nb_fns)
+    summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed, nb_fns)
     cond = fit_conditional_expectation(psa, design)
-    logistic = fit_generalized_logistic(inb_q, p_q, seed=child_seed(seed, "mm-fit"))
+    logistic = fit_generalized_logistic(*summaries.toward(market_fn.target),
+                                        seed=child_seed(seed, "mm-fit"))
     target_var, mu, inb, p_target, evsi_im = _value(
-        cond, variance_reduction_target(psa, posterior_var), logistic.predict,
+        cond, variance_reduction_target(psa, summaries.nb_var), logistic.predict,
         market_fn, current_shares)
     return MomentMatchingResult(
-        evsi=evsi_from_mu(mu), evsi_im=evsi_im, logistic=logistic, rescaled_mu=mu,
+        evsi=evsi_from_inb(inb), evsi_im=evsi_im, logistic=logistic, rescaled_mu=mu,
         inb=inb, p_target=p_target, summaries=summaries, variance_target=target_var,
         cond=cond,
     )
@@ -273,7 +260,7 @@ class SampleSizeScan:
     estimates: tuple[EvsiEstimate, ...]
     logistic: LogisticFit
     variance_curves: tuple[VarianceCurveFit, ...]
-    summaries: list[PosteriorSummary]
+    summaries: PosteriorSummaries
 
 
 def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
@@ -294,13 +281,12 @@ def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
     if not sizes or min(sizes) < 1:
         raise ValueError("the grid needs at least one size, each at least 1")
     calib_sizes = np.rint(np.linspace(min(sizes), max(sizes), n_sets)).astype(int).tolist()
-    summaries, posterior_var, inb_q, p_q = _calibrate(
-        psa, prior, fixed, design, market_fn.target, n_sets, n_inner, seed, nb_fns,
-        sizes=calib_sizes)
+    summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed, nb_fns,
+                           sizes=calib_sizes)
     prior_var = psa.nb.var(axis=0, ddof=1)
-    curves = tuple(fit_variance_curve(posterior_var[:, d], calib_sizes, prior_var[d])
+    curves = tuple(fit_variance_curve(summaries.nb_var[:, d], calib_sizes, prior_var[d])
                    for d in range(psa.n_treatments))
-    logistic = fit_generalized_logistic_n(inb_q, p_q, calib_sizes,
+    logistic = fit_generalized_logistic_n(*summaries.toward(market_fn.target), calib_sizes,
                                           seed=child_seed(seed, "mm-fit"))
     estimates = tuple(
         _value(cond, np.array([c.variance_reduction(n) for c in curves]),

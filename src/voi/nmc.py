@@ -2,19 +2,21 @@
 
 The outer loop simulates datasets from the prior predictive: draw parameters,
 draw a dataset.  The inner loop samples the posterior given each dataset and
-reduces it to a :class:`PosteriorSummary` holding, per treatment, the
-posterior mean net benefit ``mu``, the probability ``p`` of attaining the row
-maximum, and the posterior variance of net benefit.  The estimators then only
-touch summaries:
+reduces it to a row of :class:`PosteriorSummaries`: the incremental net
+benefit ``inb`` (the novel treatment's posterior mean net benefit minus the
+standard one's), the probability ``p`` that the novel treatment is best, and
+both treatments' posterior variances of net benefit.  The estimators read
+only ``inb`` and ``p``, through the one assembly in :mod:`voi.market`, which
+averages ``(share after - share now) * inb`` over datasets:
 
-* unadjusted value: mean over datasets of ``max_d mu`` minus the max over
-  treatments of the grand mean of ``mu``;
-* implementation-adjusted value: market shares respond to ``p`` through a
-  market-share function, and the assembly in :mod:`voi.market` weighs ``mu``
-  by those shares.
+* implementation-adjusted value: the target treatment's share after the
+  study responds to its probability of being best through a market-share
+  function;
+* unadjusted value: a step market that moves wholly to the apparently best
+  treatment, starting from the treatment with the better grand mean.
 
-Both baselines are grand means over the same nested simulations, so the
-common noise cancels instead of adding an independent error term.
+Today's market is valued on the same incremental net benefits, so the common
+simulation noise cancels instead of adding an independent error term.
 
 One inner engine, :func:`posterior_summaries`, serves every study kind and
 both estimators: the study's posterior (:func:`voi.studies.study_posterior`)
@@ -37,13 +39,13 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .market import CurrentShares, MarketShareFunction, assemble_evsi_im
+from .market import CurrentShares, MarketShareFunction, StepShare, assemble_evsi_im
 from .model import DEFAULT_NB_FUNCTIONS, FixedParams, PriorSpec
 from .rng import child_seed, substream
 from .studies import BLOCK_ELEMENTS, Dataset, StudyDesign, simulate_dataset, study_posterior
 
 __all__ = [
-    "PosteriorSummary",
+    "PosteriorSummaries",
     "EvsiEstimate",
     "CHUNK_SIZE",
     "posterior_summaries",
@@ -51,8 +53,8 @@ __all__ = [
     "nmc_summaries",
     "nmc_evsi",
     "nmc_evsi_im",
-    "evsi_from_mu",
-    "evsi_im_from_mu",
+    "evsi_from_inb",
+    "evsi_im_from_inb",
 ]
 
 # Datasets per chunk of posterior work.  Each chunk has its own derived
@@ -85,18 +87,24 @@ def _map_in_order(fn: Callable, items: Iterable) -> list:
 
 
 @dataclass(frozen=True)
-class PosteriorSummary:
-    """Per-dataset reduction of the inner posterior sample.
+class PosteriorSummaries:
+    """The inner posterior samples of S datasets, each reduced to one row.
 
-    mu: posterior mean net benefit per treatment.
-    p: probability that each treatment attains the row maximum, ties to the
-       lowest index; components sum to exactly 1.
-    nb_var: posterior sample variance (ddof=1) of net benefit per treatment.
+    inb: posterior mean net benefit of the novel treatment minus the
+         standard one's, length S.
+    p: probability that the novel treatment's net benefit exceeds the
+       standard one's (a tie counts for the standard one), length S.
+    nb_var: posterior sample variance (ddof=1) of each treatment's net
+            benefit, S x 2.
     """
 
-    mu: np.ndarray
+    inb: np.ndarray
     p: np.ndarray
     nb_var: np.ndarray
+
+    def toward(self, target: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(inb, p)`` for treatment ``target``, exact for either treatment."""
+        return (self.inb, self.p) if target == 1 else (-self.inb, 1.0 - self.p)
 
 
 @dataclass(frozen=True)
@@ -111,24 +119,6 @@ class EvsiEstimate:
             raise ValueError("std_error must be nonnegative")
 
 
-def _win_counts(nb: np.ndarray) -> np.ndarray:
-    """How often each treatment attains the maximum, ties to the lowest index.
-
-    ``nb`` holds treatments on axis 0 and draws on axis 1; the counts sum over
-    the draws.  This equals counting ``np.argmax`` over axis 0, by comparing
-    whole rows instead of scanning every draw's short treatment vector.
-    """
-    n_treat = nb.shape[0]
-    counts = np.empty((n_treat,) + nb.shape[2:])
-    for d in range(1, n_treat):
-        wins = nb[d] > nb[:d].max(axis=0)
-        if d + 1 < n_treat:
-            wins &= nb[d] >= nb[d + 1:].max(axis=0)
-        counts[d] = np.count_nonzero(wins, axis=0)
-    counts[0] = nb.shape[1] - counts[1:].sum(axis=0)
-    return counts
-
-
 def posterior_summaries(
     datasets: Sequence[Dataset],
     prior: PriorSpec,
@@ -137,51 +127,50 @@ def posterior_summaries(
     seed: int,
     nb_fns=DEFAULT_NB_FUNCTIONS,
     grid_memo: dict | None = None,
-) -> list[PosteriorSummary]:
+) -> PosteriorSummaries:
     """Summaries for a batch of one study kind's datasets, reduced block by block.
 
     The study's posterior draws its informed parameter for every dataset as
     ``(k, len(datasets))`` blocks of about ``BLOCK_ELEMENTS`` draws from the
     stream ``(seed, "posterior", kind)``; the prior refills every other
     parameter from ``(seed, "posterior", kind, "complement")``.  Each block is
-    evaluated and folded into running moments and win counts in one pass.
-    Moments accumulate relative to the first block's first row, which keeps
+    evaluated by the pair ``nb_fns`` (standard, novel) and folded into
+    running moments and the novel treatment's win count in one pass.  Moments
+    accumulate relative to the first block's first row, which keeps
     the variance accumulation well conditioned at net-benefit magnitudes.
     ``grid_memo`` goes to :func:`voi.studies.study_posterior`.
     """
+    standard, novel = nb_fns
     posterior = study_posterior(datasets, prior, grid_memo)
     kind = datasets[0].design.kind.value
     rng = substream(seed, "posterior", kind)
     fill_rng = substream(seed, "posterior", kind, "complement")
-    m, n_treat = len(datasets), len(nb_fns)
+    m = len(datasets)
     length = max(1, BLOCK_ELEMENTS // m)
-    sums = np.zeros((m, n_treat))
-    sumsq = np.zeros((m, n_treat))
-    counts = np.zeros((m, n_treat))
+    sums = np.zeros((m, 2))
+    sumsq = np.zeros((m, 2))
+    wins = np.zeros(m)
     shift = None
     for start in range(0, n_draws, length):
         x = posterior.draw(rng, min(length, n_draws - start))
         draw = prior.sample(fill_rng, x.shape, {posterior.field: x})
-        nb = np.stack([fn(draw, fixed) for fn in nb_fns], axis=-1)
+        nb = np.stack([standard(draw, fixed), novel(draw, fixed)], axis=-1)
         if shift is None:
             shift = nb[0].copy()
         delta = nb - shift
         sums += delta.sum(axis=0)
         sumsq += (delta * delta).sum(axis=0)
-        counts += _win_counts(np.moveaxis(nb, -1, 0)).T
+        wins += np.count_nonzero(nb[..., 1] > nb[..., 0], axis=0)
 
     mu = shift + sums / n_draws
     var = (sumsq - sums * sums / n_draws) / (n_draws - 1)
-    p = counts / n_draws
-    p[:, 0] = np.maximum(0.0, 1.0 - p[:, 1:].sum(axis=1))
-    return [PosteriorSummary(mu=mu[j].copy(), p=p[j].copy(), nb_var=var[j].copy())
-            for j in range(m)]
+    return PosteriorSummaries(inb=mu[:, 1] - mu[:, 0], p=wins / n_draws, nb_var=var)
 
 
 def chunked_summaries(n_datasets: int, datasets_at: Callable[[range], Sequence[Dataset]],
                       prior: PriorSpec, fixed: FixedParams, n_draws: int, seed: int,
-                      nb_fns=DEFAULT_NB_FUNCTIONS) -> list[PosteriorSummary]:
-    """One summary per dataset, ``CHUNK_SIZE`` datasets at a time.
+                      nb_fns=DEFAULT_NB_FUNCTIONS) -> PosteriorSummaries:
+    """One summary row per dataset, ``CHUNK_SIZE`` datasets at a time.
 
     The chunk starting at dataset ``start`` gets its datasets from
     ``datasets_at(range(start, stop))``, inside its own task, and its
@@ -190,23 +179,24 @@ def chunked_summaries(n_datasets: int, datasets_at: Callable[[range], Sequence[D
     number of cores.  The chunks share one grid memo for this call, so the
     trial's posterior grids each distinct statistic about once, whichever
     chunk meets it first; two threads may grid the same statistic, which
-    gives the same row.
+    gives the same row.  The chunks' rows are concatenated in dataset order.
     """
     grid_memo: dict = {}
 
-    def chunk(start: int) -> list[PosteriorSummary]:
+    def chunk(start: int) -> PosteriorSummaries:
         indices = range(start, min(start + CHUNK_SIZE, n_datasets))
         return posterior_summaries(datasets_at(indices), prior, fixed, n_draws,
                                    child_seed(seed, "post-chunk", start), nb_fns, grid_memo)
 
     chunks = _map_in_order(chunk, range(0, n_datasets, CHUNK_SIZE))
-    return [summary for summaries in chunks for summary in summaries]
+    return PosteriorSummaries(*(np.concatenate([getattr(c, name) for c in chunks])
+                                for name in ("inb", "p", "nb_var")))
 
 
 def nmc_summaries(design: StudyDesign, prior: PriorSpec, fixed: FixedParams,
                   n_outer: int, n_inner: int, seed: int,
-                  nb_fns=DEFAULT_NB_FUNCTIONS) -> list[PosteriorSummary]:
-    """Outer loop of the nested estimator: one summary per simulated dataset.
+                  nb_fns=DEFAULT_NB_FUNCTIONS) -> PosteriorSummaries:
+    """Outer loop of the nested estimator: one summary row per simulated dataset.
 
     Dataset s is simulated from the prior draw s under the substream
     ``(seed, "data", s)``, inside its chunk's task, and every chunk's
@@ -225,51 +215,39 @@ def nmc_summaries(design: StudyDesign, prior: PriorSpec, fixed: FixedParams,
     return chunked_summaries(n_outer, simulate, prior, fixed, n_inner, seed, nb_fns)
 
 
-def _mu_matrix(summaries: Sequence[PosteriorSummary]) -> np.ndarray:
-    if len(summaries) < 2:
+def evsi_im_from_inb(inb: np.ndarray, p_target: np.ndarray | None,
+                     market_fn: MarketShareFunction,
+                     current_shares: CurrentShares) -> EvsiEstimate:
+    """Implementation-adjusted expected value of a study from its INB column.
+
+    ``inb`` and ``p_target`` are each dataset's incremental net benefit and
+    probability of being best, both for the market's target treatment.  The
+    standard error is that of the mean of the assembly's per-dataset terms.
+    Both estimators end here.
+    """
+    if len(inb) < 2:
         raise ValueError("need at least two posterior summaries")
-    return np.stack([s.mu for s in summaries])
-
-
-def _estimate(value: float, terms: np.ndarray) -> EvsiEstimate:
-    """The value with the standard error of the mean of its per-dataset terms."""
+    value, terms = assemble_evsi_im(inb, p_target, market_fn, current_shares)
     return EvsiEstimate(value=value, std_error=float(terms.std(ddof=1) / math.sqrt(len(terms))))
 
 
-def evsi_from_mu(mu: np.ndarray) -> EvsiEstimate:
-    """Unadjusted expected value of a study from S x D posterior means ``mu``.
+def evsi_from_inb(inb: np.ndarray) -> EvsiEstimate:
+    """Unadjusted expected value of a study from its INB column.
 
-    The baseline is the grand mean of ``mu`` over datasets, so the estimate
-    is a mean of per-dataset terms and its standard error follows from their
-    spread (the treatment attaining the best grand mean is treated as fixed).
-    Both estimators end here.
+    The classical value is the one assembly under a step market, starting
+    from the treatment with the better grand mean (treated as fixed for the
+    standard error).  Either treatment's view of ``inb`` gives the same value.
     """
-    grand = mu.mean(axis=0)
-    value = float(np.mean(np.max(mu, axis=1))) - float(np.max(grand))
-    d_star = int(np.argmax(grand))
-    return _estimate(value, np.max(mu, axis=1) - mu[:, d_star])
+    now = CurrentShares((0.0, 1.0) if np.sum(inb) > 0.0 else (1.0, 0.0))
+    return evsi_im_from_inb(inb, None, StepShare(), now)
 
 
-def evsi_im_from_mu(mu: np.ndarray, p_target: np.ndarray, market_fn: MarketShareFunction,
-                    current_shares: CurrentShares) -> EvsiEstimate:
-    """Implementation-adjusted expected value of a study from ``mu``.
-
-    Shares after the study respond to each dataset's probability
-    ``p_target`` that the target treatment is best; the current market is
-    valued on the same grand means, mirroring the unadjusted estimator's
-    cancellation of common noise.  Both estimators end here.
-    """
-    return _estimate(*assemble_evsi_im(mu, p_target, market_fn, current_shares))
-
-
-def nmc_evsi(summaries: Sequence[PosteriorSummary]) -> EvsiEstimate:
+def nmc_evsi(summaries: PosteriorSummaries) -> EvsiEstimate:
     """Unadjusted expected value of the study from nested summaries."""
-    return evsi_from_mu(_mu_matrix(summaries))
+    return evsi_from_inb(summaries.inb)
 
 
-def nmc_evsi_im(summaries: Sequence[PosteriorSummary], market_fn: MarketShareFunction,
+def nmc_evsi_im(summaries: PosteriorSummaries, market_fn: MarketShareFunction,
                 current_shares: CurrentShares) -> EvsiEstimate:
     """Implementation-adjusted expected value of the study from nested summaries."""
-    mu = _mu_matrix(summaries)
-    p_target = np.array([s.p[market_fn.target] for s in summaries])
-    return evsi_im_from_mu(mu, p_target, market_fn, current_shares)
+    return evsi_im_from_inb(*summaries.toward(market_fn.target), market_fn, current_shares)

@@ -392,6 +392,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "estimation error: nb contains non-finite values\n"
 
+    # 10**15 float64 values take 7 PiB, more than any address space, so
+    # numpy refuses the request before it allocates anything.
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.update(studies=[{"kind": "quality_of_life", "n": 10**15}]),
+        lambda d: d.update(psa_samples=10**15),
+    ], ids=["quality-n", "psa-samples"])
+    def test_unallocatable_size_exits_two(self, case, edit, tmp_path, capsys):
+        d = _small_config(case, out_dir=str(tmp_path / "res")).to_dict()
+        edit(d)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(d))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("estimation error: ") and "Traceback" not in err
+
     # Python's json module reads NaN and Infinity; both commands must refuse
     # such files, numbers written as strings or booleans, and a target
     # treatment the model does not have, before any estimation starts.

@@ -1,5 +1,7 @@
 """Market share maps and the implementation-adjusted value assembly."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from voi.market import (
     assemble_evsi_im,
     current_decision_value,
     market_share,
-    share_matrix,
 )
 
 LINEAR = ThresholdLinearShare(threshold=0.6, saturation_at=1.0, target=1)
@@ -76,11 +77,17 @@ class TestStepShare:
         np.testing.assert_allclose(market_share(fn, 0.49), [1.0, 0.0])
         np.testing.assert_allclose(market_share(fn, 0.51), [0.0, 1.0])
 
-    def test_share_matrix_follows_argmax(self):
+    def test_assembly_follows_argmax_of_mu(self):
+        # Rows of posterior means (standard, novel); the market moves to
+        # whichever is larger, an exact tie to the lower index, as the argmax
+        # of the row breaks it.  The tie moves no value, whatever its rule.
         mu = np.array([[2.0, 1.0], [0.0, 3.0], [1.0, 1.0]])
-        shares = share_matrix(StepShare(), np.array([0.9, 0.1, 0.5]), mu)
-        # Rows adopt whichever column of mu is largest; ties stay put.
-        np.testing.assert_allclose(shares, [[1, 0], [0, 1], [1, 0]])
+        now = CurrentShares((0.25, 0.75))
+        after = np.eye(2)[np.argmax(mu, axis=1)]
+        for target in (0, 1):
+            inb = mu[:, target] - mu[:, 1 - target]
+            _, terms = assemble_evsi_im(inb, None, StepShare(target=target), now)
+            np.testing.assert_array_equal(terms, np.sum((after - now.as_array()) * mu, axis=1))
 
 
 @settings(max_examples=200, deadline=None)
@@ -134,27 +141,42 @@ class TestDecisionValue:
 class TestAssembly:
     def test_no_adoption_means_no_value(self, current_shares):
         # Every dataset leaves the evidence below threshold: the market never
-        # moves, so the study is worthless no matter what mu says.
+        # moves, so the study is worthless no matter what the INB says.
         rng = np.random.default_rng(0)
-        mu = rng.normal(0.0, 1.0, (500, 2))
+        inb = rng.normal(0.0, 1.0, 500)
         p = np.full(500, 0.3)
-        value, terms = assemble_evsi_im(mu, p, LINEAR, current_shares)
-        assert value == pytest.approx(0.0, abs=1e-12)
+        value, terms = assemble_evsi_im(inb, p, LINEAR, current_shares)
+        assert value == 0.0
         assert np.all(terms == 0.0)
 
     def test_terms_average_to_the_estimate(self, current_shares):
         rng = np.random.default_rng(1)
-        mu = rng.normal(10.0, 2.0, (400, 2))
+        inb = rng.normal(1.0, 2.0, 400)
         p = rng.uniform(0.0, 1.0, 400)
-        value, terms = assemble_evsi_im(mu, p, LINEAR, current_shares)
+        value, terms = assemble_evsi_im(inb, p, LINEAR, current_shares)
         assert terms.shape == (400,)
-        assert terms.mean() == pytest.approx(value, rel=1e-12)
+        assert terms.mean() == value
+        with pytest.raises(ValueError, match="one probability per dataset"):
+            assemble_evsi_im(inb, p[:1], LINEAR, current_shares)
 
     def test_certain_adoption_hand_case(self):
         mu = np.array([[1.0, 3.0], [3.0, 1.0]])
-        p = np.array([1.0, 1.0])
+        inb, p = mu[:, 1] - mu[:, 0], np.array([1.0, 1.0])
         # Full switch to treatment 2 in both rows: mean mu2 - mean mu1 = 0.
-        assert assemble_evsi_im(mu, p, LINEAR, CurrentShares((1.0, 0.0)))[0] == pytest.approx(0.0)
+        assert assemble_evsi_im(inb, p, LINEAR, CurrentShares((1.0, 0.0)))[0] == 0.0
         # Against a half-and-half incumbent market the switch gains nothing
         # on average either, but the current value term changes.
-        assert assemble_evsi_im(mu, p, LINEAR, CurrentShares((0.5, 0.5)))[0] == pytest.approx(0.0)
+        assert assemble_evsi_im(inb, p, LINEAR, CurrentShares((0.5, 0.5)))[0] == 0.0
+
+    def test_exact_at_the_case_study_scale(self):
+        # Net benefits near the case study's 2.2e6 and shares just above the
+        # threshold: the value must match an exact rational evaluation of the
+        # same terms, (share after - share now) * inb, on the same floats.
+        rng = np.random.default_rng(2)
+        mu = 2.2e6 + rng.normal(0.0, 2.0e4, (5000, 2)) + [0.0, 3.0e3]
+        inb = mu[:, 1] - mu[:, 0]
+        p = rng.uniform(0.6, 0.62, inb.size)
+        value, _ = assemble_evsi_im(inb, p, LINEAR, CurrentShares((1.0, 0.0)))
+        after = LINEAR.target_share(p)
+        exact = sum(Fraction(float(a)) * Fraction(float(x)) for a, x in zip(after, inb))
+        assert value == pytest.approx(float(exact / inb.size), rel=1e-12)

@@ -109,8 +109,7 @@ class TestVarianceTarget:
 
         datasets = quantile_datasets(psa, SIDE_EFFECTS, 12, 34)
         summaries = nested_summaries(datasets, priors, fixed, 2000, 34)
-        target = variance_reduction_target(
-            psa, np.stack([s.nb_var for s in summaries]))
+        target = variance_reduction_target(psa, summaries.nb_var)
         prior_var = psa.nb.var(axis=0, ddof=1)
         # The side-effect study moves the novel arm but not the standard one.
         assert 0.0 < target[1] < prior_var[1]
@@ -222,7 +221,7 @@ class TestPipeline:
         assert result.rescaled_mu.shape == (len(psa), 2)
         assert result.inb.shape == (len(psa),)
         assert result.p_target.shape == (len(psa),)
-        assert len(result.summaries) == 16
+        assert result.summaries.inb.shape == result.summaries.p.shape == (16,)
 
     def test_probabilities_valid(self, result):
         assert np.all(result.p_target > 0.0)
@@ -263,14 +262,13 @@ class TestNestedSummaries:
         # plain loop over the same per-chunk streams.
         monkeypatch.setattr(nmc, "CHUNK_SIZE", 4)
         datasets = quantile_datasets(psa, SIDE_EFFECTS, 10, 5, sizes=range(10, 110, 10))
-        expected = []
-        for start in range(0, 10, 4):
-            expected += posterior_summaries(datasets[start:start + 4], priors, fixed, 150,
-                                            child_seed(44, "post-chunk", start))
+        expected = [posterior_summaries(datasets[start:start + 4], priors, fixed, 150,
+                                        child_seed(44, "post-chunk", start))
+                    for start in range(0, 10, 4)]
         got = nested_summaries(datasets, priors, fixed, 150, 44)
-        for field in ("mu", "p", "nb_var"):
-            assert np.array_equal(np.stack([getattr(s, field) for s in got]),
-                                  np.stack([getattr(s, field) for s in expected]))
+        for field in ("inb", "p", "nb_var"):
+            assert np.array_equal(getattr(got, field),
+                                  np.concatenate([getattr(s, field) for s in expected]))
 
 
 class TestByN:

@@ -11,11 +11,10 @@ from scipy.special import logit
 
 import voi.nmc as nmc
 from voi.market import CurrentShares, StepShare, ThresholdLinearShare
-from voi.model import NormalPrior, expected_nb, evpi
+from voi.model import NormalPrior, evpi
 from voi.nmc import (
-    PosteriorSummary,
+    PosteriorSummaries,
     _map_in_order,
-    _win_counts,
     nmc_evsi,
     nmc_evsi_im,
     nmc_summaries,
@@ -40,54 +39,57 @@ def small_summaries(priors, fixed):
 
 @pytest.fixture(scope="module")
 def engine_reduction(priors, fixed):
-    """The engine's reduction of a given R x D net-benefit matrix.
+    """The engine's reduction of a given R x 2 net-benefit matrix.
 
     Each treatment's function hands the engine its column, whatever the
     draws, for one dataset whose R draws fit in one block.
     """
-    def reduce(nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def reduce(nb: np.ndarray) -> tuple[float, float, np.ndarray]:
         assert nb.shape[0] <= nmc.BLOCK_ELEMENTS
         fns = tuple(lambda draw, fixed, col=col: col[:, None] for col in np.asarray(nb, float).T)
         ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60), n_effective=60, events=15)
-        (s,) = posterior_summaries([ds], priors, fixed, nb.shape[0], 0, fns)
-        return s.mu, s.p, s.nb_var
+        s = posterior_summaries([ds], priors, fixed, nb.shape[0], 0, fns)
+        return s.inb[0], s.p[0], s.nb_var[0]
     return reduce
+
+
+def _concat(parts: list[PosteriorSummaries]) -> PosteriorSummaries:
+    return PosteriorSummaries(*(np.concatenate([getattr(s, name) for s in parts])
+                                for name in ("inb", "p", "nb_var")))
 
 
 class TestSummarize:
     def test_unanimous_posterior(self, engine_reduction):
         nb = np.array([[1.0, 2.0], [0.0, 5.0], [2.0, 3.0]])
-        mu, p, var = engine_reduction(nb)
-        np.testing.assert_allclose(mu, [1.0, 10.0 / 3.0])
-        np.testing.assert_allclose(p, [0.0, 1.0])
+        inb, p, var = engine_reduction(nb)
+        assert inb == pytest.approx(10.0 / 3.0 - 1.0)
+        assert p == 1.0
         np.testing.assert_allclose(var, nb.var(axis=0, ddof=1))
 
-    @pytest.mark.parametrize("n_treat", [2, 3])
-    def test_matches_argmax_reduction_with_ties(self, engine_reduction, n_treat):
-        # Values on a coarse grid tie often; every tie goes to the lowest
-        # index, as np.argmax breaks them.
+    def test_matches_argmax_reduction_with_ties(self, engine_reduction):
+        # Values on a coarse grid tie often; every tie goes to the standard
+        # treatment, as np.argmax breaks them.
         rng = np.random.default_rng(3)
-        nb = rng.integers(0, 3, (5000, n_treat)).astype(float)
-        nb[:50] = 1.0  # rows tied across every treatment
-        mu, p, var = engine_reduction(nb)
-        wins = np.bincount(np.argmax(nb, axis=1), minlength=n_treat) / nb.shape[0]
-        np.testing.assert_array_equal(p, wins)
-        np.testing.assert_allclose(mu, nb.mean(axis=0), rtol=1e-12)
+        nb = rng.integers(0, 3, (5000, 2)).astype(float)
+        nb[:50] = 1.0  # rows tied across both treatments
+        inb, p, var = engine_reduction(nb)
+        assert p == np.count_nonzero(np.argmax(nb, axis=1) == 1) / nb.shape[0]
+        mu = nb.mean(axis=0)
+        assert inb == pytest.approx(mu[1] - mu[0], rel=1e-12)
         np.testing.assert_allclose(var, nb.var(axis=0, ddof=1), rtol=1e-12)
 
-    def test_win_counts_over_a_block(self):
-        # Treatments on axis 0, draws on axis 1, datasets after: the shape
-        # the trial summaries count wins in.
-        rng = np.random.default_rng(4)
-        nb = rng.integers(0, 4, (3, 200, 7)).astype(float)
-        expected = (np.argmax(nb, axis=0)[None] == np.arange(3)[:, None, None]).sum(axis=1)
-        np.testing.assert_array_equal(_win_counts(nb), expected)
-
     def test_summary_invariants(self, small_summaries):
-        for s in small_summaries:
-            assert s.p.shape == (2,)
-            assert s.p.sum() == pytest.approx(1.0, abs=1e-12)
-            assert np.all(np.isfinite(s.mu))
+        assert small_summaries.inb.shape == small_summaries.p.shape == (400,)
+        assert small_summaries.nb_var.shape == (400, 2)
+        assert np.all((small_summaries.p >= 0.0) & (small_summaries.p <= 1.0))
+        assert np.all(np.isfinite(small_summaries.inb))
+
+    def test_each_treatments_view_is_exact(self, small_summaries):
+        inb, p = small_summaries.toward(1)
+        assert inb is small_summaries.inb and p is small_summaries.p
+        inb0, p0 = small_summaries.toward(0)
+        np.testing.assert_array_equal(inb0, -small_summaries.inb)
+        np.testing.assert_array_equal(p0 + small_summaries.p, 1.0)
 
 
 class TestRctStreaming:
@@ -111,12 +113,10 @@ class TestRctStreaming:
         summaries = posterior_summaries(datasets, priors, fixed, n_draws, 31, nb_fns)
         nb = np.stack([np.concatenate(blocks) for blocks in recorded], axis=-1)
         assert nb.shape == (n_draws, len(datasets), 2)
-        winners = np.argmax(nb, axis=-1)
-        for j, s in enumerate(summaries):
-            np.testing.assert_allclose(s.mu, nb[:, j].mean(axis=0), rtol=1e-9)
-            np.testing.assert_allclose(s.nb_var, nb[:, j].var(axis=0, ddof=1), rtol=1e-9)
-            share = np.bincount(winners[:, j], minlength=2) / n_draws
-            np.testing.assert_allclose(s.p, share, rtol=1e-9)
+        mu = nb.mean(axis=0)
+        np.testing.assert_allclose(summaries.inb, mu[:, 1] - mu[:, 0], rtol=1e-9)
+        np.testing.assert_allclose(summaries.nb_var, nb.var(axis=0, ddof=1), rtol=1e-9)
+        np.testing.assert_array_equal(summaries.p, (np.argmax(nb, axis=-1) == 1).mean(axis=0))
 
 
 # Trials at the edges of the data space: (control events, treated events, n).
@@ -124,33 +124,34 @@ EXTREME_TRIALS = [(0, 0, 200), (200, 200, 200), (0, 200, 200), (200, 0, 200),
                   (0, 0, 0), (1, 0, 1)]
 
 
+def assert_inb_averages_to_prior(inb: np.ndarray, psa) -> None:
+    """The mean posterior INB comes back to the prior mean INB, within 3 SE."""
+    prior = psa.nb[:, 1] - psa.nb[:, 0]
+    se = math.sqrt(inb.var(ddof=1) / inb.size + prior.var(ddof=1) / len(psa))
+    assert abs(inb.mean() - prior.mean()) <= 3.0 * se
+
+
 class TestRctEngineRobustness:
     @pytest.mark.parametrize("xc,xt,n", EXTREME_TRIALS)
     def test_extreme_trial_gives_finite_summary(self, priors, fixed, xc, xt, n):
         ds = Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n), n_effective=n,
                      control_events=xc, treated_events=xt)
-        (s,) = posterior_summaries([ds], priors, fixed, 2000, 41)
-        assert np.all(np.isfinite(s.mu)) and np.all(np.isfinite(s.nb_var))
+        s = posterior_summaries([ds], priors, fixed, 2000, 41)
+        assert np.all(np.isfinite(s.inb)) and np.all(np.isfinite(s.nb_var))
         assert np.all(s.nb_var > 0.0)
-        assert np.all((s.p >= 0.0) & (s.p <= 1.0)) and s.p.sum() == pytest.approx(1.0)
+        assert np.all((s.p >= 0.0) & (s.p <= 1.0))
 
     def test_extreme_trials_in_one_batch(self, priors, fixed):
         datasets = [Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n),
                             n_effective=n, control_events=xc, treated_events=xt)
                     for xc, xt, n in EXTREME_TRIALS]
         summaries = posterior_summaries(datasets, priors, fixed, 2000, 42)
-        assert all(np.all(np.isfinite(s.mu)) and np.all(np.isfinite(s.nb_var))
-                   for s in summaries)
+        assert np.all(np.isfinite(summaries.inb)) and np.all(np.isfinite(summaries.nb_var))
 
     def test_zero_information_trial_sits_at_prior(self, priors, fixed, psa):
         design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 0)
         summaries = nmc_summaries(design, priors, fixed, 200, 400, 23)
-        mu = np.stack([s.mu for s in summaries])
-        prior_mu = expected_nb(psa)
-        for d in range(2):
-            se = math.sqrt(mu[:, d].var(ddof=1) / mu.shape[0]
-                           + psa.nb[:, d].var(ddof=1) / len(psa))
-            assert abs(mu[:, d].mean() - prior_mu[d]) <= 3.0 * se
+        assert_inb_averages_to_prior(summaries.inb, psa)
 
 
 class TestNmcEvsi:
@@ -164,21 +165,12 @@ class TestNmcEvsi:
     def test_zero_information_posteriors_sit_at_prior(self, priors, fixed, psa):
         design = StudyDesign(StudyKind.QUALITY_OF_LIFE, 0)
         summaries = nmc_summaries(design, priors, fixed, 200, 400, 23)
-        mu = np.stack([s.mu for s in summaries])
-        prior_mu = expected_nb(psa)
-        for d in range(2):
-            se = math.sqrt(mu[:, d].var(ddof=1) / mu.shape[0]
-                           + psa.nb[:, d].var(ddof=1) / len(psa))
-            assert abs(mu[:, d].mean() - prior_mu[d]) <= 3.0 * se
+        assert_inb_averages_to_prior(summaries.inb, psa)
 
     def test_posterior_means_average_to_prior_means(self, small_summaries, psa):
         # The average posterior mean of the incremental benefit must come back
         # to its prior mean: datasets only redistribute expectation.
-        inb_post = np.array([s.mu[1] - s.mu[0] for s in small_summaries])
-        inb_prior = psa.nb[:, 1] - psa.nb[:, 0]
-        se = math.sqrt(inb_post.var(ddof=1) / inb_post.size
-                       + inb_prior.var(ddof=1) / len(psa))
-        assert abs(inb_post.mean() - inb_prior.mean()) <= 3.0 * se
+        assert_inb_averages_to_prior(small_summaries.inb, psa)
 
     def test_nonnegative_up_to_noise(self, small_summaries):
         est = nmc_evsi(small_summaries)
@@ -188,34 +180,28 @@ class TestNmcEvsi:
         # A posterior that lands exactly on the prior draw is the R -> inf
         # perfect-signal limit, so the estimator must give the full value of
         # eliminating uncertainty.
-        summaries = [
-            PosteriorSummary(mu=psa.nb[s], p=np.eye(2)[int(np.argmax(psa.nb[s]))],
-                             nb_var=np.zeros(2))
-            for s in range(len(psa))
-        ]
+        summaries = PosteriorSummaries(inb=psa.nb[:, 1] - psa.nb[:, 0],
+                                       p=(psa.nb[:, 1] > psa.nb[:, 0]).astype(float),
+                                       nb_var=np.zeros((len(psa), 2)))
         assert nmc_evsi(summaries).value == pytest.approx(evpi(psa), rel=1e-12)
 
     def test_determinism(self, priors, fixed):
         design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
         a = nmc_summaries(design, priors, fixed, 50, 200, 24)
         b = nmc_summaries(design, priors, fixed, 50, 200, 24)
-        np.testing.assert_array_equal(np.stack([s.mu for s in a]),
-                                      np.stack([s.mu for s in b]))
+        assert_same_summaries(a, b)
 
     def test_rct_determinism(self, priors, fixed):
         design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200)
         a = nmc_summaries(design, priors, fixed, 24, 200, 25)
         b = nmc_summaries(design, priors, fixed, 24, 200, 25)
-        np.testing.assert_array_equal(np.stack([s.mu for s in a]),
-                                      np.stack([s.mu for s in b]))
+        assert_same_summaries(a, b)
 
 
 def assert_same_summaries(got, expected):
-    assert len(got) == len(expected)
-    for g, e in zip(got, expected):
-        assert np.array_equal(g.mu, e.mu)
-        assert np.array_equal(g.p, e.p)
-        assert np.array_equal(g.nb_var, e.nb_var)
+    assert np.array_equal(got.inb, expected.inb)
+    assert np.array_equal(got.p, expected.p)
+    assert np.array_equal(got.nb_var, expected.nb_var)
 
 
 class TestMapInOrder:
@@ -249,11 +235,9 @@ def _chunk_by_chunk(design, priors, fixed, n_outer, n_inner, seed, chunk):
     draws = priors.sample(substream(seed, "outer"), n_outer)
     datasets = [simulate_dataset(design, draws.item(s), child_seed(seed, "data", s))
                 for s in range(n_outer)]
-    expected = []
-    for start in range(0, n_outer, chunk):
-        expected += posterior_summaries(datasets[start:start + chunk], priors, fixed, n_inner,
+    return _concat([posterior_summaries(datasets[start:start + chunk], priors, fixed, n_inner,
                                         child_seed(seed, "post-chunk", start))
-    return expected
+                    for start in range(0, n_outer, chunk)])
 
 
 class TestParallelMatchesSerial:
@@ -302,22 +286,26 @@ class TestGridMemo:
         for prior in (priors, vague, priors):
             got = nmc.chunked_summaries(len(datasets), lambda idx: [datasets[j] for j in idx],
                                         prior, fixed, 150, 32)
-            expected = []
-            for start in range(0, len(datasets), 3):
-                expected += posterior_summaries(datasets[start:start + 3], prior, fixed, 150,
-                                                child_seed(32, "post-chunk", start))
+            expected = _concat([posterior_summaries(datasets[start:start + 3], prior, fixed, 150,
+                                                    child_seed(32, "post-chunk", start))
+                                for start in range(0, len(datasets), 3)])
             assert_same_summaries(got, expected)
             results.append(got)
-        assert not np.array_equal(results[0][0].mu, results[1][0].mu)
+        assert results[0].inb[0] != results[1].inb[0]
         assert_same_summaries(results[2], results[0])
+
+
+def _zero(draw, fixed):
+    return np.zeros(np.shape(draw.p_event))
 
 
 class TestDrawsStayWithTheirDataset:
     """One chunk mixes datasets far apart; each summary matches its own posterior.
 
-    The one net-benefit function returns the informed parameter (for the
-    survey, on the logit scale), so each summary's mean and variance are
-    that dataset's posterior moments.
+    The novel treatment's net-benefit function returns the informed
+    parameter (for the survey, on the logit scale) and the standard one's
+    returns zero, so each summary's INB and novel variance are that
+    dataset's posterior moments.
     """
 
     def test_side_effect_extremes(self, priors, fixed):
@@ -325,22 +313,22 @@ class TestDrawsStayWithTheirDataset:
         events = [0, 60, 0, 30, 60, 0]
         datasets = [Dataset(design=design, n_effective=60, events=x) for x in events]
         got = posterior_summaries(datasets, priors, fixed, 4000, 51,
-                                  nb_fns=(lambda draw, _: draw.p_side_effect,))
-        for x, s in zip(events, got):
+                                  nb_fns=(_zero, lambda draw, _: draw.p_side_effect))
+        for x, mean, var in zip(events, got.inb, got.nb_var[:, 1]):
             ref = stats.beta(3 + x, 9 + 60 - x)
-            assert abs(s.mu[0] - ref.mean()) <= 4.0 * ref.std() / math.sqrt(4000), x
-            assert s.nb_var[0] == pytest.approx(ref.var(), rel=0.1), x
+            assert abs(mean - ref.mean()) <= 4.0 * ref.std() / math.sqrt(4000), x
+            assert var == pytest.approx(ref.var(), rel=0.1), x
 
     def test_quality_far_apart_totals(self, priors, fixed):
         cases = [(100, -300.0), (100, 300.0), (0, 0.0), (100, -300.0), (5, 40.0)]
         datasets = [Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, n), n_effective=n,
                             logit_total=total) for n, total in cases]
         got = posterior_summaries(datasets, priors, fixed, 4000, 52,
-                                  nb_fns=(lambda draw, _: logit(draw.qol_after_event),))
-        for (n, total), s in zip(cases, got):
+                                  nb_fns=(_zero, lambda draw, _: logit(draw.qol_after_event)))
+        for (n, total), got_mean, got_var in zip(cases, got.inb, got.nb_var[:, 1]):
             mean, var = quality_posterior_moments(n, total, priors)
-            assert abs(s.mu[0] - mean) <= 4.0 * math.sqrt(var / 4000), (n, total)
-            assert s.nb_var[0] == pytest.approx(var, rel=0.1), (n, total)
+            assert abs(got_mean - mean) <= 4.0 * math.sqrt(var / 4000), (n, total)
+            assert got_var == pytest.approx(var, rel=0.1), (n, total)
 
 
 class TestNmcEvsiIm:
@@ -348,9 +336,8 @@ class TestNmcEvsiIm:
         # A market that jumps entirely to the apparent best treatment, from a
         # baseline holding the currently best one, values information exactly
         # like the unadjusted estimator; the two must agree to the last bit.
-        grand = np.stack([s.mu for s in small_summaries]).mean(axis=0)
-        incumbent = CurrentShares((1.0, 0.0)) if grand[0] >= grand[1] \
-            else CurrentShares((0.0, 1.0))
+        incumbent = CurrentShares((0.0, 1.0)) if small_summaries.inb.mean() > 0.0 \
+            else CurrentShares((1.0, 0.0))
         plain = nmc_evsi(small_summaries)
         adjusted = nmc_evsi_im(small_summaries, StepShare(), incumbent)
         assert adjusted.value == plain.value
@@ -359,9 +346,8 @@ class TestNmcEvsiIm:
         from voi.market import assemble_evsi_im
 
         est = nmc_evsi_im(small_summaries, market_fn, current_shares)
-        mu = np.stack([s.mu for s in small_summaries])
-        p = np.stack([s.p for s in small_summaries])
-        value, terms = assemble_evsi_im(mu, p[:, market_fn.target], market_fn, current_shares)
+        inb, p = small_summaries.toward(market_fn.target)
+        value, terms = assemble_evsi_im(inb, p, market_fn, current_shares)
         assert est.value == value
         assert est.std_error == terms.std(ddof=1) / math.sqrt(len(terms))
 
@@ -370,6 +356,42 @@ class TestNmcEvsiIm:
         est = nmc_evsi_im(small_summaries, fn, CurrentShares((1.0, 0.0)))
         assert est.value == pytest.approx(0.0, abs=1e-6)
 
-    def test_empty_summaries_rejected(self):
-        with pytest.raises(ValueError):
-            nmc_evsi([])
+    def test_empty_summaries_rejected(self, small_summaries):
+        # Fewer than two datasets give no standard error.
+        for size in (0, 1):
+            few = PosteriorSummaries(small_summaries.inb[:size], small_summaries.p[:size],
+                                     small_summaries.nb_var[:size])
+            with pytest.raises(ValueError, match="at least two"):
+                nmc_evsi(few)
+            with pytest.raises(ValueError, match="at least two"):
+                nmc_evsi_im(few, StepShare(), CurrentShares((1.0, 0.0)))
+
+
+class TestRelabelling:
+    """Swapping which treatment is called novel changes no value.
+
+    The second run hands the engine the pair (novel, standard), so its INB
+    is the novel treatment's with the sign flipped and the market targets
+    treatment 0: the path through ``-inb``, ``1 - p`` and the step's ``>=``.
+    """
+
+    @pytest.fixture(scope="class")
+    def both_labellings(self, priors, fixed):
+        design = StudyDesign(StudyKind.QUALITY_OF_LIFE, 100)
+        standard, novel = DEFAULT_NB_FUNCTIONS
+        return [nmc_summaries(design, priors, fixed, 200, 400, 28, nb_fns=fns)
+                for fns in ((standard, novel), (novel, standard))]
+
+    @pytest.mark.parametrize("make_fn", [
+        lambda target: ThresholdLinearShare(threshold=0.6, saturation_at=1.0, target=target),
+        lambda target: StepShare(target=target),
+    ], ids=["threshold-linear", "step"])
+    def test_values_agree(self, both_labellings, make_fn):
+        as_given, relabelled = both_labellings
+        adjusted = [nmc_evsi_im(as_given, make_fn(1), CurrentShares((1.0, 0.0))),
+                    nmc_evsi_im(relabelled, make_fn(0), CurrentShares((0.0, 1.0)))]
+        plain = [nmc_evsi(as_given), nmc_evsi(relabelled)]
+        for a, b in (adjusted, plain):
+            assert a.value > 0.0
+            assert b.value == pytest.approx(a.value, rel=1e-12)
+            assert b.std_error == pytest.approx(a.std_error, rel=1e-12)

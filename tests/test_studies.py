@@ -38,7 +38,8 @@ def engine_blocks(datasets, priors, fixed, n_draws: int, seed: int) -> list[Para
         seen.append(draw)
         return np.zeros(np.shape(draw.p_event))
 
-    posterior_summaries(datasets, priors, fixed, n_draws, seed, nb_fns=(capture,))
+    posterior_summaries(datasets, priors, fixed, n_draws, seed,
+                        nb_fns=(capture, lambda draw, _: np.zeros(np.shape(draw.p_event))))
     return seen
 
 
