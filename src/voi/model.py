@@ -193,19 +193,30 @@ _PRIOR_OF = {
 }
 
 
+def _inside_unit_interval(name: str, value) -> np.ndarray:
+    """``value`` as a float array, checked to lie strictly inside (0, 1).
+
+    The bounds are checked on the minimum and maximum, which are NaN if any
+    value is, so NaN fails them too.
+    """
+    v = np.asarray(value, dtype=float)
+    if v.size and not (v.min() > 0.0 and v.max() < 1.0):
+        raise ValueError(f"{name} must lie strictly inside (0, 1)")
+    return v
+
+
 def derive_pt(p_event, odds_ratio):
     """Probability of the event under the novel treatment.
 
     Applies the odds-ratio reduction to the baseline probability:
     ``p * or / (1 - p + p * or)``.  Broadcasts over arrays.
     """
-    p = np.asarray(p_event, dtype=float)
+    p = _inside_unit_interval("p_event", p_event)
     o = np.asarray(odds_ratio, dtype=float)
-    if np.any(p <= 0.0) or np.any(p >= 1.0):
-        raise ValueError("p_event must lie strictly inside (0, 1)")
-    if np.any(o <= 0.0):
+    if o.size and not o.min() > 0.0:
         raise ValueError("odds_ratio must be positive")
-    out = p * o / (1.0 - p + p * o)
+    po = p * o
+    out = po / ((1.0 - p) + po)
     if out.ndim == 0:
         return float(out)
     return out
@@ -228,11 +239,8 @@ class ParameterDraw:
 
     @classmethod
     def from_primitives(cls, p_event, odds_ratio, p_side_effect, qol_after_event) -> "ParameterDraw":
-        for name, value in (("p_event", p_event), ("p_side_effect", p_side_effect),
-                            ("qol_after_event", qol_after_event)):
-            v = np.asarray(value, dtype=float)
-            if np.any(v <= 0.0) or np.any(v >= 1.0):
-                raise ValueError(f"{name} must lie strictly inside (0, 1)")
+        _inside_unit_interval("p_side_effect", p_side_effect)
+        _inside_unit_interval("qol_after_event", qol_after_event)
         return cls(
             p_event=p_event,
             odds_ratio=odds_ratio,

@@ -150,17 +150,25 @@ def posterior_summaries(
     sums = np.zeros((m, 2))
     sumsq = np.zeros((m, 2))
     wins = np.zeros(m)
+    # Every block's deviations from the shift, then their squares, in one
+    # array; the net benefits themselves belong to the caller's functions.
+    delta = np.empty((min(length, n_draws), m, 2))
     shift = None
     for start in range(0, n_draws, length):
         x = posterior.draw(rng, min(length, n_draws - start))
         draw = prior.sample(fill_rng, x.shape, {posterior.field: x})
-        nb = np.stack([standard(draw, fixed), novel(draw, fixed)], axis=-1)
+        nb = standard(draw, fixed), novel(draw, fixed)
+        wins += np.count_nonzero(nb[1] > nb[0], axis=0)
         if shift is None:
-            shift = nb[0].copy()
-        delta = nb - shift
-        sums += delta.sum(axis=0)
-        sumsq += (delta * delta).sum(axis=0)
-        wins += np.count_nonzero(nb[..., 1] > nb[..., 0], axis=0)
+            shift = np.stack([nb[0][0], nb[1][0]], axis=-1)
+        block = delta[:x.shape[0]]
+        for d in (0, 1):
+            np.subtract(nb[d], shift[:, d], out=block[..., d])
+        sums += block.sum(axis=0)
+        np.multiply(block, block, out=block)
+        sumsq += block.sum(axis=0)
+        # Let this block's draws go before the next block draws its own.
+        del x, draw, nb
 
     mu = shift + sums / n_draws
     var = (sumsq - sums * sums / n_draws) / (n_draws - 1)

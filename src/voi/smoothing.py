@@ -29,31 +29,58 @@ class SmoothFit:
     lam: float
 
 
-def _basis_block(x: np.ndarray, n_knots: int) -> np.ndarray | None:
-    """Cubic B-spline design for one feature; None if the feature is constant."""
+def _knots(x: np.ndarray, n_knots: int) -> np.ndarray | None:
+    """Knot vector of one feature's cubic B-spline basis; None if the feature is constant.
+
+    The interior knots sit at ``n_knots`` sample quantiles, ties merged; each
+    end of the range is repeated degree + 1 times.
+    """
     lo, hi = float(x.min()), float(x.max())
     if not hi > lo:
         return None
     probs = np.linspace(0.0, 1.0, n_knots + 2)[1:-1]
     interior = np.unique(np.quantile(x, probs))
     interior = interior[(interior > lo) & (interior < hi)]
-    t = np.concatenate([np.full(_DEGREE + 1, lo), interior, np.full(_DEGREE + 1, hi)])
+    return np.concatenate([np.full(_DEGREE + 1, lo), interior, np.full(_DEGREE + 1, hi)])
+
+
+def _basis_block(x: np.ndarray, knots: int | np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray | None:
+    """Cubic B-spline design for one feature, one column per basis function.
+
+    ``knots`` is a knot vector from :func:`_knots`, or the number of interior
+    knots to place by it; None if the feature is then constant.  ``out``, an
+    (n, basis size) array of zeros, takes the values; without it the block is
+    allocated.
+    """
+    t = _knots(x, knots) if np.ndim(knots) == 0 else knots
+    if t is None:
+        return None
     n_basis = t.size - _DEGREE - 1
     # Knot span of each point, t[span] <= x < t[span + 1]; x == hi closes the last.
     span = np.clip(np.searchsorted(t, x, side="right") - 1, _DEGREE, n_basis - 1)
     # The degree + 1 functions nonzero on each span, by the Cox-de Boor
-    # recursion (Piegl & Tiller, The NURBS Book, algorithm A2.2).
-    steps = np.arange(1, _DEGREE + 1)
-    left = x[:, None] - t[span[:, None] + 1 - steps]
-    right = t[span[:, None] + steps] - x[:, None]
-    values = np.ones((x.size, 1))
-    for j in steps:
-        lj, rj = left[:, j - 1::-1], right[:, :j]
-        temp = values / (rj + lj)
-        values = np.pad(rj * temp, ((0, 0), (0, 1))) + np.pad(lj * temp, ((0, 0), (1, 0)))
-    design = np.zeros((x.size, n_basis))
-    np.put_along_axis(design, span[:, None] - _DEGREE + np.arange(_DEGREE + 1), values, axis=1)
-    return design
+    # recursion (Piegl & Tiller, The NURBS Book, algorithm A2.2), each
+    # function's values over all points in one row.
+    steps = np.arange(1, _DEGREE + 1)[:, None]
+    left = x - t[span + 1 - steps]
+    right = t[span + steps] - x
+    values = np.empty((_DEGREE + 1, x.size))
+    values[0] = 1.0
+    for j in range(1, _DEGREE + 1):
+        saved = 0.0
+        for r in range(j):
+            temp = values[r] / (right[r] + left[j - 1 - r])
+            values[r] = saved + right[r] * temp
+            saved = left[j - 1 - r] * temp
+        values[j] = saved
+    if out is None:
+        out = np.zeros((x.size, n_basis))
+    rows = np.arange(x.size)
+    span -= _DEGREE
+    for r in range(_DEGREE + 1):
+        out[rows, span + r] = values[r]
+    return out
 
 
 def fit_pspline(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
@@ -74,20 +101,23 @@ def fit_pspline(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
     y_mean = float(y.mean())
     yc = y - y_mean
 
-    blocks = [_basis_block(x[:, j], n_knots) for j in range(x.shape[1])]
-    blocks = [b for b in blocks if b is not None]
-    if not blocks:
+    features = [(xj, t) for xj in x.T if (t := _knots(xj, n_knots)) is not None]
+    if not features:
         resid = float(yc @ yc / max(n - 1, 1))
         return SmoothFit(fitted=np.full(n, y_mean), residual_var=resid, edf=1.0, lam=0.0)
 
-    # Center each block so the additive pieces are orthogonal to the
-    # intercept, then penalize second differences within each block.
-    design = np.hstack([np.ones((n, 1))] + [b - b.mean(axis=0) for b in blocks])
-    sizes = [b.shape[1] for b in blocks]
-    p = design.shape[1]
+    # One design: an intercept, then each feature's block, centred so the
+    # additive pieces are orthogonal to the intercept.  Second differences
+    # are penalized within each block.
+    sizes = [t.size - _DEGREE - 1 for _, t in features]
+    p = 1 + sum(sizes)
+    design = np.zeros((n, p))
+    design[:, 0] = 1.0
     penalty = np.zeros((p, p))
     offset = 1
-    for size in sizes:
+    for (xj, t), size in zip(features, sizes):
+        block = _basis_block(xj, t, out=design[:, offset:offset + size])
+        block -= block.mean(axis=0)
         d = np.diff(np.eye(size), n=2, axis=0)  # no rows below three columns
         penalty[offset:offset + size, offset:offset + size] = d.T @ d
         offset += size

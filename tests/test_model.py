@@ -62,6 +62,44 @@ class TestDerivePt:
         assert out.shape == (2,)
         assert out[0] == pytest.approx(0.1 * 0.5 / (0.9 + 0.05))
 
+    @pytest.mark.parametrize("field", ["p_event", "odds_ratio"])
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "array"])
+    def test_nan_rejected(self, field, shape):
+        args = {"p_event": np.full(shape, 0.15), "odds_ratio": np.full(shape, 0.3)}
+        args[field][...] = np.nan if shape == () else [0.2, np.nan, 0.4]
+        with pytest.raises(ValueError, match=field):
+            derive_pt(**args)
+
+    def test_one_product_gives_the_same_bits(self):
+        rng = np.random.default_rng(12)
+        p, o = rng.uniform(1e-6, 1.0 - 1e-6, 10_000), np.exp(rng.normal(0.0, 3.0, 10_000))
+        assert np.array_equal(derive_pt(p, o), p * o / (1.0 - p + p * o))
+
+
+PRIMITIVES = {"p_event": 0.15, "odds_ratio": 0.3, "p_side_effect": 0.25, "qol_after_event": 0.64}
+
+
+class TestFromPrimitives:
+    @pytest.mark.parametrize("field", sorted(PRIMITIVES))
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["scalar", "array"])
+    def test_nan_rejected(self, field, shape):
+        args = {name: np.full(shape, value) for name, value in PRIMITIVES.items()}
+        args[field][...] = np.nan if shape == () else [args[field][0], np.nan, args[field][0]]
+        with pytest.raises(ValueError, match=field):
+            ParameterDraw.from_primitives(**args)
+
+    @pytest.mark.parametrize("field", ["p_event", "p_side_effect", "qol_after_event"])
+    @pytest.mark.parametrize("bad", [0.0, 1.0, -0.5, np.inf])
+    def test_bounds_rejected(self, field, bad):
+        args = {name: np.full(4, value) for name, value in PRIMITIVES.items()}
+        args[field][2] = bad
+        with pytest.raises(ValueError, match=field):
+            ParameterDraw.from_primitives(**args)
+
+    def test_empty_draws_pass(self):
+        draw = ParameterDraw.from_primitives(**{name: np.empty(0) for name in PRIMITIVES})
+        assert draw.p_event_treated.shape == (0,)
+
 
 class TestNetBenefits:
     def test_standard_at_rounded_means(self, fixed):

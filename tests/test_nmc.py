@@ -28,6 +28,7 @@ from voi.studies import (
     StudyKind,
     quality_posterior_moments,
     simulate_dataset,
+    study_posterior,
 )
 
 
@@ -329,6 +330,69 @@ class TestDrawsStayWithTheirDataset:
             mean, var = quality_posterior_moments(n, total, priors)
             assert abs(got_mean - mean) <= 4.0 * math.sqrt(var / 4000), (n, total)
             assert got_var == pytest.approx(var, rel=0.1), (n, total)
+
+
+def _stacked_summaries(datasets, prior, fixed, n_draws, seed, nb_fns=DEFAULT_NB_FUNCTIONS):
+    """The engine's fold as first written: each block's net benefits stacked
+    into one (k, m, 2) array, then a shifted copy and its square summed.  The
+    reference for the fold through one reused buffer."""
+    standard, novel = nb_fns
+    posterior = study_posterior(datasets, prior)
+    kind = datasets[0].design.kind.value
+    rng = substream(seed, "posterior", kind)
+    fill_rng = substream(seed, "posterior", kind, "complement")
+    m = len(datasets)
+    length = max(1, nmc.BLOCK_ELEMENTS // m)
+    sums, sumsq, wins, shift = np.zeros((m, 2)), np.zeros((m, 2)), np.zeros(m), None
+    for start in range(0, n_draws, length):
+        x = posterior.draw(rng, min(length, n_draws - start))
+        draw = prior.sample(fill_rng, x.shape, {posterior.field: x})
+        nb = np.stack([standard(draw, fixed), novel(draw, fixed)], axis=-1)
+        if shift is None:
+            shift = nb[0].copy()
+        delta = nb - shift
+        sums += delta.sum(axis=0)
+        sumsq += (delta * delta).sum(axis=0)
+        wins += np.count_nonzero(nb[..., 1] > nb[..., 0], axis=0)
+    mu = shift + sums / n_draws
+    var = (sumsq - sums * sums / n_draws) / (n_draws - 1)
+    return PosteriorSummaries(inb=mu[:, 1] - mu[:, 0], p=wins / n_draws, nb_var=var)
+
+
+class TestBlockFold:
+    """Folding each block through one reused buffer is the stacked fold, bit for bit."""
+
+    @pytest.mark.parametrize("kind,n", [(StudyKind.SIDE_EFFECTS, 60),
+                                        (StudyKind.QUALITY_OF_LIFE, 60),
+                                        (StudyKind.EFFECTIVENESS_RCT, 200)])
+    # With one dataset each column is summed alone, where numpy's reductions
+    # change method; every draw count ends on a block shorter than the others
+    # (or than the block length, when it takes one block).
+    @pytest.mark.parametrize("m,n_draws", [(1, 16_384 * 2 + 7), (2, 1234), (5, 8191),
+                                           (32, 3000), (32, 2)])
+    def test_equals_the_stacked_fold(self, priors, fixed, kind, n, m, n_draws):
+        draws = priors.sample(substream(40, "outer"), m)
+        design = StudyDesign(kind, n)
+        datasets = [simulate_dataset(design, draws.item(s), child_seed(40, "data", s))
+                    for s in range(m)]
+        assert_same_summaries(posterior_summaries(datasets, priors, fixed, n_draws, 41),
+                              _stacked_summaries(datasets, priors, fixed, n_draws, 41))
+
+    def test_leaves_the_net_benefit_arrays_alone(self, priors, fixed):
+        # Functions that hand back the draws themselves, read-only: a fold
+        # that wrote into them would raise.
+        def frozen(field):
+            def fn(draw, _):
+                values = getattr(draw, field)
+                values.flags.writeable = False
+                return values
+            return fn
+
+        design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
+        datasets = [Dataset(design=design, n_effective=60, events=x) for x in (0, 20, 60)]
+        fns = (frozen("p_event"), frozen("p_side_effect"))
+        assert_same_summaries(posterior_summaries(datasets, priors, fixed, 5000, 42, fns),
+                              _stacked_summaries(datasets, priors, fixed, 5000, 42, fns))
 
 
 class TestNmcEvsiIm:

@@ -1,10 +1,12 @@
 """Penalized spline smoother used for conditional expectation estimates."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.interpolate import BSpline
 
-from voi.smoothing import _basis_block, fit_pspline
+from voi.smoothing import SmoothFit, _basis_block, fit_pspline
 
 
 def _r2(fitted: np.ndarray, truth: np.ndarray) -> float:
@@ -94,3 +96,91 @@ def test_basis_matches_scipy_design_matrix(case):
     np.testing.assert_allclose(design[x == x.max(), -1], 1.0, rtol=0.0, atol=1e-12)
     if case in ("on_knots", "collapsed"):
         assert design.shape[1] == len(np.unique(x)) - 2 + 4
+
+
+def _dense_fit(x: np.ndarray, y: np.ndarray, n_knots: int = 20, n_lambdas: int = 31) -> SmoothFit:
+    """The fit as first written: a dense block per feature, a centred copy of
+    each, and one ``hstack`` of them all.  The reference for the in-place design."""
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 1:
+        x = x[:, None]
+    n = y.size
+    y_mean = float(y.mean())
+    yc = y - y_mean
+    blocks = [_basis_block(x[:, j], n_knots) for j in range(x.shape[1])]
+    blocks = [b for b in blocks if b is not None]
+    if not blocks:
+        resid = float(yc @ yc / max(n - 1, 1))
+        return SmoothFit(fitted=np.full(n, y_mean), residual_var=resid, edf=1.0, lam=0.0)
+    design = np.hstack([np.ones((n, 1))] + [b - b.mean(axis=0) for b in blocks])
+    p = design.shape[1]
+    penalty = np.zeros((p, p))
+    offset = 1
+    for size in (b.shape[1] for b in blocks):
+        d = np.diff(np.eye(size), n=2, axis=0)
+        penalty[offset:offset + size, offset:offset + size] = d.T @ d
+        offset += size
+    gram = design.T @ design
+    rhs = design.T @ yc
+    yty = float(yc @ yc)
+    ridge = 1e-8 * np.trace(gram) / p * np.eye(p)
+    lambdas = np.trace(gram) / max(np.trace(penalty), 1e-12) * np.logspace(-6.0, 6.0, n_lambdas)
+    best = None
+    for lam in lambdas:
+        try:
+            inv_chol = np.linalg.inv(np.linalg.cholesky(gram + lam * penalty + ridge))
+        except np.linalg.LinAlgError:
+            continue
+        beta = inv_chol.T @ (inv_chol @ rhs)
+        rss = max(yty - 2.0 * float(beta @ rhs) + float(beta @ (gram @ beta)), 0.0)
+        edf = float(np.sum((inv_chol @ gram) * inv_chol))
+        gcv = n * rss / max(n - edf, 1.0) ** 2
+        if best is None or gcv < best[0]:
+            best = (gcv, lam, beta, rss, edf)
+    _, lam, beta, rss, edf = best
+    return SmoothFit(fitted=y_mean + design @ beta, residual_var=float(rss / max(n - edf, 1.0)),
+                     edf=edf, lam=float(lam))
+
+
+def _features(case: str) -> np.ndarray:
+    rng = np.random.default_rng(10)
+    beta, lognormal = rng.beta(2.0, 5.0, 10_000), np.exp(rng.normal(0.0, 0.5, 10_000))
+    return {
+        "one": beta,
+        "two": np.column_stack([beta, lognormal]),
+        "constant_and_varying": np.column_stack([np.full(3000, 0.4), lognormal[:3000]]),
+        "all_constant": np.full(50, 0.4),
+        "tied": rng.integers(0, 6, 2000).astype(float),
+        "tied_and_varying": np.column_stack([rng.integers(0, 6, 2000).astype(float),
+                                             beta[:2000]]),
+    }[case]
+
+
+@pytest.mark.parametrize("case", ["one", "two", "constant_and_varying", "all_constant",
+                                  "tied", "tied_and_varying"])
+def test_in_place_design_equals_the_dense_one(case):
+    # Filling and centring each feature's slice of one design does the dense
+    # construction's arithmetic, so every output is bit for bit.
+    x = _features(case)
+    rows = x.reshape(x.shape[0], -1)
+    y = 3.0e4 * np.sin(3.0 * rows.sum(axis=1)) + np.random.default_rng(11).normal(0.0, 1.0e3, x.shape[0])
+    got, expected = fit_pspline(x, y), _dense_fit(x, y)
+    assert np.array_equal(got.fitted, expected.fitted)
+    assert (got.edf, got.lam, got.residual_var) == (expected.edf, expected.lam,
+                                                     expected.residual_var)
+
+
+def test_peak_memory_stays_near_the_design():
+    # The design is the one large array a fit needs; allocation sizes do not
+    # depend on timing, so the traced peak is the same on every run.
+    x = _features("two")
+    y = np.random.default_rng(12).normal(0.0, 1.0, x.shape[0])
+    design_bytes = x.shape[0] * (1 + sum(_basis_block(c, 20).shape[1] for c in x.T)) * 8
+    tracemalloc.start()
+    try:
+        fit_pspline(x, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * design_bytes
