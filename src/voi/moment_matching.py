@@ -127,10 +127,12 @@ def nested_summaries(datasets: Sequence[Dataset], prior: PriorSpec, fixed: Fixed
 
     The datasets run in chunks through :func:`voi.nmc.chunked_summaries`, the
     path every nested summary takes, so the result does not depend on the
-    number of cores.
+    number of cores.  Each dataset gets its own prior refill: the variance
+    target averages these datasets' posterior variances, and a refill shared
+    across them would put the same noise into every one.
     """
     return chunked_summaries(len(datasets), lambda indices: [datasets[j] for j in indices],
-                             prior, fixed, n_inner, seed, nb_fns)
+                             prior, fixed, n_inner, seed, nb_fns, shared_fill=False)
 
 
 _REGRESSION_FEATURES = {

@@ -76,7 +76,8 @@ class StudyDesign:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", StudyKind(self.kind))
-        if not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
+                or self.n < 0):
             raise ValueError("n must be a nonnegative integer")
         object.__setattr__(self, "n", int(self.n))
 

@@ -432,6 +432,18 @@ class TestExitCodes:
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_boolean_study_size_exits_one(self, command, case, tmp_path, capsys):
+        # JSON's true is a Python int; as a study size it would run one patient.
+        d = _small_config(case, out_dir=str(tmp_path / "res")).to_dict()
+        d["studies"][0]["n"] = True
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(d))
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: field 'studies[0]'") and "Traceback" not in err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("market", [
         {"kind": "threshold_linear", "saturation_at": 1.0, "target_treatment": 2},
         {"kind": "table", "target_treatment": 2},

@@ -11,7 +11,7 @@ from scipy.special import logit
 
 import voi.nmc as nmc
 from voi.market import CurrentShares, StepShare, ThresholdLinearShare
-from voi.model import NormalPrior, evpi
+from voi.model import NormalPrior, PriorSpec, evpi
 from voi.nmc import (
     PosteriorSummaries,
     _map_in_order,
@@ -232,12 +232,13 @@ class TestMapInOrder:
 
 
 def _chunk_by_chunk(design, priors, fixed, n_outer, n_inner, seed, chunk):
-    """The nested summaries as a plain loop over the chunks' own streams."""
+    """The nested summaries as a plain loop over the chunks' own streams,
+    each chunk sharing one prior refill, as in ``nmc_summaries``."""
     draws = priors.sample(substream(seed, "outer"), n_outer)
     datasets = [simulate_dataset(design, draws.item(s), child_seed(seed, "data", s))
                 for s in range(n_outer)]
     return _concat([posterior_summaries(datasets[start:start + chunk], priors, fixed, n_inner,
-                                        child_seed(seed, "post-chunk", start))
+                                        child_seed(seed, "post-chunk", start), shared_fill=True)
                     for start in range(0, n_outer, chunk)])
 
 
@@ -256,6 +257,91 @@ class TestParallelMatchesSerial:
         design, seed = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200), 27
         expected = _chunk_by_chunk(design, priors, fixed, 8, 150, seed, 3)
         assert_same_summaries(nmc_summaries(design, priors, fixed, 8, 150, seed), expected)
+
+
+# Each study kind with the one parameter its posterior draws.
+INFORMED = [(StudyKind.SIDE_EFFECTS, 60, "p_side_effect"),
+            (StudyKind.QUALITY_OF_LIFE, 60, "qol_after_event"),
+            (StudyKind.EFFECTIVENESS_RCT, 200, "odds_ratio")]
+FIELDS = ("p_event", "odds_ratio", "p_side_effect", "qol_after_event")
+
+
+class TestSharedFill:
+    """The nested estimator's chunks share each inner row's prior refill;
+    moment matching's datasets each keep their own."""
+
+    @staticmethod
+    def _datasets(priors, kind, n, m):
+        draws = priors.sample(substream(60, "outer"), m)
+        return [simulate_dataset(StudyDesign(kind, n), draws.item(s), child_seed(60, "data", s))
+                for s in range(m)]
+
+    @staticmethod
+    def _recording(blocks):
+        """Net-benefit functions that keep every block's parameters, as (k, m) arrays."""
+        standard, novel = DEFAULT_NB_FUNCTIONS
+
+        def recording(draw, fixed_params):
+            values = np.broadcast_arrays(*(getattr(draw, f) for f in FIELDS))
+            blocks.append(dict(zip(FIELDS, (np.array(v) for v in values))))
+            return standard(draw, fixed_params)
+
+        return recording, novel
+
+    @pytest.mark.parametrize("kind,n", [(kind, n) for kind, n, _ in INFORMED])
+    def test_one_dataset_is_the_same_under_either_fill(self, priors, fixed, kind, n):
+        # Three blocks, the last one short.
+        ds = self._datasets(priors, kind, n, 1)
+        n_draws = 2 * nmc.BLOCK_ELEMENTS + 7
+        assert_same_summaries(
+            posterior_summaries(ds, priors, fixed, n_draws, 61, shared_fill=True),
+            posterior_summaries(ds, priors, fixed, n_draws, 61))
+
+    @pytest.mark.parametrize("kind,n,field", INFORMED)
+    def test_chunk_datasets_share_the_uninformed_columns(self, priors, fixed, kind, n, field,
+                                                         monkeypatch):
+        monkeypatch.setattr(nmc, "CHUNK_SIZE", 3)
+        blocks = []
+        nmc_summaries(StudyDesign(kind, n), priors, fixed, 6, 150, 62,
+                      nb_fns=self._recording(blocks))
+        assert blocks
+        for block in blocks:
+            assert block[field].shape[1] == 3
+            # Every dataset its own posterior draws, every row one refill.
+            assert np.all(np.diff(np.sort(block[field], axis=1), axis=1) != 0.0)
+            for name in set(FIELDS) - {field}:
+                assert np.all(block[name] == block[name][:, :1]), name
+
+    @pytest.mark.parametrize("kind,n,field", INFORMED)
+    def test_moment_matching_datasets_keep_their_own_columns(self, priors, fixed, kind, n,
+                                                             field):
+        from voi.moment_matching import nested_summaries
+
+        blocks = []
+        nested_summaries(self._datasets(priors, kind, n, 5), priors, fixed, 150, 63,
+                         nb_fns=self._recording(blocks))
+        assert blocks
+        for block in blocks:
+            for name in FIELDS:
+                assert block[name].shape[1] == 5
+                assert np.all(np.diff(np.sort(block[name], axis=1), axis=1) != 0.0), name
+
+    def test_nmc_refills_one_row_per_inner_draw_per_chunk(self, priors, fixed, monkeypatch):
+        # Ten datasets in chunks of four, four and two draw 3 x 150 refill
+        # rows of one column each, not 10 x 150 values.
+        monkeypatch.setattr(nmc, "CHUNK_SIZE", 4)
+        real = PriorSpec.sample
+        refills = []
+
+        def counting(self, rng, size, given=None):
+            if given is not None:
+                refills.append(size)
+            return real(self, rng, size, given)
+
+        monkeypatch.setattr(PriorSpec, "sample", counting)
+        nmc_summaries(StudyDesign(StudyKind.SIDE_EFFECTS, 60), priors, fixed, 10, 150, 64)
+        assert {cols for _, cols in refills} == {1}
+        assert sum(rows for rows, _ in refills) == 3 * 150
 
 
 def _repeating_trials(m: int) -> list[Dataset]:
@@ -286,7 +372,7 @@ class TestGridMemo:
         results = []
         for prior in (priors, vague, priors):
             got = nmc.chunked_summaries(len(datasets), lambda idx: [datasets[j] for j in idx],
-                                        prior, fixed, 150, 32)
+                                        prior, fixed, 150, 32, shared_fill=False)
             expected = _concat([posterior_summaries(datasets[start:start + 3], prior, fixed, 150,
                                                     child_seed(32, "post-chunk", start))
                                 for start in range(0, len(datasets), 3)])

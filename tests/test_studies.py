@@ -96,6 +96,8 @@ class TestSimulateDataset:
             StudyDesign(StudyKind.SIDE_EFFECTS, -1)
         with pytest.raises(ValueError):
             StudyDesign(StudyKind.SIDE_EFFECTS, 1.5)
+        with pytest.raises(ValueError):
+            StudyDesign(StudyKind.SIDE_EFFECTS, True)
 
 
 class TestSideEffectPosterior:
