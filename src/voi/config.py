@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
@@ -319,7 +320,14 @@ def _known_keys(node: dict, field: str, known) -> None:
 def _number(field: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(field, "must be a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    # Checked here, before a constructor's range check can blame the whole object.
+    if not math.isfinite(number):
+        raise ConfigError(field, "must be finite")
+    return number
 
 
 def _plain(value):

@@ -103,9 +103,10 @@ class TableShare:
             raise ValueError("need at least two breakpoints")
         ps = np.array([p for p, _ in pts])
         ss = np.array([s for _, s in pts])
-        if np.any(ps < 0.0) or np.any(ps > 1.0) or np.any(np.diff(ps) <= 0.0):
+        # Bounds on the minimum and maximum, which NaN fails.
+        if not (ps.min() >= 0.0 and ps.max() <= 1.0 and np.diff(ps).min() > 0.0):
             raise ValueError("breakpoint probabilities must be strictly increasing within [0, 1]")
-        if np.any(ss < 0.0) or np.any(ss > 1.0) or np.any(np.diff(ss) < 0.0):
+        if not (ss.min() >= 0.0 and ss.max() <= 1.0 and np.diff(ss).min() >= 0.0):
             raise ValueError("breakpoint shares must be nondecreasing within [0, 1]")
 
     def target_share(self, p):
@@ -133,7 +134,7 @@ class CurrentShares:
         arr = np.array(shares)
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("need one share per treatment, at least two treatments")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError("shares must lie in [0, 1]")
         if abs(arr.sum() - 1.0) > 1e-9:
             raise ValueError("shares must sum to 1")
@@ -149,7 +150,7 @@ def market_share(fn: MarketShareFunction, p) -> np.ndarray:
     other one the complement.  Components always sum to exactly 1.
     """
     p = np.asarray(p, dtype=float)
-    if np.any(p < 0.0) or np.any(p > 1.0):
+    if p.size and not (p.min() >= 0.0 and p.max() <= 1.0):
         raise ValueError("probabilities must lie in [0, 1]")
     s = np.asarray(fn.target_share(p))
     if fn.target not in (0, 1):

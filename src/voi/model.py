@@ -11,7 +11,8 @@ on average.  The side effect removes a fixed number of QALYs.
 
 Net benefit is measured in money at a fixed willingness to pay per QALY.  Both
 net-benefit functions are pure and broadcast over numpy arrays, so a single
-call evaluates a whole probabilistic sensitivity analysis (PSA) sample.
+call evaluates a whole probabilistic sensitivity analysis (PSA) sample; each
+term is only as wide as the draws it reads, so shared ``(k, 1)`` columns stay narrow.
 """
 
 from __future__ import annotations
@@ -260,16 +261,19 @@ class ParameterDraw:
         )
 
 
+def _event_loss(qol_after_event, fixed: FixedParams):
+    """Money lost to one event: ``wtp * life_years * (1 - qol) / 2 + event_cost``."""
+    return (0.5 * fixed.wtp * fixed.life_years) * (1.0 - qol_after_event) + fixed.event_cost
+
+
 def net_benefit_standard(draw: ParameterDraw, fixed: FixedParams):
     """Monetary net benefit of the standard of care.
 
     QALYs: an event patient gets ``life_years * (1 + qol) / 2`` (linear decline
     to ``qol``), everyone else gets full ``life_years``.  Costs: treating the
-    event.  Broadcasts over array-valued draws.
+    event.  Collected: full health less ``p_event`` times the event's loss.
     """
-    event_qalys = fixed.life_years * (1.0 + draw.qol_after_event) / 2.0
-    qalys = draw.p_event * event_qalys + (1.0 - draw.p_event) * fixed.life_years
-    return fixed.wtp * qalys - draw.p_event * fixed.event_cost
+    return fixed.wtp * fixed.life_years - draw.p_event * _event_loss(draw.qol_after_event, fixed)
 
 
 def net_benefit_novel(draw: ParameterDraw, fixed: FixedParams):
@@ -277,19 +281,14 @@ def net_benefit_novel(draw: ParameterDraw, fixed: FixedParams):
 
     Averages QALYs over the four event-by-side-effect outcomes at the treated
     event probability, and charges the treatment cost plus expected event and
-    side-effect management costs.
+    side-effect management costs.  Collected: full health less the treatment
+    cost, ``p_event_treated`` times the event's loss and ``p_side_effect``
+    times the side effect's, ``wtp * side_effect_qol_loss + side_effect_cost``.
     """
-    pt = draw.p_event_treated
-    ps = draw.p_side_effect
-    event_qalys = fixed.life_years * (1.0 + draw.qol_after_event) / 2.0
-    qalys = (
-        pt * ps * (event_qalys - fixed.side_effect_qol_loss)
-        + pt * (1.0 - ps) * event_qalys
-        + (1.0 - pt) * ps * (fixed.life_years - fixed.side_effect_qol_loss)
-        + (1.0 - pt) * (1.0 - ps) * fixed.life_years
-    )
-    costs = fixed.treatment_cost + pt * fixed.event_cost + ps * fixed.side_effect_cost
-    return fixed.wtp * qalys - costs
+    side_effect_loss = fixed.wtp * fixed.side_effect_qol_loss + fixed.side_effect_cost
+    return (fixed.wtp * fixed.life_years - fixed.treatment_cost
+            - draw.p_event_treated * _event_loss(draw.qol_after_event, fixed)
+            - draw.p_side_effect * side_effect_loss)
 
 
 DEFAULT_NB_FUNCTIONS = (net_benefit_standard, net_benefit_novel)

@@ -358,6 +358,14 @@ class TestExitCodes:
                 assert cli.main([command, "--config", str(path)]) == 1, (name, command)
                 assert capsys.readouterr().err.startswith("config error: "), (name, command)
 
+    def test_integer_beyond_the_float_range_exits_one(self, case, tmp_path, capsys):
+        d = case.to_dict()
+        d["model"]["fixed"]["wtp"] = 10 ** 400
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(d))
+        assert cli.main(["validate", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: field 'model.fixed.wtp'")
+
     def test_fit_failure_exits_two(self, small_config_path, monkeypatch):
         def boom(*args, **kwargs):
             raise FitError("no convergence")

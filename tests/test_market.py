@@ -51,6 +51,13 @@ class TestThresholdLinear:
         with pytest.raises(ValueError):
             market_share(LINEAR, -0.01)
 
+    def test_nan_probability_rejected(self, current_shares):
+        p = np.array([0.7, np.nan, 0.9])
+        with pytest.raises(ValueError, match="probabilities"):
+            market_share(LINEAR, p)
+        with pytest.raises(ValueError, match="probabilities"):
+            assemble_evsi_im(np.ones(3), p, LINEAR, current_shares)
+
 
 class TestTableShare:
     fn = TableShare(points=((0.0, 0.0), (0.5, 0.1), (1.0, 0.9)), target=1)
@@ -69,6 +76,16 @@ class TestTableShare:
             TableShare(points=((0.5, 0.1), (0.5, 0.2)), target=1)
         with pytest.raises(ValueError):
             TableShare(points=((0.0, 0.5), (1.0, 0.1)), target=1)
+
+    @pytest.mark.parametrize("points,match", [
+        (((0.0, 0.0), (np.nan, 0.5), (1.0, 1.0)), "probabilities"),
+        (((np.nan, 0.0), (1.0, 1.0)), "probabilities"),
+        (((0.0, 0.0), (0.5, np.nan), (1.0, 1.0)), "shares"),
+        (((0.0, 0.0), (1.0, np.nan)), "shares"),
+    ])
+    def test_nan_breakpoint_rejected(self, points, match):
+        with pytest.raises(ValueError, match=match):
+            TableShare(points=points, target=1)
 
 
 class TestStepShare:
@@ -123,6 +140,11 @@ class TestCurrentShares:
             CurrentShares((1.2, -0.2))
         with pytest.raises(ValueError):
             CurrentShares((1.0,))
+
+    @pytest.mark.parametrize("shares", [(np.nan, np.nan), (np.nan, 1.0), (0.0, np.nan)])
+    def test_nan_rejected(self, shares):
+        with pytest.raises(ValueError, match="shares"):
+            CurrentShares(shares)
 
     def test_as_array(self):
         np.testing.assert_allclose(CurrentShares((0.25, 0.75)).as_array(), [0.25, 0.75])

@@ -39,6 +39,33 @@ NB_STANDARD_AT_MEANS = 2_159_334.375
 NB_NOVEL_AT_MEANS = 2_164_654.75
 
 
+def tree_standard(draw, fixed):
+    """The standard arm as an event tree: QALYs over event and no event, then
+    costs.  The reference for the factored ``net_benefit_standard``."""
+    event_qalys = fixed.life_years * (1.0 + draw.qol_after_event) / 2.0
+    qalys = draw.p_event * event_qalys + (1.0 - draw.p_event) * fixed.life_years
+    return fixed.wtp * qalys - draw.p_event * fixed.event_cost
+
+
+def tree_novel(draw, fixed):
+    """The novel arm as the paper's four-outcome tree (event x side effect).
+    The reference for the factored ``net_benefit_novel``."""
+    pt = draw.p_event_treated
+    ps = draw.p_side_effect
+    event_qalys = fixed.life_years * (1.0 + draw.qol_after_event) / 2.0
+    qalys = (
+        pt * ps * (event_qalys - fixed.side_effect_qol_loss)
+        + pt * (1.0 - ps) * event_qalys
+        + (1.0 - pt) * ps * (fixed.life_years - fixed.side_effect_qol_loss)
+        + (1.0 - pt) * (1.0 - ps) * fixed.life_years
+    )
+    costs = fixed.treatment_cost + pt * fixed.event_cost + ps * fixed.side_effect_cost
+    return fixed.wtp * qalys - costs
+
+
+TREE_NB_FUNCTIONS = (tree_standard, tree_novel)
+
+
 class TestDerivePt:
     def test_null_odds_ratio_is_identity(self):
         assert derive_pt(0.15, 1.0) == pytest.approx(0.15, abs=1e-15)
@@ -143,6 +170,61 @@ class TestNetBenefits:
         )
         nb = net_benefit_novel(draw, fixed)
         assert nb.shape == (2,)
+
+
+# Far from the case study: one life year, a fortune per QALY, costs from a
+# thousandth to a billion, and a side effect that costs more QALYs than a life.
+EXTREME_FIXED = FixedParams(life_years=1.0, event_cost=1e-3, treatment_cost=1e9,
+                            side_effect_cost=1e9, side_effect_qol_loss=50.0, wtp=1e7)
+
+
+def _draws_across_the_domain(n: int, seed: int) -> ParameterDraw:
+    """Draws over the whole of each parameter's domain, edges included: each
+    probability uniform on half the draws and log-uniform from 1e-12 towards
+    either bound on the rest, and a log odds ratio uniform on (-30, 30)."""
+    rng = np.random.default_rng(seed)
+
+    def probability():
+        edge = 10.0 ** rng.uniform(-12.0, 0.0, n)
+        near_one = rng.random(n) < 0.5
+        edge[near_one] = 1.0 - edge[near_one]
+        p = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 1.0, n), edge)
+        return np.clip(p, 1e-12, 1.0 - 1e-12)
+
+    return ParameterDraw.from_primitives(p_event=probability(),
+                                         odds_ratio=np.exp(rng.uniform(-30.0, 30.0, n)),
+                                         p_side_effect=probability(),
+                                         qol_after_event=probability())
+
+
+class TestFactoredMatchesTree:
+    """The factored net benefits are the four-outcome tree, to rounding."""
+
+    @pytest.mark.parametrize("which", ["case", "extreme"])
+    @pytest.mark.parametrize("factored,tree", [(net_benefit_standard, tree_standard),
+                                               (net_benefit_novel, tree_novel)],
+                             ids=["standard", "novel"])
+    def test_agrees_with_the_tree(self, fixed, which, factored, tree):
+        fixed = fixed if which == "case" else EXTREME_FIXED
+        draw = _draws_across_the_domain(120_000, 11)
+        # Rounding is relative to the largest term either form adds up.
+        largest = (fixed.wtp * max(fixed.life_years, fixed.side_effect_qol_loss)
+                   + fixed.treatment_cost + fixed.event_cost + fixed.side_effect_cost)
+        np.testing.assert_allclose(factored(draw, fixed), tree(draw, fixed),
+                                   rtol=1e-12, atol=1e-12 * largest)
+
+    @pytest.mark.parametrize("informed,standard_cols", [("p_side_effect", 1),
+                                                         ("qol_after_event", 5),
+                                                         ("odds_ratio", 1)])
+    def test_shared_columns_stay_narrow(self, fixed, informed, standard_cols):
+        # A batch of 5 datasets sharing (k, 1) refill columns, with the
+        # informed parameter drawn per dataset.
+        rng = np.random.default_rng(12)
+        values = {name: np.full((7, 1), value) for name, value in PRIMITIVES.items()}
+        values[informed] = rng.uniform(0.2, 0.8, (7, 5))
+        draw = ParameterDraw.from_primitives(**values)
+        assert np.shape(net_benefit_standard(draw, fixed)) == (7, standard_cols)
+        assert np.shape(net_benefit_novel(draw, fixed)) == (7, 5)
 
 
 class TestPriors:

@@ -31,6 +31,8 @@ from voi.studies import (
     study_posterior,
 )
 
+from test_model import TREE_NB_FUNCTIONS
+
 
 @pytest.fixture(scope="module")
 def small_summaries(priors, fixed):
@@ -479,6 +481,34 @@ class TestBlockFold:
         fns = (frozen("p_event"), frozen("p_side_effect"))
         assert_same_summaries(posterior_summaries(datasets, priors, fixed, 5000, 42, fns),
                               _stacked_summaries(datasets, priors, fixed, 5000, 42, fns))
+
+
+class TestFactoredNetBenefitInTheEngine:
+    """Summaries from the factored net benefits are those of the four-outcome
+    tree, to rounding, under either fill."""
+
+    @staticmethod
+    def _assert_close(got, tree):
+        # inb to a couple of ulps of a 2e6 net benefit; wins are counted on
+        # the same draws, and no draw sits within rounding of a tie.
+        np.testing.assert_allclose(got.inb, tree.inb, rtol=0.0, atol=1e-9)
+        assert np.array_equal(got.p, tree.p)
+        np.testing.assert_allclose(got.nb_var, tree.nb_var, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [3, 2026])
+    @pytest.mark.parametrize("kind,n", [(kind, n) for kind, n, _ in INFORMED])
+    def test_nested_summaries(self, priors, fixed, kind, n, seed):
+        design = StudyDesign(kind, n)
+        self._assert_close(nmc_summaries(design, priors, fixed, 70, 3000, seed),
+                           nmc_summaries(design, priors, fixed, 70, 3000, seed, TREE_NB_FUNCTIONS))
+
+    @pytest.mark.parametrize("seed", [4, 2027])
+    @pytest.mark.parametrize("kind,n", [(kind, n) for kind, n, _ in INFORMED])
+    def test_per_dataset_fill(self, priors, fixed, kind, n, seed):
+        datasets = TestSharedFill._datasets(priors, kind, n, 6)
+        self._assert_close(posterior_summaries(datasets, priors, fixed, 5000, seed),
+                           posterior_summaries(datasets, priors, fixed, 5000, seed,
+                                               TREE_NB_FUNCTIONS))
 
 
 class TestNmcEvsiIm:
