@@ -1,16 +1,16 @@
 """Command-line interface.
 
-Three subcommands:
+Two subcommands:
 
 * ``voi run --config cfg.json [--method nmc|mm|both] [--seed N] [--out DIR]``
   estimates the value of every configured study and writes ``results.csv``
   (plus ``by_n_study<k>.csv`` per study when the config has an ``n_grid``).
+  Whenever moment matching runs it also writes, per study, the fitted
+  probability trend ``trend_study<k>.csv`` (512 grid rows) and the
+  incremental net benefit sample ``inb_density_study<k>.csv``.
   It prints each estimate, then the prior sample's summary: every
   treatment's expected net benefit and probability of being best, the EVPI
   and the value of the market as it stands.
-* ``voi trend --config cfg.json --study K [--seed N] [--out DIR]`` writes the
-  fitted probability trend ``trend_study<k>.csv`` (512 grid rows) and the
-  incremental net benefit sample ``inb_density_study<k>.csv``.
 * ``voi validate --config cfg.json`` parses and checks the configuration.
 
 Exit codes: 0 on success, 1 for configuration problems, 2 when estimation
@@ -32,14 +32,14 @@ from typing import Sequence
 import numpy as np
 
 from .config import METHODS, ConfigError, RunConfig
-from .curves import FitError, LogisticFit
+from .curves import FitError
 from .market import current_decision_value
 from .model import PsaSample, evpi, expected_nb, prob_cost_effective, sample_prior
 from .moment_matching import MomentMatchingResult, mm_by_n_pipeline, mm_pipeline
 from .nmc import nmc_evsi, nmc_evsi_im, nmc_summaries
 from .rng import child_seed
 
-__all__ = ["ResultRow", "ResultTable", "run_config", "emit_trend_curve", "main"]
+__all__ = ["ResultRow", "ResultTable", "run_config", "main"]
 
 TREND_GRID_POINTS = 512
 
@@ -59,14 +59,6 @@ class ResultTable:
     rows: tuple[ResultRow, ...]
     config_hash: str
     seed: int
-
-    def to_csv(self, path: Path) -> None:
-        lines = [f"# config={self.config_hash} seed={self.seed}",
-                 "study,method,evsi,evsi_im,std_error,seconds"]
-        for r in self.rows:
-            lines.append(f"{r.study},{r.method},{r.evsi!r},{r.evsi_im!r},"
-                         f"{r.std_error!r},{r.seconds:.3f}")
-        path.write_text("\n".join(lines) + "\n")
 
 
 def _psa(config: RunConfig) -> PsaSample:
@@ -117,56 +109,58 @@ def run_config(config: RunConfig, psa: PsaSample | None = None):
     return table, mm_results, scans
 
 
-def emit_trend_curve(fit: LogisticFit, inb_samples: np.ndarray, curve_path: Path,
-                     density_path: Path, meta: str) -> None:
-    """Write the fitted probability trend and the incremental benefit sample.
+def _write_csv(path: Path, table: ResultTable, header: str, columns,
+               study: int | None = None) -> None:
+    """One output file: a ``#`` line with the config hash and seed, the column
+    names, then one line per row of ``columns``.
 
-    The curve file holds ``TREND_GRID_POINTS`` rows over a strictly increasing
-    grid spanning the sample range; the density file holds the sample itself.
+    A column of floats is written with ``repr``, so it reads back exactly;
+    any other column with ``str``.
     """
-    inb = np.asarray(inb_samples, dtype=float)
-    lo, hi = float(inb.min()), float(inb.max())
-    if not hi > lo:
-        hi = lo + 1.0
-    grid = np.linspace(lo, hi, TREND_GRID_POINTS)
-    probs = np.asarray(fit.predict(grid))
-    lines = [f"# {meta}", "inb,probability"]
-    lines += [f"{float(x)!r},{float(p)!r}" for x, p in zip(grid, probs)]
-    curve_path.write_text("\n".join(lines) + "\n")
-    lines = [f"# {meta}", "inb"]
-    lines += [f"{float(x)!r}" for x in inb]
-    density_path.write_text("\n".join(lines) + "\n")
+    meta = f"# config={table.config_hash} seed={table.seed}"
+    if study is not None:
+        meta += f" study={study}"
+    cells = [map(repr, map(float, c)) if isinstance(c[0], float) else map(str, c)
+             for c in columns]
+    path.write_text("\n".join([meta, header, *map(",".join, zip(*cells))]) + "\n")
 
 
-def _write_outputs(config: RunConfig, table: ResultTable, scans: dict) -> Path:
+def _write_outputs(config: RunConfig, table: ResultTable,
+                   mm_results: dict[int, MomentMatchingResult], scans: dict) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    table.to_csv(out / "results.csv")
+    _write_csv(out / "results.csv", table, "study,method,evsi,evsi_im,std_error,seconds",
+               zip(*[(r.study, r.method, r.evsi, r.evsi_im, r.std_error, f"{r.seconds:.3f}")
+                     for r in table.rows]))
     for k, scan in scans.items():
-        lines = [f"# config={table.config_hash} seed={config.seed} study={k}",
-                 "n,evsi_im,std_error"]
-        for n, est in zip(scan.sizes, scan.estimates):
-            lines.append(f"{n},{est.value!r},{est.std_error!r}")
-        (out / f"by_n_study{k}.csv").write_text("\n".join(lines) + "\n")
+        _write_csv(out / f"by_n_study{k}.csv", table, "n,evsi_im,std_error",
+                   [scan.sizes, [est.value for est in scan.estimates],
+                    [est.std_error for est in scan.estimates]], study=k)
+    for k, result in mm_results.items():
+        # The fitted trend on a strictly increasing grid spanning the
+        # incremental net benefit sample, then the sample itself.
+        lo, hi = float(result.inb.min()), float(result.inb.max())
+        grid = np.linspace(lo, hi if hi > lo else lo + 1.0, TREND_GRID_POINTS)
+        probs = np.asarray(result.logistic.predict(grid), dtype=float)
+        _write_csv(out / f"trend_study{k}.csv", table, "inb,probability",
+                   [grid.tolist(), probs.tolist()], study=k)
+        _write_csv(out / f"inb_density_study{k}.csv", table, "inb",
+                   [result.inb.tolist()], study=k)
     return out
 
 
-def _load_config(args) -> RunConfig:
-    """The config file with whichever of --method, --seed and --out the command gives."""
-    config = RunConfig.from_file(args.config)
-    overrides = {"method": getattr(args, "method", None), "seed": args.seed,
-                 "out_dir": args.out or None}
-    overrides = {k: v for k, v in overrides.items() if v is not None}
-    return config.override(**overrides) if overrides else config
-
-
 def _cmd_run(args) -> int:
-    config = _load_config(args)
+    # The config file with whichever of --method, --seed and --out is given.
+    config = RunConfig.from_file(args.config)
+    overrides = {"method": args.method, "seed": args.seed, "out_dir": args.out or None}
+    overrides = {k: v for k, v in overrides.items() if v is not None}
+    if overrides:
+        config = config.override(**overrides)
     psa = _psa(config)
     value_now = current_decision_value(psa, config.current_shares)
     means, probs, value_perfect = expected_nb(psa), prob_cost_effective(psa), evpi(psa)
-    table, _, scans = run_config(config, psa)
-    out = _write_outputs(config, table, scans)
+    table, mm_results, scans = run_config(config, psa)
+    out = _write_outputs(config, table, mm_results, scans)
     for row in table.rows:
         print(f"study {row.study} [{row.method}] evsi={row.evsi:,.1f} "
               f"evsi_im={row.evsi_im:,.1f} se={row.std_error:,.1f} "
@@ -177,26 +171,6 @@ def _cmd_run(args) -> int:
     print(f"  EVPI = {value_perfect:,.0f}")
     print(f"  current decision value = {value_now:,.0f}")
     print(f"wrote {out / 'results.csv'}")
-    return 0
-
-
-def _cmd_trend(args) -> int:
-    config = _load_config(args)
-    k = args.study
-    if not 1 <= k <= len(config.studies):
-        raise ConfigError("study", f"must be between 1 and {len(config.studies)}")
-    psa = _psa(config)
-    result = mm_pipeline(psa, config.priors, config.fixed, config.studies[k - 1],
-                         config.market, config.current_shares,
-                         config.quantile_sets, config.posterior_draws,
-                         child_seed(config.seed, "mm", k))
-    out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    meta = f"config={config.config_hash()} seed={config.seed} study={k}"
-    emit_trend_curve(result.logistic, result.inb,
-                     out / f"trend_study{k}.csv",
-                     out / f"inb_density_study{k}.csv", meta)
-    print(f"wrote {out / f'trend_study{k}.csv'} and {out / f'inb_density_study{k}.csv'}")
     return 0
 
 
@@ -223,13 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int)
     run.add_argument("--out")
     run.set_defaults(fn=_cmd_run)
-
-    trend = sub.add_parser("trend", help="emit the fitted probability trend for one study")
-    trend.add_argument("--config", required=True)
-    trend.add_argument("--study", type=int, required=True)
-    trend.add_argument("--seed", type=int)
-    trend.add_argument("--out")
-    trend.set_defaults(fn=_cmd_trend)
 
     validate = sub.add_parser("validate", help="check a configuration file")
     validate.add_argument("--config", required=True)

@@ -58,7 +58,7 @@ from .market import (
     ThresholdLinearShare,
 )
 from .model import DEFAULT_NB_FUNCTIONS, BetaPrior, FixedParams, NormalPrior, PriorSpec
-from .studies import StudyDesign, StudyKind
+from .studies import MAX_STUDY_SIZE, StudyDesign, StudyKind
 
 __all__ = ["METHODS", "ConfigError", "RunConfig"]
 
@@ -107,8 +107,8 @@ class RunConfig:
         if not self.studies:
             raise ConfigError("studies", "must list at least one study")
         if self.n_grid is not None:
-            if any(n < 1 for n in self.n_grid):
-                raise ConfigError("n_grid", "sizes must be at least 1")
+            if any(not 1 <= n <= MAX_STUDY_SIZE for n in self.n_grid):
+                raise ConfigError("n_grid", "sizes must be integers from 1 to 2**53")
             object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         if not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigError("seed", "must be a non-negative integer")

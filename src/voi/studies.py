@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from operator import attrgetter
 from typing import ClassVar, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from .rng import substream
 __all__ = [
     "StudyKind",
     "StudyDesign",
+    "MAX_STUDY_SIZE",
     "Dataset",
     "LOGIT_RESPONSE_VARIANCE",
     "BLOCK_ELEMENTS",
@@ -55,6 +57,10 @@ __all__ = [
 
 # Known variance of one survey response on the logit scale.
 LOGIT_RESPONSE_VARIANCE = 2.0
+
+# The largest study size: the engine and the by-n scan hold sizes as float64,
+# which is exact for every integer up to 2**53.
+MAX_STUDY_SIZE = 2**53
 
 
 class StudyKind(str, Enum):
@@ -77,8 +83,8 @@ class StudyDesign:
     def __post_init__(self) -> None:
         object.__setattr__(self, "kind", StudyKind(self.kind))
         if (isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer))
-                or self.n < 0):
-            raise ValueError("n must be a nonnegative integer")
+                or not 0 <= self.n <= MAX_STUDY_SIZE):
+            raise ValueError("n must be an integer from 0 to 2**53")
         object.__setattr__(self, "n", int(self.n))
 
     def with_n(self, n: int) -> "StudyDesign":
@@ -90,7 +96,6 @@ class Dataset:
     """A simulated dataset, reduced to its sufficient statistics."""
 
     design: StudyDesign
-    n_effective: int
     events: int | None = None          # side-effects count
     logit_total: float | None = None   # quality survey: sum of logit responses
     control_events: int | None = None  # trial: events under standard of care
@@ -103,14 +108,14 @@ def simulate_dataset(design: StudyDesign, draw: ParameterDraw, seed: int) -> Dat
     n = design.n
     if design.kind is StudyKind.SIDE_EFFECTS:
         x = int(rng.binomial(n, draw.p_side_effect)) if n > 0 else 0
-        return Dataset(design=design, n_effective=n, events=x)
+        return Dataset(design=design, events=x)
     if design.kind is StudyKind.QUALITY_OF_LIFE:
         center = logit(draw.qol_after_event)
         total = float(rng.normal(center, math.sqrt(LOGIT_RESPONSE_VARIANCE), n).sum())
-        return Dataset(design=design, n_effective=n, logit_total=total)
+        return Dataset(design=design, logit_total=total)
     xc = int(rng.binomial(n, draw.p_event)) if n > 0 else 0
     xt = int(rng.binomial(n, draw.p_event_treated)) if n > 0 else 0
-    return Dataset(design=design, n_effective=n, control_events=xc, treated_events=xt)
+    return Dataset(design=design, control_events=xc, treated_events=xt)
 
 
 def _require_kind(dataset: Dataset, kind: StudyKind) -> None:
@@ -124,7 +129,7 @@ def _statistics(datasets: Sequence[Dataset], kind: StudyKind, *names: str) -> li
         raise ValueError("need at least one dataset")
     for ds in datasets:
         _require_kind(ds, kind)
-    return [np.array([getattr(ds, name) for ds in datasets], dtype=float) for name in names]
+    return [np.array(list(map(attrgetter(name), datasets)), dtype=float) for name in names]
 
 
 @dataclass(frozen=True)
@@ -142,7 +147,7 @@ class SideEffectPosterior:
 
 def side_effect_posterior(datasets: Sequence[Dataset], prior: PriorSpec) -> SideEffectPosterior:
     """Conjugate posteriors for a batch of safety studies."""
-    x, n = _statistics(datasets, StudyKind.SIDE_EFFECTS, "events", "n_effective")
+    x, n = _statistics(datasets, StudyKind.SIDE_EFFECTS, "events", "design.n")
     return SideEffectPosterior(a=prior.p_side_effect.alpha + x,
                                b=prior.p_side_effect.beta + (n - x))
 
@@ -181,7 +186,7 @@ class QualityPosterior:
 
 def quality_posterior(datasets: Sequence[Dataset], prior: PriorSpec) -> QualityPosterior:
     """Conjugate posteriors for a batch of quality-of-life surveys."""
-    total, n = _statistics(datasets, StudyKind.QUALITY_OF_LIFE, "logit_total", "n_effective")
+    total, n = _statistics(datasets, StudyKind.QUALITY_OF_LIFE, "logit_total", "design.n")
     mean, var = quality_posterior_moments(n, total, prior)
     return QualityPosterior(mean=mean, sd=np.sqrt(var))
 
@@ -424,7 +429,7 @@ def rct_marginal_grid(datasets: Sequence[Dataset], prior: PriorSpec,
     the same with or without the memo.
     """
     stats = _statistics(datasets, StudyKind.EFFECTIVENESS_RCT,
-                        "control_events", "treated_events", "n_effective")
+                        "control_events", "treated_events", "design.n")
     keys = list(zip(*(column.tolist() for column in stats)))
     memo = {} if grid_memo is None else grid_memo
     new = list(dict.fromkeys(key for key in keys if key not in memo))

@@ -165,7 +165,7 @@ def _engine_draws(case, ds: Dataset, n_draws: int, seed: int):
 
 def test_criterion_6_conjugate_side_effects(case):
     design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
-    ds = Dataset(design=design, n_effective=60, events=15)
+    ds = Dataset(design=design, events=15)
     p = _engine_draws(case, ds, 10_000, child_seed(SEED, "c6-se"))("p_side_effect")
     ref = stats.beta(18, 54)
     se = ref.std() / math.sqrt(10_000)
@@ -176,7 +176,7 @@ def test_criterion_6_conjugate_side_effects(case):
 
 def test_criterion_6_conjugate_quality(case):
     design = StudyDesign(StudyKind.QUALITY_OF_LIFE, 100)
-    ds = Dataset(design=design, n_effective=100, logit_total=55.0)
+    ds = Dataset(design=design, logit_total=55.0)
     z = logit(_engine_draws(case, ds, 10_000, child_seed(SEED, "c6-q"))("qol_after_event"))
     mean = (6.0 * 0.6 + 55.0 / 2.0) / 56.0
     se = math.sqrt(1.0 / 56.0 / 10_000)
@@ -192,7 +192,7 @@ def _control_rate_given_g(ds: Dataset, g: np.ndarray, priors) -> np.ndarray:
     trial's marginal reaches, with negligible mass at either end.
     """
     l = np.linspace(-12.0, 6.0, 3601)
-    n = float(ds.n_effective)
+    n = float(ds.design.n)
     out = np.empty_like(g)
     for s in range(0, len(g), 500):
         lp = studies._rct_log_post(l, g[s:s + 500, None], float(ds.control_events), n,
@@ -218,7 +218,7 @@ def _grid_posterior_means(ds: Dataset, priors, n_nodes: int = 200) -> tuple[floa
     g_lo, g_hi = stats.norm.ppf(q, priors.log_odds_ratio.mean, priors.log_odds_ratio.sd)
     L, G = np.meshgrid(np.linspace(logit(p_lo), logit(p_hi), n_nodes),
                        np.linspace(g_lo, g_hi, n_nodes), indexing="ij")
-    n = float(ds.n_effective)
+    n = float(ds.design.n)
     log_post = studies._rct_log_post(L, G, float(ds.control_events), n,
                                      float(ds.treated_events), n, priors)
     w = np.exp(log_post - log_post.max())
@@ -229,8 +229,7 @@ def _grid_posterior_means(ds: Dataset, priors, n_nodes: int = 200) -> tuple[floa
 @pytest.mark.parametrize("x_control,x_treat", [(30, 9), (45, 20), (18, 3)])
 def test_criterion_6_trial_sampler_vs_grid(case, x_control, x_treat):
     design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200)
-    ds = Dataset(design=design, n_effective=200,
-                 control_events=x_control, treated_events=x_treat)
+    ds = Dataset(design=design, control_events=x_control, treated_events=x_treat)
     # The estimators' own path: draws of g = log OR from the gridded marginal.
     g = np.log(_engine_draws(case, ds, 10_000, child_seed(SEED, "c6-trial"))("odds_ratio"))
     # Each block comes back sorted, so batch means need the draws shuffled.

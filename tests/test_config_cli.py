@@ -288,16 +288,35 @@ class TestRunCommand:
 
 
 @pytest.fixture(scope="module")
-def trend_dir(case, tmp_path_factory):
+def trend_run(case, tmp_path_factory):
+    """``voi run --method mm`` on every study: its output directory and the
+    moment-matching results it wrote them from."""
     tmp = tmp_path_factory.mktemp("trend")
-    config = _small_config(case, out_dir=str(tmp / "res"))
+    config = _small_config(case, out_dir=str(tmp / "res"), studies=case.studies)
     path = tmp / "config.json"
     path.write_text(config.to_json())
-    assert cli.main(["trend", "--config", str(path), "--study", "1"]) == 0
-    return tmp / "res"
+    seen = []
+
+    def run_config(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return seen[-1]
+
+    real = cli.run_config
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "run_config", run_config)
+        assert cli.main(["run", "--config", str(path), "--method", "mm"]) == 0
+    (_, mm_results, _), = seen
+    return tmp / "res", mm_results
+
+
+@pytest.fixture(scope="module")
+def trend_dir(trend_run):
+    return trend_run[0]
 
 
 class TestTrendCommand:
+    """The trend and density files that ``voi run`` writes whenever ``mm`` runs."""
+
     def test_curve_file_shape(self, trend_dir):
         header, columns, rows = _read_rows(trend_dir / "trend_study1.csv")
         assert columns == ["inb", "probability"]
@@ -327,11 +346,29 @@ class TestTrendCommand:
         assert columns == ["inb"]
         assert len(rows) == 2000
 
-    def test_study_index_checked(self, case, tmp_path):
-        config = _small_config(case, out_dir=str(tmp_path / "res"))
-        path = tmp_path / "config.json"
-        path.write_text(config.to_json())
-        assert cli.main(["trend", "--config", str(path), "--study", "7"]) == 1
+    def test_files_read_back_to_every_studys_fit_and_sample(self, trend_run):
+        out, mm_results = trend_run
+        assert sorted(mm_results) == [1, 2, 3]
+        for k, result in mm_results.items():
+            _, _, rows = _read_rows(out / f"trend_study{k}.csv")
+            grid = np.array([float(r[0]) for r in rows])
+            assert (grid[0], grid[-1]) == (result.inb.min(), result.inb.max())
+            np.testing.assert_array_equal([float(r[1]) for r in rows],
+                                          result.logistic.predict(grid))
+            _, _, rows = _read_rows(out / f"inb_density_study{k}.csv")
+            np.testing.assert_array_equal([float(r[0]) for r in rows], result.inb)
+
+    def test_nested_runs_write_no_trend(self, small_config_path, tmp_path):
+        out = tmp_path / "nmc"
+        assert cli.main(["run", "--config", str(small_config_path), "--method", "nmc",
+                         "--out", str(out)]) == 0
+        assert [p.name for p in out.iterdir()] == ["results.csv"]
+
+    def test_trend_command_is_gone(self, small_config_path, capsys):
+        assert cli.main(["trend", "--config", str(small_config_path), "--study", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("voi: error: argument command: invalid choice: 'trend'")
+        assert "Traceback" not in err
 
 
 class TestExitCodes:
@@ -451,6 +488,33 @@ class TestExitCodes:
         assert err.startswith("config error: field 'studies[0]'") and "Traceback" not in err
         assert not (tmp_path / "res").exists()
 
+    # Sizes are held as float64, which is exact up to 2**53: a study beyond
+    # it would overflow the simulation, a grid size the scan's spacing.
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("edit, field", [
+        (lambda d: d.update(studies=[{"kind": "side_effects", "n": 2**63}]), "studies[0]"),
+        (lambda d: d.update(n_grid=[10, 2**63]), "n_grid"),
+        (lambda d: d.update(studies=[{"kind": "side_effects", "n": 2**53 + 1}]), "studies[0]"),
+        (lambda d: d.update(n_grid=[10, 2**53 + 1]), "n_grid"),
+    ], ids=["study-n", "grid-n", "study-n-past-bound", "grid-n-past-bound"])
+    def test_size_beyond_the_float_range_exits_one(self, command, edit, field, case,
+                                                   tmp_path, capsys):
+        d = _small_config(case, out_dir=str(tmp_path / "res")).to_dict()
+        edit(d)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(d))
+        assert cli.main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: field '{field}'") and "Traceback" not in err
+        assert not (tmp_path / "res").exists()
+
+    def test_largest_size_validates(self, case, tmp_path):
+        d = _small_config(case).to_dict()
+        d.update(studies=[{"kind": "effectiveness_rct", "n": 2**53}], n_grid=[1, 2**53])
+        path = tmp_path / "largest.json"
+        path.write_text(json.dumps(d))
+        assert cli.main(["validate", "--config", str(path)]) == 0
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("market", [
         {"kind": "threshold_linear", "saturation_at": 1.0, "target_treatment": 2},
@@ -480,13 +544,11 @@ class TestExitCodes:
         assert err == "config error: field 'psa_sampels': is not a known key\n"
         assert not (tmp_path / "res").exists()
 
-    @pytest.mark.parametrize("command", ["run", "trend"])
+    @pytest.mark.parametrize("command", ["run"])
     def test_negative_seed_option_exits_one(self, command, small_config_path, tmp_path,
                                             capsys):
         argv = [command, "--config", str(small_config_path), "--seed", "-1",
                 "--out", str(tmp_path / "res")]
-        if command == "trend":
-            argv += ["--study", "1"]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err == "config error: field 'seed': must be a non-negative integer\n"

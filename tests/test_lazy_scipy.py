@@ -71,7 +71,8 @@ def tiny_scan_config(case, tmp_path) -> str:
 
 def test_moment_matching_runs_import_no_scipy(tiny_scan_config):
     # Every fitter runs: the spline, the single-size and the across-size
-    # logistic, and the variance curves of the by-n scan.
+    # logistic, and the variance curves of the by-n scan; so does every
+    # writer: the by-n, trend and density files.
     seen = _run(f"""
 import contextlib, io
 from pathlib import Path
@@ -81,11 +82,14 @@ with contextlib.redirect_stdout(io.StringIO()):
     for method in ("mm", "both"):
         assert main(["run", "--config", {tiny_scan_config!r}, "--method", method]) == 0
         seen[f"voi run --method {{method}}"] = scipy_modules()
-seen["by-n files"] = sorted(p.name for p in Path({tiny_scan_config!r}).parent.glob("out/by_n*"))
+seen["per-study files"] = sorted(
+    p.name for p in Path({tiny_scan_config!r}).parent.glob("out/*_study*.csv"))
 print(json.dumps(seen))
 """)
     assert seen == {"voi run --method mm": [], "voi run --method both": [],
-                    "by-n files": ["by_n_study1.csv", "by_n_study2.csv", "by_n_study3.csv"]}
+                    "per-study files": [f"{kind}_study{k}.csv"
+                                        for kind in ("by_n", "inb_density", "trend")
+                                        for k in (1, 2, 3)]}
 
 
 def test_traced_pass_still_wraps_the_logistic_search(tiny_config):

@@ -336,7 +336,7 @@ class TestByN:
         assert len(seen) == 3  # two variance curves and the logistic
         for sizes in seen:
             np.testing.assert_array_equal(sizes, expected)
-            np.testing.assert_array_equal(sizes, [d.n_effective for d in datasets])
+            np.testing.assert_array_equal(sizes, [d.design.n for d in datasets])
 
 
 class TestSharedRegression:

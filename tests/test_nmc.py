@@ -50,7 +50,7 @@ def engine_reduction(priors, fixed):
     def reduce(nb: np.ndarray) -> tuple[float, float, np.ndarray]:
         assert nb.shape[0] <= nmc.BLOCK_ELEMENTS
         fns = tuple(lambda draw, fixed, col=col: col[:, None] for col in np.asarray(nb, float).T)
-        ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60), n_effective=60, events=15)
+        ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60), events=15)
         s = posterior_summaries([ds], priors, fixed, nb.shape[0], 0, fns)
         return s.inb[0], s.p[0], s.nb_var[0]
     return reduce
@@ -110,7 +110,7 @@ class TestRctStreaming:
 
         nb_fns = tuple(recording(d, fn) for d, fn in enumerate(DEFAULT_NB_FUNCTIONS))
         design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200)
-        datasets = [Dataset(design=design, n_effective=200, control_events=20 + 3 * j,
+        datasets = [Dataset(design=design, control_events=20 + 3 * j,
                             treated_events=4 + j) for j in range(6)]
         n_draws = 1234
         summaries = posterior_summaries(datasets, priors, fixed, n_draws, 31, nb_fns)
@@ -137,7 +137,7 @@ def assert_inb_averages_to_prior(inb: np.ndarray, psa) -> None:
 class TestRctEngineRobustness:
     @pytest.mark.parametrize("xc,xt,n", EXTREME_TRIALS)
     def test_extreme_trial_gives_finite_summary(self, priors, fixed, xc, xt, n):
-        ds = Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n), n_effective=n,
+        ds = Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n),
                      control_events=xc, treated_events=xt)
         s = posterior_summaries([ds], priors, fixed, 2000, 41)
         assert np.all(np.isfinite(s.inb)) and np.all(np.isfinite(s.nb_var))
@@ -146,7 +146,7 @@ class TestRctEngineRobustness:
 
     def test_extreme_trials_in_one_batch(self, priors, fixed):
         datasets = [Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n),
-                            n_effective=n, control_events=xc, treated_events=xt)
+                            control_events=xc, treated_events=xt)
                     for xc, xt, n in EXTREME_TRIALS]
         summaries = posterior_summaries(datasets, priors, fixed, 2000, 42)
         assert np.all(np.isfinite(summaries.inb)) and np.all(np.isfinite(summaries.nb_var))
@@ -349,7 +349,7 @@ class TestSharedFill:
 def _repeating_trials(m: int) -> list[Dataset]:
     """Trial datasets whose statistics repeat, as they do across an outer loop."""
     design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200)
-    return [Dataset(design=design, n_effective=200, control_events=25 + j % 3,
+    return [Dataset(design=design, control_events=25 + j % 3,
                     treated_events=5 + j % 2) for j in range(m)]
 
 
@@ -400,7 +400,7 @@ class TestDrawsStayWithTheirDataset:
     def test_side_effect_extremes(self, priors, fixed):
         design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
         events = [0, 60, 0, 30, 60, 0]
-        datasets = [Dataset(design=design, n_effective=60, events=x) for x in events]
+        datasets = [Dataset(design=design, events=x) for x in events]
         got = posterior_summaries(datasets, priors, fixed, 4000, 51,
                                   nb_fns=(_zero, lambda draw, _: draw.p_side_effect))
         for x, mean, var in zip(events, got.inb, got.nb_var[:, 1]):
@@ -410,7 +410,7 @@ class TestDrawsStayWithTheirDataset:
 
     def test_quality_far_apart_totals(self, priors, fixed):
         cases = [(100, -300.0), (100, 300.0), (0, 0.0), (100, -300.0), (5, 40.0)]
-        datasets = [Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, n), n_effective=n,
+        datasets = [Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, n),
                             logit_total=total) for n, total in cases]
         got = posterior_summaries(datasets, priors, fixed, 4000, 52,
                                   nb_fns=(_zero, lambda draw, _: logit(draw.qol_after_event)))
@@ -477,7 +477,7 @@ class TestBlockFold:
             return fn
 
         design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
-        datasets = [Dataset(design=design, n_effective=60, events=x) for x in (0, 20, 60)]
+        datasets = [Dataset(design=design, events=x) for x in (0, 20, 60)]
         fns = (frozen("p_event"), frozen("p_side_effect"))
         assert_same_summaries(posterior_summaries(datasets, priors, fixed, 5000, 42, fns),
                               _stacked_summaries(datasets, priors, fixed, 5000, 42, fns))

@@ -89,7 +89,7 @@ class TestSimulateDataset:
     def test_zero_size_designs_carry_no_data(self):
         for kind in StudyKind:
             ds = simulate_dataset(StudyDesign(kind, 0), DRAW, 2)
-            assert ds.n_effective == 0
+            assert ds.design.n == 0
 
     def test_design_validation(self):
         with pytest.raises(ValueError):
@@ -104,7 +104,7 @@ class TestSideEffectPosterior:
     design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
 
     def test_conjugate_update(self, priors, fixed):
-        ds = Dataset(design=self.design, n_effective=60, events=15)
+        ds = Dataset(design=self.design, events=15)
         p = engine_draws(ds, priors, fixed, 10_000, 3)("p_side_effect")
         # Beta(3 + 15, 9 + 45): mean 0.25.
         ref = stats.beta(18, 54)
@@ -112,13 +112,13 @@ class TestSideEffectPosterior:
         assert _ks_matches_prior(p, ref.cdf)
 
     def test_no_events_observed(self, priors, fixed):
-        ds = Dataset(design=self.design, n_effective=60, events=0)
+        ds = Dataset(design=self.design, events=0)
         p = engine_draws(ds, priors, fixed, 10_000, 3)("p_side_effect")
         ref = stats.beta(3, 69)
         assert abs(p.mean() - 3.0 / 72.0) <= 3.0 * ref.std() / math.sqrt(10_000)
 
     def test_other_parameters_keep_their_priors(self, priors, fixed):
-        ds = Dataset(design=self.design, n_effective=60, events=15)
+        ds = Dataset(design=self.design, events=15)
         pooled = engine_draws(ds, priors, fixed, 10_000, 3)
         assert len(pooled("p_event")) == 10_000
         assert _ks_matches_prior(pooled("p_event"), stats.beta(15, 85).cdf)
@@ -128,8 +128,7 @@ class TestSideEffectPosterior:
                                  stats.norm(0.6, math.sqrt(1 / 6)).cdf)
 
     def test_kind_mismatch(self, priors):
-        ds = Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, 100),
-                     n_effective=100, logit_total=40.0)
+        ds = Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, 100), logit_total=40.0)
         with pytest.raises(ValueError):
             side_effect_posterior([ds], priors)
 
@@ -145,15 +144,14 @@ class TestQualityPosterior:
         assert var == pytest.approx(1.0 / 56.0)
 
     def test_draws_match_moments(self, priors, fixed):
-        ds = Dataset(design=self.design, n_effective=100, logit_total=60.0)
+        ds = Dataset(design=self.design, logit_total=60.0)
         z = logit(engine_draws(ds, priors, fixed, 10_000, 4)("qol_after_event"))
         assert abs(z.mean() - 0.6) <= 3.0 * math.sqrt(1.0 / 56.0 / 10_000)
         assert z.var(ddof=1) == pytest.approx(1.0 / 56.0, rel=0.08)
 
     def test_empty_survey_returns_prior(self, priors, fixed):
-        ds = Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, 0),
-                     n_effective=0, logit_total=0.0)
-        mean, var = quality_posterior_moments(ds.n_effective, ds.logit_total, priors)
+        ds = Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, 0), logit_total=0.0)
+        mean, var = quality_posterior_moments(ds.design.n, ds.logit_total, priors)
         assert (mean, var) == (0.6, pytest.approx(1.0 / 6.0))
         qol = engine_draws(ds, priors, fixed, 10_000, 4)("qol_after_event")
         assert _ks_matches_prior(logit(qol), stats.norm(0.6, math.sqrt(1 / 6)).cdf)
@@ -162,7 +160,7 @@ class TestQualityPosterior:
         # Per-dataset parameters on one (512, 32) block: the in-place draw
         # gives the numbers rng.normal(mean, sd, shape) gives.
         totals = np.linspace(-40.0, 140.0, 32)
-        post = quality_posterior([Dataset(design=self.design, n_effective=100, logit_total=t)
+        post = quality_posterior([Dataset(design=self.design, logit_total=t)
                                   for t in totals], priors)
         expected = expit(substream(3, "q").normal(post.mean, post.sd, (512, 32)))
         np.testing.assert_array_equal(post.draw(substream(3, "q"), 512), expected)
@@ -173,15 +171,14 @@ class TestQualityPosterior:
             assert var < 1.0 / 6.0
 
     def test_other_parameters_keep_their_priors(self, priors, fixed):
-        ds = Dataset(design=self.design, n_effective=100, logit_total=55.0)
+        ds = Dataset(design=self.design, logit_total=55.0)
         pooled = engine_draws(ds, priors, fixed, 10_000, 4)
         assert len(pooled("p_event")) == 10_000
         assert _ks_matches_prior(pooled("p_event"), stats.beta(15, 85).cdf)
         assert _ks_matches_prior(pooled("p_side_effect"), stats.beta(3, 9).cdf)
 
     def test_kind_mismatch(self, priors):
-        ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60),
-                     n_effective=60, events=15)
+        ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60), events=15)
         with pytest.raises(ValueError):
             quality_posterior([ds], priors)
 
@@ -190,7 +187,7 @@ class TestEffectivenessPosterior:
     def test_untouched_parameters_keep_their_priors(self, priors, fixed):
         # Caveat (b): the trial updates only the odds ratio; the estimators
         # redraw the baseline rate and everything else from the prior.
-        ds = Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200), n_effective=200,
+        ds = Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200),
                      control_events=30, treated_events=9)
         pooled = engine_draws(ds, priors, fixed, 10_000, 13)
         assert len(pooled("p_event")) == 10_000
@@ -202,8 +199,7 @@ class TestEffectivenessPosterior:
 
 def _trial_datasets(m: int) -> list[Dataset]:
     design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200)
-    return [Dataset(design=design, n_effective=200,
-                    control_events=25 + j % 11, treated_events=5 + j % 7)
+    return [Dataset(design=design, control_events=25 + j % 11, treated_events=5 + j % 7)
             for j in range(m)]
 
 
@@ -231,7 +227,7 @@ class TestTrialLogDensity:
 
 
 def _trial(xc: int, xt: int, n: int) -> Dataset:
-    return Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n), n_effective=n,
+    return Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n),
                    control_events=xc, treated_events=xt)
 
 
@@ -243,7 +239,7 @@ def _wide_quadrature(ds: Dataset, priors) -> tuple[float, float]:
     """
     l = np.linspace(-20.0, 12.0, 1601)
     g = np.linspace(-15.0, 15.0, 1601)
-    n = float(ds.n_effective)
+    n = float(ds.design.n)
     lp = studies._rct_log_post(l[:, None], g[None, :], float(ds.control_events), n,
                                float(ds.treated_events), n, priors)
     w = np.exp(lp - lp.max()).sum(axis=0)
@@ -333,8 +329,7 @@ class TestMarginalGrid:
                                       np.concatenate([d.odds_ratio for d in again]))
 
     def test_kind_mismatch(self, priors):
-        ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60),
-                     n_effective=60, events=15)
+        ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60), events=15)
         with pytest.raises(ValueError):
             rct_marginal_grid([ds], priors)
         with pytest.raises(ValueError):
