@@ -7,7 +7,8 @@ Two subcommands:
   (plus ``by_n_study<k>.csv`` per study when the config has an ``n_grid``).
   Whenever moment matching runs it also writes, per study, the fitted
   probability trend ``trend_study<k>.csv`` (512 grid rows) and the
-  incremental net benefit sample ``inb_density_study<k>.csv``.
+  incremental net benefit sample ``inb_density_study<k>.csv``.  It first
+  deletes the per-study files an earlier run left in the output directory.
   It prints each estimate, then the prior sample's summary: every
   treatment's expected net benefit and probability of being best, the EVPI
   and the value of the market as it stands.
@@ -129,6 +130,11 @@ def _write_outputs(config: RunConfig, table: ResultTable,
                    mm_results: dict[int, MomentMatchingResult], scans: dict) -> Path:
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # The directory holds only this run's files: a per-study file that an
+    # earlier run left would sit beside results.csv under another seed.
+    for pattern in ("by_n_study*.csv", "trend_study*.csv", "inb_density_study*.csv"):
+        for stale in out.glob(pattern):
+            stale.unlink()
     _write_csv(out / "results.csv", table, "study,method,evsi,evsi_im,std_error,seconds",
                zip(*[(r.study, r.method, r.evsi, r.evsi_im, r.std_error, f"{r.seconds:.3f}")
                      for r in table.rows]))

@@ -13,9 +13,9 @@ Two families are fitted here:
   ``n ** size_power`` so one curve covers a whole range of study sizes.
   Fitting maximizes the Gaussian-residual posterior with Normal(0, 10^2)
   priors on the log-reparameterized coordinates, residual scale profiled out,
-  by a bounded Levenberg-Marquardt search on the analytic Hessian (the
-  Gauss-Newton one where the full Hessian is not positive definite) from
-  several start points.
+  by one bounded Levenberg-Marquardt search on the analytic Hessian (the
+  Gauss-Newton one where the full Hessian is not positive definite) from a
+  start anchored on the data's mid probability.
 
 * A hyperbolic decay of average posterior variance with sample size,
 
@@ -34,8 +34,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-
-from .rng import substream
 
 __all__ = [
     "FitError",
@@ -62,9 +60,6 @@ _Z_BOUND = 50.0
 # or a step lowers the value by less than _FTOL of its size; after _MAX_ITER
 # steps it stops unconverged.
 _GTOL, _FTOL, _MAX_ITER = 1e-8, 1e-13, 200
-# The logistic's fixed starts (five, or ten with the size term) are topped up
-# to this many with random ones from the seed's stream.
-_MIN_STARTS = 7
 SearchResult = namedtuple("SearchResult", "x fun success nfev")
 
 
@@ -113,7 +108,7 @@ def minimize(fun, x0, args, bounds) -> SearchResult:
 
 
 class FitError(RuntimeError):
-    """Raised when a curve fit fails to converge from every start point."""
+    """Raised when a curve fit fails to converge."""
 
 
 @dataclass(frozen=True)
@@ -240,7 +235,7 @@ def _standardize(values: np.ndarray) -> tuple[float, float]:
     return center, scale
 
 
-def _fit_logistic_core(mu_values, probs, sizes, seed: int) -> LogisticFit:
+def _fit_logistic_core(mu_values, probs, sizes) -> LogisticFit:
     mu_values = np.asarray(mu_values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if mu_values.shape != probs.shape or mu_values.ndim != 1:
@@ -269,30 +264,16 @@ def _fit_logistic_core(mu_values, probs, sizes, seed: int) -> LogisticFit:
     p_mid = min(max(p_mid, 0.02), 0.98)
     a0 = math.log(max(1.0 / p_mid - 1.0, 1e-3))
 
-    starts = [
-        [a0, 0.0, 0.0],
-        [a0, math.log(0.5), 0.0],
-        [a0, math.log(2.0), 0.0],
-        [-2.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0],
-    ]
-    bounds = [(-_Z_BOUND, _Z_BOUND)] * 3
+    start, bounds = [a0, 0.0, 0.0], [(-_Z_BOUND, _Z_BOUND)] * 3
     if with_size:
-        starts = [s + [u0] for s in starts for u0 in (0.0, 0.5)]
         u_max = _Z_BOUND / max(1.0, float(log_sizes.max()))
-        bounds.append((-u_max, u_max))
-    rng = substream(seed, "logistic-fit")
-    while len(starts) < _MIN_STARTS:
-        starts.append(list(rng.normal(0.0, 1.0, len(bounds))))
+        start, bounds = start + [0.0], bounds + [(-u_max, u_max)]
+    res = minimize(_logistic_value, np.array(start), args=(mu_std, probs, log_sizes),
+                   bounds=bounds)
+    if not res.success:
+        raise FitError("generalized logistic fit did not converge")
 
-    searches = [minimize(_logistic_value, np.array(x0, dtype=float),
-                         args=(mu_std, probs, log_sizes), bounds=bounds)
-                 for x0 in starts]
-    converged = [res for res in searches if res.success]
-    if not converged:
-        raise FitError("generalized logistic fit did not converge from any start")
-
-    z = min(converged, key=lambda res: res.fun).x
+    z = res.x
     resid = probs - _curve(z, mu_std, log_sizes)[0]
     resid_sd = math.sqrt(float(resid @ resid) / n_points)
     return LogisticFit(
@@ -306,14 +287,14 @@ def _fit_logistic_core(mu_values, probs, sizes, seed: int) -> LogisticFit:
     )
 
 
-def fit_generalized_logistic(mu_values, probs, *, seed: int = 0) -> LogisticFit:
+def fit_generalized_logistic(mu_values, probs) -> LogisticFit:
     """Fit the single-sample-size curve to (mu, probability) pairs."""
-    return _fit_logistic_core(mu_values, probs, None, seed)
+    return _fit_logistic_core(mu_values, probs, None)
 
 
-def fit_generalized_logistic_n(mu_values, probs, sizes, *, seed: int = 0) -> LogisticFit:
+def fit_generalized_logistic_n(mu_values, probs, sizes) -> LogisticFit:
     """Fit the across-sample-size curve to (mu, probability, n) triples."""
-    return _fit_logistic_core(mu_values, probs, sizes, seed)
+    return _fit_logistic_core(mu_values, probs, sizes)
 
 
 @dataclass(frozen=True)

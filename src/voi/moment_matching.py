@@ -18,8 +18,8 @@ method needs only a handful of carefully chosen datasets:
 4. The probability of being best is carried along by a generalized logistic
    fitted to the Q pairs of (INB, probability), both for the target; market
    shares and the value assembly on the INB column then proceed exactly as
-   in the nested estimator.  The fit is a bounded Levenberg-Marquardt search
-   on the analytic Hessian of its log posterior, from a few fixed starts.
+   in the nested estimator.  The fit is one bounded Levenberg-Marquardt
+   search on the analytic Hessian of its log posterior.
 
 A variant re-uses one set of nested runs across a whole range of study sizes
 by spreading the Q datasets over sample sizes, fitting a variance decay curve
@@ -212,12 +212,11 @@ class MomentMatchingResult:
 
 
 def _calibrate(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
-               n_sets: int, n_inner: int, seed: int, nb_fns,
+               n_sets: int, n_inner: int, seed: int,
                sizes: list[int] | None = None) -> PosteriorSummaries:
     """Steps 1 and 2: the Q nested runs, at the design size or at ``sizes``."""
     datasets = quantile_datasets(psa, design, n_sets, child_seed(seed, "mm-data"), sizes)
-    return nested_summaries(datasets, prior, fixed, n_inner, child_seed(seed, "mm-post"),
-                            nb_fns)
+    return nested_summaries(datasets, prior, fixed, n_inner, child_seed(seed, "mm-post"))
 
 
 def _value(cond: np.ndarray, target_var: np.ndarray, predict,
@@ -237,13 +236,11 @@ def _value(cond: np.ndarray, target_var: np.ndarray, predict,
 
 def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
                 market_fn: MarketShareFunction, current_shares: CurrentShares,
-                n_sets: int, n_inner: int, seed: int,
-                nb_fns=DEFAULT_NB_FUNCTIONS) -> MomentMatchingResult:
+                n_sets: int, n_inner: int, seed: int) -> MomentMatchingResult:
     """Full moment-matching pass for one study at its design sample size."""
-    summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed, nb_fns)
+    summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed)
     cond = fit_conditional_expectation(psa, design)
-    logistic = fit_generalized_logistic(*summaries.toward(market_fn.target),
-                                        seed=child_seed(seed, "mm-fit"))
+    logistic = fit_generalized_logistic(*summaries.toward(market_fn.target))
     target_var, mu, inb, p_target, evsi_im = _value(
         cond, variance_reduction_target(psa, summaries.nb_var), logistic.predict,
         market_fn, current_shares)
@@ -268,8 +265,7 @@ class SampleSizeScan:
 def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
                      design: StudyDesign, market_fn: MarketShareFunction,
                      current_shares: CurrentShares, n_sets: int, n_inner: int,
-                     n_grid: Sequence[int], seed: int,
-                     nb_fns=DEFAULT_NB_FUNCTIONS, *, cond: np.ndarray) -> SampleSizeScan:
+                     n_grid: Sequence[int], seed: int, *, cond: np.ndarray) -> SampleSizeScan:
     """Calibrate once across [min(n_grid), max(n_grid)], predict at each size.
 
     The Q quantile datasets are spread over sample sizes covering the grid's
@@ -283,13 +279,11 @@ def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
     if not sizes or min(sizes) < 1:
         raise ValueError("the grid needs at least one size, each at least 1")
     calib_sizes = np.rint(np.linspace(min(sizes), max(sizes), n_sets)).astype(int).tolist()
-    summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed, nb_fns,
-                           sizes=calib_sizes)
+    summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed, sizes=calib_sizes)
     prior_var = psa.nb.var(axis=0, ddof=1)
     curves = tuple(fit_variance_curve(summaries.nb_var[:, d], calib_sizes, prior_var[d])
                    for d in range(psa.n_treatments))
-    logistic = fit_generalized_logistic_n(*summaries.toward(market_fn.target), calib_sizes,
-                                          seed=child_seed(seed, "mm-fit"))
+    logistic = fit_generalized_logistic_n(*summaries.toward(market_fn.target), calib_sizes)
     estimates = tuple(
         _value(cond, np.array([c.variance_reduction(n) for c in curves]),
                partial(logistic.predict, n=n), market_fn, current_shares)[-1]

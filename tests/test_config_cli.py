@@ -286,6 +286,23 @@ class TestRunCommand:
         assert columns == ["n", "evsi_im", "std_error"]
         assert [r[0] for r in rows] == ["10", "60", "200"]
 
+    def test_rerun_leaves_only_its_own_files(self, case, tmp_path):
+        # An mm run writes per-study files that an nmc run does not; after
+        # the nmc run none of them may sit beside its results.csv.
+        out = tmp_path / "shared"
+        path = tmp_path / "grid.json"
+        path.write_text(_small_config(case, n_grid=[10, 60]).to_json())
+        run = ["run", "--config", str(path), "--out", str(out)]
+        assert cli.main([*run, "--method", "mm", "--seed", "5"]) == 0
+        assert {p.name for p in out.iterdir()} == {
+            "results.csv", "by_n_study1.csv", "trend_study1.csv", "inb_density_study1.csv"}
+        (out / "notes.txt").write_text("kept\n")
+        assert cli.main([*run, "--method", "nmc", "--seed", "6"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["notes.txt", "results.csv"]
+        header, _, rows = _read_rows(out / "results.csv")
+        assert header.endswith(" seed=6") and [r[1] for r in rows] == ["nmc"]
+        assert (out / "notes.txt").read_text() == "kept\n"
+
 
 @pytest.fixture(scope="module")
 def trend_run(case, tmp_path_factory):

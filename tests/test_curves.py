@@ -1,10 +1,13 @@
 """Generalized logistic and variance-decay curve fitting."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import least_squares, minimize
 
 import voi.curves as curves
+from voi.cli import run_config
 from voi.curves import (
     FitError,
     LogisticFit,
@@ -140,22 +143,44 @@ def _objective_inputs(mu, probs, sizes=None):
 
 
 @pytest.fixture()
-def starts(monkeypatch):
-    """Record (start point, result) of every search the logistic fit runs."""
+def searches(monkeypatch):
+    """Record the result of every search the logistic fit runs."""
     record = []
     search = curves.minimize
 
-    def recording(fun, x0, *args, **kwargs):
-        res = search(fun, x0, *args, **kwargs)
-        record.append((np.array(x0), res))
-        return res
+    def recording(*args, **kwargs):
+        record.append(search(*args, **kwargs))
+        return record[-1]
 
     monkeypatch.setattr(curves, "minimize", recording)
     return record
 
 
-def _best_z(record) -> np.ndarray:
-    return min((res for _, res in record if res.success), key=lambda r: r.fun).x
+def _fit(mu, probs, sizes=None):
+    if sizes is None:
+        return fit_generalized_logistic(mu, probs)
+    return fit_generalized_logistic_n(mu, probs, sizes)
+
+
+STUDIES = [1, 2, 3]
+CALIBRATION_GRID = [10, 60, 100, 150, 200]
+
+
+@pytest.fixture(scope="module")
+def calibration(case):
+    """The inputs of every logistic fit that ``voi run --method mm`` makes on
+    the shipped config at reduced settings: per form and study, the (INB,
+    probability[, size]) pairs of the calibration datasets."""
+    config = case.override(method="mm", psa_samples=2000, posterior_draws=1000,
+                           quantile_sets=20, n_grid=CALIBRATION_GRID, seed=7)
+    _, mm_results, scans = run_config(config)
+    target = config.market.target
+    sizes = np.rint(np.linspace(min(CALIBRATION_GRID), max(CALIBRATION_GRID),
+                                config.quantile_sets))
+    pairs = {("single", k): (*r.summaries.toward(target), None) for k, r in mm_results.items()}
+    pairs.update({("sized", k): (*scan.summaries.toward(target), sizes)
+                  for k, scan in scans.items()})
+    return pairs
 
 
 def _central_difference(fun, z: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -192,7 +217,7 @@ class TestLogisticObjective:
             assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
 
     @pytest.mark.parametrize("sized", [False, True], ids=["single", "sized"])
-    def test_hessian_matches_central_differences_at_the_optimum(self, sized, starts):
+    def test_hessian_matches_central_differences_at_the_optimum(self, sized, searches):
         # At the fitted optimum the Hessian is positive definite, so the
         # search gets the full one, not its Gauss-Newton part.
         if sized:
@@ -203,38 +228,58 @@ class TestLogisticObjective:
             mu, probs = _synthetic_single("monotone")
             fit_generalized_logistic(mu, probs)
             inputs = _objective_inputs(mu, probs)
-        z = _best_z(starts)
+        (res,) = searches
+        z = res.x
         hessian = _logistic_objective(z, *inputs)[2]
         fd = np.column_stack([_central_difference(
             lambda x, k=k: _logistic_objective(x, *inputs)[1][k], z) for k in range(z.size)])
         np.testing.assert_allclose(hessian, fd, rtol=0.0, atol=1e-6 * np.abs(fd).max())
 
     @pytest.mark.parametrize("case", SINGLE_CASES)
-    def test_single_fit_matches_nelder_mead(self, case, starts):
+    def test_single_fit_matches_nelder_mead(self, case, searches):
         mu, probs = _synthetic_single(case)
         fit_generalized_logistic(mu, probs)
-        self._check_against_nelder_mead(starts, _objective_inputs(mu, probs))
+        self._check_against_nelder_mead(searches, _objective_inputs(mu, probs))
 
     @pytest.mark.parametrize("power,noise,seed", SIZED_CASES)
-    def test_sized_fit_matches_nelder_mead(self, power, noise, seed, starts):
+    def test_sized_fit_matches_nelder_mead(self, power, noise, seed, searches):
         mu, probs, sizes = _synthetic_sized(power, noise, seed)
         fit_generalized_logistic_n(mu, probs, sizes)
-        self._check_against_nelder_mead(starts, _objective_inputs(mu, probs, sizes))
+        self._check_against_nelder_mead(searches, _objective_inputs(mu, probs, sizes))
+
+    @pytest.mark.parametrize("study", STUDIES)
+    @pytest.mark.parametrize("form", ["single", "sized"])
+    def test_calibration_fit_matches_nelder_mead(self, calibration, form, study, searches):
+        mu, probs, sizes = calibration[form, study]
+        _fit(mu, probs, sizes)
+        self._check_against_nelder_mead(searches, _objective_inputs(mu, probs, sizes))
 
     @staticmethod
     def _check_against_nelder_mead(record, inputs):
-        # A derivative-free search of the same objective from the same starts
-        # lands on the same optimum.
+        # A derivative-free search of the same objective, from the fixed
+        # starts of the former multi-start fit (each with two size powers in
+        # the sized form) and three random ones, finds the fit's optimum.
+        mu_std, probs, log_sizes = inputs
+        order = np.argsort(mu_std)
+        p_mid = min(max(float(np.interp(0.0, mu_std[order], probs[order])), 0.02), 0.98)
+        a0 = math.log(max(1.0 / p_mid - 1.0, 1e-3))
+        starts = [[a0, 0.0, 0.0], [a0, math.log(0.5), 0.0], [a0, math.log(2.0), 0.0],
+                  [-2.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+        if log_sizes is not None:
+            starts = [s + [u0] for s in starts for u0 in (0.0, 0.5)]
+        starts += list(np.random.default_rng(30).normal(0.0, 1.0, (3, len(starts[0]))))
+
         def value(z):
             return _logistic_objective(z, *inputs)[0]
 
         reference = min(
             (minimize(value, x0, method="Nelder-Mead",
                       options={"maxiter": 20_000, "xatol": 1e-10, "fatol": 1e-13})
-             for x0, _ in record),
+             for x0 in starts),
             key=lambda r: r.fun)
-        assert reference.success
-        np.testing.assert_allclose(_best_z(record), reference.x, rtol=0.0, atol=1e-5)
+        (res,) = record
+        assert reference.success and res.success
+        np.testing.assert_allclose(res.x, reference.x, rtol=0.0, atol=1e-5)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_no_floating_point_warnings(self):
@@ -248,13 +293,21 @@ class TestLogisticObjective:
         fit_generalized_logistic(mu, step)
         fit_generalized_logistic_n(mu, step, np.full(40, 10_000.0))
 
-    def test_single_size_fit_work_is_bounded(self, starts):
-        # Seven Levenberg-Marquardt searches on the analytic Hessian; the
-        # derivative-free searches this replaced took about 3,000 evaluations.
-        fit_generalized_logistic(*_synthetic_single("recovers"))
-        assert len(starts) == 7
-        assert all(res.success for _, res in starts)
-        assert sum(res.nfev for _, res in starts) <= 600
+    @pytest.mark.parametrize("form", ["single", "sized"])
+    def test_fit_is_one_converged_search(self, form, calibration, searches):
+        # One Levenberg-Marquardt search on the analytic Hessian from the
+        # anchored start; the derivative-free searches this replaced took
+        # about 3,000 evaluations.
+        if form == "single":
+            inputs = [(*_synthetic_single(case), None) for case in SINGLE_CASES]
+        else:
+            inputs = [_synthetic_sized(*args) for args in SIZED_CASES]
+        inputs += [calibration[form, k] for k in STUDIES]
+        for mu, probs, sizes in inputs:
+            searches.clear()
+            _fit(mu, probs, sizes)
+            (res,) = searches
+            assert res.success and res.nfev <= 80
 
 
 def _least_squares_cost(y: np.ndarray, sizes: np.ndarray, prior_var: float) -> float:

@@ -49,6 +49,8 @@ STALE_TARGETS = {
         "posterior_nb_summary", "rct_nb_summaries", "evsi_im_terms")),
     *(f"voi.moment_matching.{name}" for name in (
         "posterior_nb_summary", "rct_nb_summaries", "assemble_evsi_im", "evsi_im_terms")),
+    # The logistic fit searches from one fixed start and draws no random ones.
+    "voi.curves.substream",
 }
 
 
