@@ -34,10 +34,10 @@ import numpy as np
 
 from .config import METHODS, ConfigError, RunConfig
 from .curves import FitError
-from .market import current_decision_value
+from .market import assemble_evsi, assemble_evsi_im, current_decision_value
 from .model import PsaSample, evpi, expected_nb, prob_cost_effective, sample_prior
 from .moment_matching import MomentMatchingResult, mm_by_n_pipeline, mm_pipeline
-from .nmc import nmc_evsi, nmc_evsi_im, nmc_summaries
+from .nmc import nmc_summaries
 from .rng import child_seed
 
 __all__ = ["ResultRow", "ResultTable", "run_config", "main"]
@@ -85,8 +85,9 @@ def run_config(config: RunConfig, psa: PsaSample | None = None):
             summaries = nmc_summaries(design, config.priors, config.fixed,
                                       config.outer_datasets, config.posterior_draws,
                                       child_seed(config.seed, "nmc", k))
-            est = nmc_evsi(summaries)
-            est_im = nmc_evsi_im(summaries, config.market, config.current_shares)
+            est = assemble_evsi(summaries.inb)
+            est_im = assemble_evsi_im(*summaries.toward(config.market.target),
+                                      config.market, config.current_shares)
             rows.append(ResultRow(k, "nmc", est.value, est_im.value,
                                   est_im.std_error, time.perf_counter() - t0))
         if config.method in ("mm", "both"):
@@ -129,7 +130,6 @@ def _write_csv(path: Path, table: ResultTable, header: str, columns,
 def _write_outputs(config: RunConfig, table: ResultTable,
                    mm_results: dict[int, MomentMatchingResult], scans: dict) -> Path:
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     # The directory holds only this run's files: a per-study file that an
     # earlier run left would sit beside results.csv under another seed.
     for pattern in ("by_n_study*.csv", "trend_study*.csv", "inb_density_study*.csv"):
@@ -162,6 +162,9 @@ def _cmd_run(args) -> int:
     overrides = {k: v for k, v in overrides.items() if v is not None}
     if overrides:
         config = config.override(**overrides)
+    # An unusable output directory is a config error: report it before the
+    # estimators run, not after.
+    Path(config.out_dir).mkdir(parents=True, exist_ok=True)
     psa = _psa(config)
     value_now = current_decision_value(psa, config.current_shares)
     means, probs, value_perfect = expected_nb(psa), prob_cost_effective(psa), evpi(psa)

@@ -11,9 +11,11 @@ Two families are fitted here:
   ``shape > 0`` keep predictions inside (0, 1] and monotone nondecreasing.
   An optional across-sample-size form multiplies the exponent by
   ``n ** size_power`` so one curve covers a whole range of study sizes.
-  Fitting maximizes the Gaussian-residual posterior with Normal(0, 10^2)
-  priors on the log-reparameterized coordinates, residual scale profiled out,
-  by one bounded Levenberg-Marquardt search on the analytic Hessian (the
+  One function, :func:`fit_generalized_logistic`, fits both forms: the
+  second when it is given each point's size.  Fitting maximizes the
+  Gaussian-residual posterior with Normal(0, 10^2) priors on the
+  log-reparameterized coordinates, residual scale profiled out, by one
+  bounded Levenberg-Marquardt search on the analytic Hessian (the
   Gauss-Newton one where the full Hessian is not positive definite) from a
   start anchored on the data's mid probability.
 
@@ -40,7 +42,6 @@ __all__ = [
     "LogisticFit",
     "VarianceCurveFit",
     "fit_generalized_logistic",
-    "fit_generalized_logistic_n",
     "fit_variance_curve",
 ]
 
@@ -220,13 +221,6 @@ def _logistic_value(z: np.ndarray, mu_std: np.ndarray, probs: np.ndarray,
     return value, derivatives
 
 
-def _logistic_objective(z: np.ndarray, mu_std: np.ndarray, probs: np.ndarray,
-                        log_sizes: np.ndarray | None):
-    """The value of :func:`_logistic_value` at ``z`` with its gradient and Hessian."""
-    value, derivatives = _logistic_value(z, mu_std, probs, log_sizes)
-    return (value, *derivatives())
-
-
 def _standardize(values: np.ndarray) -> tuple[float, float]:
     center = float(values.mean())
     scale = float(values.std(ddof=1))
@@ -235,7 +229,14 @@ def _standardize(values: np.ndarray) -> tuple[float, float]:
     return center, scale
 
 
-def _fit_logistic_core(mu_values, probs, sizes) -> LogisticFit:
+def fit_generalized_logistic(mu_values, probs, sizes=None) -> LogisticFit:
+    """Fit the curve to (mu, probability) pairs, or with ``sizes`` to (mu, probability, n).
+
+    Without ``sizes`` the fit is the single-sample-size curve; with one size
+    per point it is the across-sample-size form, whose exponent carries
+    ``n ** size_power``.  Raises :class:`FitError` when the search does not
+    converge.
+    """
     mu_values = np.asarray(mu_values, dtype=float)
     probs = np.asarray(probs, dtype=float)
     if mu_values.shape != probs.shape or mu_values.ndim != 1:
@@ -285,16 +286,6 @@ def _fit_logistic_core(mu_values, probs, sizes) -> LogisticFit:
         scale=scale,
         size_power=float(z[3]) if with_size else None,
     )
-
-
-def fit_generalized_logistic(mu_values, probs) -> LogisticFit:
-    """Fit the single-sample-size curve to (mu, probability) pairs."""
-    return _fit_logistic_core(mu_values, probs, None)
-
-
-def fit_generalized_logistic_n(mu_values, probs, sizes) -> LogisticFit:
-    """Fit the across-sample-size curve to (mu, probability, n) triples."""
-    return _fit_logistic_core(mu_values, probs, sizes)
 
 
 @dataclass(frozen=True)

@@ -15,13 +15,18 @@ Three response shapes are supported:
 
 With two treatments, moving a share of the market to the target treatment
 gains that share times the target's incremental net benefit (INB): its
-posterior mean net benefit minus the other's.  The assembly below averages
-``(share after - share now) * inb`` over datasets, which yields the
-implementation-adjusted expected value of the study.
+posterior mean net benefit minus the other's.  Both estimators end in this
+module: they hand it each dataset's INB (and, for the adjusted value, the
+target's probability of being best), and :func:`assemble_evsi_im` averages
+``(share after - share now) * inb`` over datasets into an
+:class:`EvsiEstimate`, the implementation-adjusted expected value of the
+study with the standard error of that mean.  :func:`assemble_evsi` is the
+same assembly under a step market: the unadjusted value.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +39,11 @@ __all__ = [
     "TableShare",
     "MarketShareFunction",
     "CurrentShares",
+    "EvsiEstimate",
     "market_share",
     "current_decision_value",
     "assemble_evsi_im",
+    "assemble_evsi",
 ]
 
 
@@ -64,7 +71,6 @@ class ThresholdLinearShare:
         p = np.asarray(p, dtype=float)
         raw = (p - self.threshold) / (self.saturation_at - self.threshold)
         share = np.clip(raw, 0.0, 1.0)
-        share = np.where(p < self.threshold, 0.0, share)
         if share.ndim == 0:
             return float(share)
         return share
@@ -139,8 +145,17 @@ class CurrentShares:
         if abs(arr.sum() - 1.0) > 1e-9:
             raise ValueError("shares must sum to 1")
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.shares)
+
+@dataclass(frozen=True)
+class EvsiEstimate:
+    """A point estimate of the value of a study with its Monte Carlo error."""
+
+    value: float
+    std_error: float
+
+    def __post_init__(self) -> None:
+        if self.std_error < 0.0:
+            raise ValueError("std_error must be nonnegative")
 
 
 def market_share(fn: MarketShareFunction, p) -> np.ndarray:
@@ -163,7 +178,7 @@ def market_share(fn: MarketShareFunction, p) -> np.ndarray:
 
 def current_decision_value(psa: PsaSample, shares: CurrentShares) -> float:
     """Expected net benefit of the market as currently split."""
-    m = shares.as_array()
+    m = np.array(shares.shares)
     means = psa.nb.mean(axis=0)
     if m.size != means.size:
         raise ValueError("share vector length must match the number of treatments")
@@ -171,20 +186,23 @@ def current_decision_value(psa: PsaSample, shares: CurrentShares) -> float:
 
 
 def assemble_evsi_im(inb: np.ndarray, p_target: np.ndarray | None, fn: MarketShareFunction,
-                     shares: CurrentShares) -> tuple[float, np.ndarray]:
-    """Implementation-adjusted expected value of a study and its per-dataset terms.
+                     shares: CurrentShares) -> EvsiEstimate:
+    """Implementation-adjusted expected value of a study, with its standard error.
 
     ``inb`` and ``p_target`` are each dataset's incremental net benefit of
     the target treatment ``fn.target`` and probability that it is best.  Term
     s is ``(target share after - target share now) * inb[s]``: what the
     market gains once shares respond to dataset s, with today's split valued
     on the same posterior means, so the common simulation noise cancels.
-    The value is the mean of the terms; their spread yields its standard
-    error.  ``StepShare`` ignores ``p_target`` and moves the whole market to
-    the higher posterior mean, ties to the lower index (``inb > 0`` for
-    target 1, ``inb >= 0`` for target 0).
+    The value is the mean of the terms and the standard error that of their
+    mean, so at least two datasets are needed.  ``StepShare`` ignores
+    ``p_target`` and moves the whole market to the higher posterior mean,
+    ties to the lower index (``inb > 0`` for target 1, ``inb >= 0`` for
+    target 0).
     """
     inb = np.asarray(inb, dtype=float)
+    if len(inb) < 2:
+        raise ValueError("need at least two posterior summaries")
     if isinstance(fn, StepShare):
         after = (inb > 0.0) if fn.target == 1 else (inb >= 0.0)
     elif np.shape(p_target) != inb.shape:
@@ -192,4 +210,17 @@ def assemble_evsi_im(inb: np.ndarray, p_target: np.ndarray | None, fn: MarketSha
     else:
         after = market_share(fn, p_target)[..., fn.target]
     terms = (after - shares.shares[fn.target]) * inb
-    return float(np.mean(terms)), terms
+    return EvsiEstimate(value=float(np.mean(terms)),
+                        std_error=float(terms.std(ddof=1) / math.sqrt(len(terms))))
+
+
+def assemble_evsi(inb: np.ndarray) -> EvsiEstimate:
+    """Unadjusted expected value of a study from its INB column.
+
+    The classical value is :func:`assemble_evsi_im` under a step market,
+    starting from the treatment with the better grand mean (treated as fixed
+    for the standard error).  Either treatment's view of ``inb`` gives the
+    same value.
+    """
+    now = CurrentShares((0.0, 1.0) if np.sum(inb) > 0.0 else (1.0, 0.0))
+    return assemble_evsi_im(inb, None, StepShare(), now)

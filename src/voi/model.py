@@ -82,15 +82,6 @@ class BetaPrior:
         if self.alpha <= 0.0 or self.beta <= 0.0:
             raise ValueError("Beta prior requires positive shape parameters")
 
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-    @property
-    def variance(self) -> float:
-        s = self.alpha + self.beta
-        return self.alpha * self.beta / (s * s * (s + 1.0))
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.beta(self.alpha, self.beta, size)
 
@@ -305,7 +296,6 @@ class PsaSample:
 
     draws: ParameterDraw
     nb: np.ndarray
-    seed: int
 
     def __post_init__(self) -> None:
         nb = np.asarray(self.nb)
@@ -322,13 +312,7 @@ class PsaSample:
         return self.nb.shape[1]
 
 
-def sample_prior(
-    spec: PriorSpec,
-    fixed: FixedParams,
-    n_samples: int,
-    seed: int,
-    nb_functions=DEFAULT_NB_FUNCTIONS,
-) -> PsaSample:
+def sample_prior(spec: PriorSpec, fixed: FixedParams, n_samples: int, seed: int) -> PsaSample:
     """Draw a PSA sample of size ``n_samples`` from the prior.
 
     All draws come from the single substream ``(seed, "prior")`` through
@@ -338,8 +322,8 @@ def sample_prior(
     if n_samples < 2:
         raise ValueError("n_samples must be at least 2")
     draws = spec.sample(substream(seed, "prior"), n_samples)
-    nb = np.column_stack([fn(draws, fixed) for fn in nb_functions])
-    return PsaSample(draws=draws, nb=nb, seed=seed)
+    nb = np.column_stack([fn(draws, fixed) for fn in DEFAULT_NB_FUNCTIONS])
+    return PsaSample(draws=draws, nb=nb)
 
 
 def expected_nb(psa: PsaSample) -> np.ndarray:

@@ -16,45 +16,41 @@ method needs only a handful of carefully chosen datasets:
    prior variance minus the average posterior variance.  The rescaled means
    give each PSA draw one INB for the market's target treatment.
 4. The probability of being best is carried along by a generalized logistic
-   fitted to the Q pairs of (INB, probability), both for the target; market
-   shares and the value assembly on the INB column then proceed exactly as
-   in the nested estimator.  The fit is one bounded Levenberg-Marquardt
-   search on the analytic Hessian of its log posterior.
+   fitted to the Q pairs of (INB, probability), both for the target
+   (:func:`voi.curves.fit_generalized_logistic`).  The INB column and these
+   probabilities then go to the nested estimator's valuation,
+   :func:`voi.market.assemble_evsi_im`, and the INB column alone to
+   :func:`voi.market.assemble_evsi`.
 
 A variant re-uses one set of nested runs across a whole range of study sizes
 by spreading the Q datasets over sample sizes, fitting a variance decay curve
-per treatment and a sample-size-indexed logistic, and predicting the value at
-any size on a grid.  Both passes share one calibration (steps 1 and 2,
-:func:`_calibrate`) and one valuation (:func:`_value`: cap, rescale,
-incremental net benefit, probability, ``evsi_im``).  The step-3 regression
-depends on the PSA and the study's informed parameters but not on its size,
-so a single-size pass and a scan of the same study share one fit.
+per treatment and a sample-size-indexed logistic (the same fitter, given
+each dataset's size), and predicting the value at any size on a grid.  Both
+passes share one calibration (steps 1 and 2, :func:`_calibrate`) and one
+valuation (:func:`_value`: cap, rescale, incremental net benefit,
+probability, ``evsi_im``).  The step-3 regression depends on the PSA and the
+study's informed parameters but not on its size, so a single-size pass and
+a scan of the same study share one fit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
 import numpy as np
 
-from .curves import (
-    LogisticFit,
-    VarianceCurveFit,
-    fit_generalized_logistic,
-    fit_generalized_logistic_n,
-    fit_variance_curve,
-)
-from .market import CurrentShares, MarketShareFunction
-from .model import DEFAULT_NB_FUNCTIONS, FixedParams, ParameterDraw, PriorSpec, PsaSample
-from .nmc import (
+from .curves import LogisticFit, VarianceCurveFit, fit_generalized_logistic, fit_variance_curve
+from .market import (
+    CurrentShares,
     EvsiEstimate,
-    PosteriorSummaries,
-    chunked_summaries,
-    evsi_from_inb,
-    evsi_im_from_inb,
+    MarketShareFunction,
+    assemble_evsi,
+    assemble_evsi_im,
 )
+from .model import DEFAULT_NB_FUNCTIONS, FixedParams, ParameterDraw, PriorSpec, PsaSample
+from .nmc import PosteriorSummaries, chunked_summaries
 from .rng import child_seed, substream
 from .smoothing import fit_pspline
 from .studies import Dataset, StudyDesign, StudyKind, simulate_dataset
@@ -112,7 +108,7 @@ def quantile_datasets(psa: PsaSample, design: StudyDesign, n_sets: int, seed: in
     else:
         if len(sizes) != n_sets:
             raise ValueError("sizes must have one entry per dataset")
-        designs = [design.with_n(int(n)) for n in sizes]
+        designs = [replace(design, n=int(n)) for n in sizes]
         order = substream(seed, "quantile-order").permutation(n_sets)
     return [
         simulate_dataset(designs[j], grid.item(int(order[j])), child_seed(seed, "data", j))
@@ -231,7 +227,7 @@ def _value(cond: np.ndarray, target_var: np.ndarray, predict,
     mu = rescale(cond, capped)
     inb = mu[:, market_fn.target] - mu[:, 1 - market_fn.target]
     p_target = np.asarray(predict(inb))
-    return capped, mu, inb, p_target, evsi_im_from_inb(inb, p_target, market_fn, current_shares)
+    return capped, mu, inb, p_target, assemble_evsi_im(inb, p_target, market_fn, current_shares)
 
 
 def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
@@ -245,7 +241,7 @@ def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: St
         cond, variance_reduction_target(psa, summaries.nb_var), logistic.predict,
         market_fn, current_shares)
     return MomentMatchingResult(
-        evsi=evsi_from_inb(inb), evsi_im=evsi_im, logistic=logistic, rescaled_mu=mu,
+        evsi=assemble_evsi(inb), evsi_im=evsi_im, logistic=logistic, rescaled_mu=mu,
         inb=inb, p_target=p_target, summaries=summaries, variance_target=target_var,
         cond=cond,
     )
@@ -283,7 +279,7 @@ def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
     prior_var = psa.nb.var(axis=0, ddof=1)
     curves = tuple(fit_variance_curve(summaries.nb_var[:, d], calib_sizes, prior_var[d])
                    for d in range(psa.n_treatments))
-    logistic = fit_generalized_logistic_n(*summaries.toward(market_fn.target), calib_sizes)
+    logistic = fit_generalized_logistic(*summaries.toward(market_fn.target), calib_sizes)
     estimates = tuple(
         _value(cond, np.array([c.variance_reduction(n) for c in curves]),
                partial(logistic.predict, n=n), market_fn, current_shares)[-1]

@@ -1,22 +1,14 @@
-"""Nested Monte Carlo estimation of the value of a study.
+"""The nested Monte Carlo engine: one posterior summary row per dataset.
 
 The outer loop simulates datasets from the prior predictive: draw parameters,
 draw a dataset.  The inner loop samples the posterior given each dataset and
 reduces it to a row of :class:`PosteriorSummaries`: the incremental net
 benefit ``inb`` (the novel treatment's posterior mean net benefit minus the
 standard one's), the probability ``p`` that the novel treatment is best, and
-both treatments' posterior variances of net benefit.  The estimators read
-only ``inb`` and ``p``, through the one assembly in :mod:`voi.market`, which
-averages ``(share after - share now) * inb`` over datasets:
-
-* implementation-adjusted value: the target treatment's share after the
-  study responds to its probability of being best through a market-share
-  function;
-* unadjusted value: a step market that moves wholly to the apparently best
-  treatment, starting from the treatment with the better grand mean.
-
-Today's market is valued on the same incremental net benefits, so the common
-simulation noise cancels instead of adding an independent error term.
+both treatments' posterior variances of net benefit.  This module stops
+there: both estimators value the rows through :mod:`voi.market`
+(``assemble_evsi_im`` on ``summaries.toward(target)`` for the adjusted
+value, ``assemble_evsi`` on ``summaries.inb`` for the unadjusted one).
 
 One inner engine, :func:`posterior_summaries`, serves every study kind and
 both estimators: the study's posterior (:func:`voi.studies.study_posterior`)
@@ -45,7 +37,6 @@ cancel.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -53,22 +44,16 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .market import CurrentShares, MarketShareFunction, StepShare, assemble_evsi_im
 from .model import DEFAULT_NB_FUNCTIONS, FixedParams, PriorSpec
 from .rng import child_seed, substream
 from .studies import BLOCK_ELEMENTS, Dataset, StudyDesign, simulate_dataset, study_posterior
 
 __all__ = [
     "PosteriorSummaries",
-    "EvsiEstimate",
     "CHUNK_SIZE",
     "posterior_summaries",
     "chunked_summaries",
     "nmc_summaries",
-    "nmc_evsi",
-    "nmc_evsi_im",
-    "evsi_from_inb",
-    "evsi_im_from_inb",
 ]
 
 # Datasets per chunk of posterior work.  Each chunk has its own derived
@@ -119,18 +104,6 @@ class PosteriorSummaries:
     def toward(self, target: int) -> tuple[np.ndarray, np.ndarray]:
         """``(inb, p)`` for treatment ``target``, exact for either treatment."""
         return (self.inb, self.p) if target == 1 else (-self.inb, 1.0 - self.p)
-
-
-@dataclass(frozen=True)
-class EvsiEstimate:
-    """A point estimate of the value of a study with its Monte Carlo error."""
-
-    value: float
-    std_error: float
-
-    def __post_init__(self) -> None:
-        if self.std_error < 0.0:
-            raise ValueError("std_error must be nonnegative")
 
 
 def posterior_summaries(
@@ -249,40 +222,3 @@ def nmc_summaries(design: StudyDesign, prior: PriorSpec, fixed: FixedParams,
     return chunked_summaries(n_outer, simulate, prior, fixed, n_inner, seed, nb_fns,
                              shared_fill=True)
 
-
-def evsi_im_from_inb(inb: np.ndarray, p_target: np.ndarray | None,
-                     market_fn: MarketShareFunction,
-                     current_shares: CurrentShares) -> EvsiEstimate:
-    """Implementation-adjusted expected value of a study from its INB column.
-
-    ``inb`` and ``p_target`` are each dataset's incremental net benefit and
-    probability of being best, both for the market's target treatment.  The
-    standard error is that of the mean of the assembly's per-dataset terms.
-    Both estimators end here.
-    """
-    if len(inb) < 2:
-        raise ValueError("need at least two posterior summaries")
-    value, terms = assemble_evsi_im(inb, p_target, market_fn, current_shares)
-    return EvsiEstimate(value=value, std_error=float(terms.std(ddof=1) / math.sqrt(len(terms))))
-
-
-def evsi_from_inb(inb: np.ndarray) -> EvsiEstimate:
-    """Unadjusted expected value of a study from its INB column.
-
-    The classical value is the one assembly under a step market, starting
-    from the treatment with the better grand mean (treated as fixed for the
-    standard error).  Either treatment's view of ``inb`` gives the same value.
-    """
-    now = CurrentShares((0.0, 1.0) if np.sum(inb) > 0.0 else (1.0, 0.0))
-    return evsi_im_from_inb(inb, None, StepShare(), now)
-
-
-def nmc_evsi(summaries: PosteriorSummaries) -> EvsiEstimate:
-    """Unadjusted expected value of the study from nested summaries."""
-    return evsi_from_inb(summaries.inb)
-
-
-def nmc_evsi_im(summaries: PosteriorSummaries, market_fn: MarketShareFunction,
-                current_shares: CurrentShares) -> EvsiEstimate:
-    """Implementation-adjusted expected value of the study from nested summaries."""
-    return evsi_im_from_inb(*summaries.toward(market_fn.target), market_fn, current_shares)

@@ -17,6 +17,8 @@ import numpy as np
 __all__ = ["SmoothFit", "fit_pspline"]
 
 _DEGREE = 3
+# Interior knots per feature, at sample quantiles.
+_N_KNOTS = 20
 
 
 @dataclass(frozen=True)
@@ -29,16 +31,16 @@ class SmoothFit:
     lam: float
 
 
-def _knots(x: np.ndarray, n_knots: int) -> np.ndarray | None:
+def _knots(x: np.ndarray, count: int) -> np.ndarray | None:
     """Knot vector of one feature's cubic B-spline basis; None if the feature is constant.
 
-    The interior knots sit at ``n_knots`` sample quantiles, ties merged; each
+    The interior knots sit at ``count`` sample quantiles, ties merged; each
     end of the range is repeated degree + 1 times.
     """
     lo, hi = float(x.min()), float(x.max())
     if not hi > lo:
         return None
-    probs = np.linspace(0.0, 1.0, n_knots + 2)[1:-1]
+    probs = np.linspace(0.0, 1.0, count + 2)[1:-1]
     interior = np.unique(np.quantile(x, probs))
     interior = interior[(interior > lo) & (interior < hi)]
     return np.concatenate([np.full(_DEGREE + 1, lo), interior, np.full(_DEGREE + 1, hi)])
@@ -83,8 +85,7 @@ def _basis_block(x: np.ndarray, knots: int | np.ndarray,
     return out
 
 
-def fit_pspline(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
-                n_lambdas: int = 31) -> SmoothFit:
+def fit_pspline(x: np.ndarray, y: np.ndarray, n_lambdas: int = 31) -> SmoothFit:
     """Fit an additive penalized cubic spline of ``y`` on the columns of ``x``.
 
     ``x`` may be a vector (one feature) or an (n, k) matrix.  Returns fitted
@@ -101,7 +102,7 @@ def fit_pspline(x: np.ndarray, y: np.ndarray, n_knots: int = 20,
     y_mean = float(y.mean())
     yc = y - y_mean
 
-    features = [(xj, t) for xj in x.T if (t := _knots(xj, n_knots)) is not None]
+    features = [(xj, t) for xj in x.T if (t := _knots(xj, _N_KNOTS)) is not None]
     if not features:
         resid = float(yc @ yc / max(n - 1, 1))
         return SmoothFit(fitted=np.full(n, y_mean), residual_var=resid, edf=1.0, lam=0.0)

@@ -27,7 +27,7 @@ interpolation (:func:`rct_marginal_grid`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from typing import ClassVar, Sequence
@@ -86,9 +86,6 @@ class StudyDesign:
                 or not 0 <= self.n <= MAX_STUDY_SIZE):
             raise ValueError("n must be an integer from 0 to 2**53")
         object.__setattr__(self, "n", int(self.n))
-
-    def with_n(self, n: int) -> "StudyDesign":
-        return replace(self, n=n)
 
 
 @dataclass(frozen=True)

@@ -20,11 +20,11 @@ from scipy import stats
 from scipy.special import expit, logit
 
 from voi.cli import run_config
-from voi.curves import fit_generalized_logistic, fit_generalized_logistic_n, fit_variance_curve
-from voi.market import CurrentShares, StepShare, market_share
+from voi.curves import fit_generalized_logistic, fit_variance_curve
+from voi.market import CurrentShares, StepShare, assemble_evsi, assemble_evsi_im, market_share
 from voi.model import ParameterDraw, prob_cost_effective, sample_prior
 from voi.moment_matching import mm_by_n_pipeline, mm_pipeline, rescale
-from voi.nmc import nmc_evsi, nmc_evsi_im, nmc_summaries, posterior_summaries
+from voi.nmc import nmc_summaries, posterior_summaries
 from voi.rng import child_seed
 import voi.studies as studies
 from voi.studies import Dataset, StudyDesign, StudyKind
@@ -123,7 +123,7 @@ def test_criterion_4_small_study_against_heavy_oracle(psa10k, priors, fixed, mar
     design = StudyDesign(StudyKind.SIDE_EFFECTS, 10)
     summaries = nmc_summaries(design, priors, fixed, 20_000, 20_000,
                               child_seed(SEED, "oracle-n10"))
-    ref = nmc_evsi_im(summaries, market_fn, current_shares)
+    ref = assemble_evsi_im(*summaries.toward(market_fn.target), market_fn, current_shares)
     mm = mm_pipeline(psa10k, priors, fixed, design, market_fn, current_shares,
                      50, 10_000, child_seed(SEED, "mm-n10")).evsi_im
     combined = math.hypot(ref.std_error, mm.std_error)
@@ -141,8 +141,8 @@ def test_criterion_5_step_market_identity(priors, fixed):
                               child_seed(SEED, "step-check"))
     incumbent = CurrentShares((0.0, 1.0)) if summaries.inb.mean() > 0.0 \
         else CurrentShares((1.0, 0.0))
-    plain = nmc_evsi(summaries).value
-    adjusted = nmc_evsi_im(summaries, StepShare(), incumbent).value
+    plain = assemble_evsi(summaries.inb).value
+    adjusted = assemble_evsi_im(*summaries.toward(1), StepShare(), incumbent).value
     _check("criterion 5 step-market identity",
            adjusted == plain,
            f"adjusted {adjusted!r} == plain {plain!r} (bit level)")
@@ -294,7 +294,7 @@ def test_criterion_7_zero_information_study(priors, fixed):
     design = StudyDesign(StudyKind.SIDE_EFFECTS, 0)
     summaries = nmc_summaries(design, priors, fixed, 300, 400,
                               child_seed(SEED, "c7-zero"))
-    est = nmc_evsi(summaries)
+    est = assemble_evsi(summaries.inb)
     _check("criterion 7 zero-information study",
            abs(est.value) <= 3.0 * est.std_error + 1e-6,
            f"evsi={est.value:.3g} within 3se={3 * est.std_error:.3g} of zero")
@@ -338,7 +338,7 @@ def test_criterion_8_size_power_recovery():
     z = (mu - mu.mean()) / mu.std(ddof=1)
     truth = (1.0 + np.exp(-0.4 * sizes**0.5 * z)) ** -1.0
     probs = np.clip(truth + rng.normal(0.0, 0.01, mu.size), 0.0, 1.0)
-    fit = fit_generalized_logistic_n(mu, probs, sizes)
+    fit = fit_generalized_logistic(mu, probs, sizes)
     _check("criterion 8 size exponent",
            abs(fit.size_power - 0.5) <= 0.15,
            f"u={fit.size_power:.3f} vs 0.5 within 0.15")

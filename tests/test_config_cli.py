@@ -454,6 +454,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err == "estimation error: nb contains non-finite values\n"
 
+    def test_unusable_output_directory_fails_before_estimation(self, case, tmp_path,
+                                                               monkeypatch, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        path = tmp_path / "small.json"
+        path.write_text(_small_config(case, out_dir=str(blocker)).to_json())
+
+        def never(*args, **kwargs):
+            raise AssertionError("estimation ran before the output directory was checked")
+
+        monkeypatch.setattr(cli, "run_config", never)
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
     # 10**15 float64 values take 7 PiB, more than any address space, so
     # numpy refuses the request before it allocates anything.
     @pytest.mark.parametrize("edit", [

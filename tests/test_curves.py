@@ -11,9 +11,8 @@ from voi.cli import run_config
 from voi.curves import (
     FitError,
     LogisticFit,
-    _logistic_objective,
+    _logistic_value,
     fit_generalized_logistic,
-    fit_generalized_logistic_n,
     fit_variance_curve,
 )
 
@@ -81,32 +80,32 @@ class TestSizedLogisticFit:
 
     def test_recovers_size_power(self):
         mu, probs, sizes, _ = self._synthetic(power=0.5, noise=0.01, seed=12)
-        fit = fit_generalized_logistic_n(mu, probs, sizes)
+        fit = fit_generalized_logistic(mu, probs, sizes)
         assert fit.size_power == pytest.approx(0.5, abs=0.15)
 
     def test_recovers_size_independence(self):
         mu, probs, sizes, _ = self._synthetic(power=0.0, noise=0.01, seed=13)
-        fit = fit_generalized_logistic_n(mu, probs, sizes)
+        fit = fit_generalized_logistic(mu, probs, sizes)
         assert fit.size_power == pytest.approx(0.0, abs=0.1)
 
     def test_more_data_sharpens_the_curve(self):
         mu, probs, sizes, _ = self._synthetic(power=0.5, noise=0.005, seed=14)
-        fit = fit_generalized_logistic_n(mu, probs, sizes)
+        fit = fit_generalized_logistic(mu, probs, sizes)
         above = fit.center + fit.scale
         preds = [fit.predict(above, n=n) for n in (10, 50, 200, 1000)]
         assert np.all(np.diff(preds) >= -1e-9)
 
     def test_sized_fit_requires_n_at_prediction(self):
         mu, probs, sizes, _ = self._synthetic(power=0.5, noise=0.01, seed=15)
-        fit = fit_generalized_logistic_n(mu, probs, sizes)
+        fit = fit_generalized_logistic(mu, probs, sizes)
         with pytest.raises(ValueError):
             fit.predict(0.0)
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
-            fit_generalized_logistic_n([0.0, 1.0, 2.0, 3.0],
-                                       [0.1, 0.2, 0.3, 0.4],
-                                       [10.0, 20.0, 0.5, 40.0])
+            fit_generalized_logistic([0.0, 1.0, 2.0, 3.0],
+                                     [0.1, 0.2, 0.3, 0.4],
+                                     [10.0, 20.0, 0.5, 40.0])
 
 
 def _synthetic_single(case: str):
@@ -154,12 +153,6 @@ def searches(monkeypatch):
 
     monkeypatch.setattr(curves, "minimize", recording)
     return record
-
-
-def _fit(mu, probs, sizes=None):
-    if sizes is None:
-        return fit_generalized_logistic(mu, probs)
-    return fit_generalized_logistic_n(mu, probs, sizes)
 
 
 STUDIES = [1, 2, 3]
@@ -210,9 +203,10 @@ class TestLogisticObjective:
             points.append(z)
             assert np.exp(z1) * np.abs(mu_std).max() > np.log(np.finfo(float).max)
         for z in points:
-            value, grad, _ = _logistic_objective(z, mu_std, probs, log_sizes)
+            value, derivatives = _logistic_value(z, mu_std, probs, log_sizes)
+            grad = derivatives()[0]
             fd = _central_difference(
-                lambda x: _logistic_objective(x, mu_std, probs, log_sizes)[0], z)
+                lambda x: _logistic_value(x, mu_std, probs, log_sizes)[0], z)
             assert np.isfinite(value)
             assert np.linalg.norm(grad - fd) <= 1e-6 * np.linalg.norm(grad)
 
@@ -222,7 +216,7 @@ class TestLogisticObjective:
         # search gets the full one, not its Gauss-Newton part.
         if sized:
             mu, probs, sizes = _synthetic_sized(0.5, 0.01, 12)
-            fit_generalized_logistic_n(mu, probs, sizes)
+            fit_generalized_logistic(mu, probs, sizes)
             inputs = _objective_inputs(mu, probs, sizes)
         else:
             mu, probs = _synthetic_single("monotone")
@@ -230,9 +224,9 @@ class TestLogisticObjective:
             inputs = _objective_inputs(mu, probs)
         (res,) = searches
         z = res.x
-        hessian = _logistic_objective(z, *inputs)[2]
+        hessian = _logistic_value(z, *inputs)[1]()[1]
         fd = np.column_stack([_central_difference(
-            lambda x, k=k: _logistic_objective(x, *inputs)[1][k], z) for k in range(z.size)])
+            lambda x, k=k: _logistic_value(x, *inputs)[1]()[0][k], z) for k in range(z.size)])
         np.testing.assert_allclose(hessian, fd, rtol=0.0, atol=1e-6 * np.abs(fd).max())
 
     @pytest.mark.parametrize("case", SINGLE_CASES)
@@ -244,14 +238,14 @@ class TestLogisticObjective:
     @pytest.mark.parametrize("power,noise,seed", SIZED_CASES)
     def test_sized_fit_matches_nelder_mead(self, power, noise, seed, searches):
         mu, probs, sizes = _synthetic_sized(power, noise, seed)
-        fit_generalized_logistic_n(mu, probs, sizes)
+        fit_generalized_logistic(mu, probs, sizes)
         self._check_against_nelder_mead(searches, _objective_inputs(mu, probs, sizes))
 
     @pytest.mark.parametrize("study", STUDIES)
     @pytest.mark.parametrize("form", ["single", "sized"])
     def test_calibration_fit_matches_nelder_mead(self, calibration, form, study, searches):
         mu, probs, sizes = calibration[form, study]
-        _fit(mu, probs, sizes)
+        fit_generalized_logistic(mu, probs, sizes)
         self._check_against_nelder_mead(searches, _objective_inputs(mu, probs, sizes))
 
     @staticmethod
@@ -270,7 +264,7 @@ class TestLogisticObjective:
         starts += list(np.random.default_rng(30).normal(0.0, 1.0, (3, len(starts[0]))))
 
         def value(z):
-            return _logistic_objective(z, *inputs)[0]
+            return _logistic_value(z, *inputs)[0]
 
         reference = min(
             (minimize(value, x0, method="Nelder-Mead",
@@ -286,12 +280,12 @@ class TestLogisticObjective:
         for case in SINGLE_CASES:
             fit_generalized_logistic(*_synthetic_single(case))
         for args in SIZED_CASES:
-            fit_generalized_logistic_n(*_synthetic_sized(*args))
+            fit_generalized_logistic(*_synthetic_sized(*args))
         # A near step at large study sizes drives the search far out.
         mu = np.linspace(-1.0, 1.0, 40)
         step = (mu > 0.0).astype(float)
         fit_generalized_logistic(mu, step)
-        fit_generalized_logistic_n(mu, step, np.full(40, 10_000.0))
+        fit_generalized_logistic(mu, step, np.full(40, 10_000.0))
 
     @pytest.mark.parametrize("form", ["single", "sized"])
     def test_fit_is_one_converged_search(self, form, calibration, searches):
@@ -305,7 +299,7 @@ class TestLogisticObjective:
         inputs += [calibration[form, k] for k in STUDIES]
         for mu, probs, sizes in inputs:
             searches.clear()
-            _fit(mu, probs, sizes)
+            fit_generalized_logistic(mu, probs, sizes)
             (res,) = searches
             assert res.success and res.nfev <= 80
 

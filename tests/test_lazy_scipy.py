@@ -1,7 +1,8 @@
-"""voi imports numpy only: no command and no estimator loads scipy.
+"""voi imports only what a step needs: no command and no estimator loads
+scipy, and the nested engine loads no valuation.
 
 Each check runs in a fresh interpreter, since this test process has long
-imported scipy itself.
+imported scipy and every voi module itself.
 """
 
 import json
@@ -31,6 +32,15 @@ def _run(script: str) -> dict:
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_nested_engine_imports_no_valuation():
+    # voi.nmc stops at the posterior summaries; voi.market values them.
+    seen = _run("""
+import voi.nmc
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("voi."))))
+""")
+    assert "voi.nmc" in seen and "voi.market" not in seen
 
 
 @pytest.fixture()

@@ -1,5 +1,6 @@
 """Market share maps and the implementation-adjusted value assembly."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -103,8 +104,10 @@ class TestStepShare:
         after = np.eye(2)[np.argmax(mu, axis=1)]
         for target in (0, 1):
             inb = mu[:, target] - mu[:, 1 - target]
-            _, terms = assemble_evsi_im(inb, None, StepShare(target=target), now)
-            np.testing.assert_array_equal(terms, np.sum((after - now.as_array()) * mu, axis=1))
+            est = assemble_evsi_im(inb, None, StepShare(target=target), now)
+            terms = np.sum((after - np.array(now.shares)) * mu, axis=1)
+            assert est.value == np.mean(terms)
+            assert est.std_error == terms.std(ddof=1) / math.sqrt(len(terms))
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,9 +149,6 @@ class TestCurrentShares:
         with pytest.raises(ValueError, match="shares"):
             CurrentShares(shares)
 
-    def test_as_array(self):
-        np.testing.assert_allclose(CurrentShares((0.25, 0.75)).as_array(), [0.25, 0.75])
-
 
 class TestDecisionValue:
     def test_incumbent_only_is_first_column_mean(self, psa):
@@ -167,28 +167,34 @@ class TestAssembly:
         rng = np.random.default_rng(0)
         inb = rng.normal(0.0, 1.0, 500)
         p = np.full(500, 0.3)
-        value, terms = assemble_evsi_im(inb, p, LINEAR, current_shares)
-        assert value == 0.0
-        assert np.all(terms == 0.0)
+        est = assemble_evsi_im(inb, p, LINEAR, current_shares)
+        assert est.value == 0.0
+        assert est.std_error == 0.0
 
     def test_terms_average_to_the_estimate(self, current_shares):
+        # The value is the mean of (share after - share now) * inb and the
+        # standard error that of the mean, to the last bit.
         rng = np.random.default_rng(1)
         inb = rng.normal(1.0, 2.0, 400)
         p = rng.uniform(0.0, 1.0, 400)
-        value, terms = assemble_evsi_im(inb, p, LINEAR, current_shares)
-        assert terms.shape == (400,)
-        assert terms.mean() == value
+        est = assemble_evsi_im(inb, p, LINEAR, current_shares)
+        terms = (LINEAR.target_share(p) - current_shares.shares[1]) * inb
+        assert est.value == np.mean(terms)
+        assert est.std_error == terms.std(ddof=1) / math.sqrt(400)
         with pytest.raises(ValueError, match="one probability per dataset"):
             assemble_evsi_im(inb, p[:1], LINEAR, current_shares)
+        # One dataset gives no standard error.
+        with pytest.raises(ValueError, match="at least two"):
+            assemble_evsi_im(inb[:1], p[:1], LINEAR, current_shares)
 
     def test_certain_adoption_hand_case(self):
         mu = np.array([[1.0, 3.0], [3.0, 1.0]])
         inb, p = mu[:, 1] - mu[:, 0], np.array([1.0, 1.0])
         # Full switch to treatment 2 in both rows: mean mu2 - mean mu1 = 0.
-        assert assemble_evsi_im(inb, p, LINEAR, CurrentShares((1.0, 0.0)))[0] == 0.0
+        assert assemble_evsi_im(inb, p, LINEAR, CurrentShares((1.0, 0.0))).value == 0.0
         # Against a half-and-half incumbent market the switch gains nothing
         # on average either, but the current value term changes.
-        assert assemble_evsi_im(inb, p, LINEAR, CurrentShares((0.5, 0.5)))[0] == 0.0
+        assert assemble_evsi_im(inb, p, LINEAR, CurrentShares((0.5, 0.5))).value == 0.0
 
     def test_exact_at_the_case_study_scale(self):
         # Net benefits near the case study's 2.2e6 and shares just above the
@@ -198,7 +204,7 @@ class TestAssembly:
         mu = 2.2e6 + rng.normal(0.0, 2.0e4, (5000, 2)) + [0.0, 3.0e3]
         inb = mu[:, 1] - mu[:, 0]
         p = rng.uniform(0.6, 0.62, inb.size)
-        value, _ = assemble_evsi_im(inb, p, LINEAR, CurrentShares((1.0, 0.0)))
+        value = assemble_evsi_im(inb, p, LINEAR, CurrentShares((1.0, 0.0))).value
         after = LINEAR.target_share(p)
         exact = sum(Fraction(float(a)) * Fraction(float(x)) for a, x in zip(after, inb))
         assert value == pytest.approx(float(exact / inb.size), rel=1e-12)

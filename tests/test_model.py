@@ -228,11 +228,6 @@ class TestFactoredMatchesTree:
 
 
 class TestPriors:
-    def test_beta_prior_moments(self):
-        prior = BetaPrior(3.0, 9.0)
-        assert prior.mean == pytest.approx(0.25)
-        assert prior.variance == pytest.approx(3 * 9 / (12.0**2 * 13.0))
-
     def test_normal_prior_sd(self):
         prior = NormalPrior(-1.5, 1.0 / 3.0)
         assert prior.sd == pytest.approx(math.sqrt(1.0 / 3.0))
@@ -399,7 +394,7 @@ def _toy_psa(nb: np.ndarray) -> PsaSample:
         p_side_effect=np.full(n, 0.25),
         qol_after_event=np.full(n, 0.64),
     )
-    return PsaSample(draws=draws, nb=np.asarray(nb, dtype=float), seed=0)
+    return PsaSample(draws=draws, nb=np.asarray(nb, dtype=float))
 
 
 class TestSummaries:

@@ -327,7 +327,7 @@ class TestByN:
 
         monkeypatch.setattr(moment_matching, "quantile_datasets", simulating)
         record_sizes("fit_variance_curve", 1)
-        record_sizes("fit_generalized_logistic_n", 2)
+        record_sizes("fit_generalized_logistic", 2)
         grid = [60, 15, 200]
         mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn, current_shares,
                          n_sets=9, n_inner=300, n_grid=grid, seed=43,

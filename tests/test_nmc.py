@@ -10,13 +10,17 @@ from scipy import stats
 from scipy.special import logit
 
 import voi.nmc as nmc
-from voi.market import CurrentShares, StepShare, ThresholdLinearShare
+from voi.market import (
+    CurrentShares,
+    StepShare,
+    ThresholdLinearShare,
+    assemble_evsi,
+    assemble_evsi_im,
+)
 from voi.model import NormalPrior, PriorSpec, evpi
 from voi.nmc import (
     PosteriorSummaries,
     _map_in_order,
-    nmc_evsi,
-    nmc_evsi_im,
     nmc_summaries,
     posterior_summaries,
 )
@@ -161,7 +165,7 @@ class TestNmcEvsi:
     def test_zero_information_design(self, priors, fixed):
         design = StudyDesign(StudyKind.SIDE_EFFECTS, 0)
         summaries = nmc_summaries(design, priors, fixed, 300, 400, 22)
-        est = nmc_evsi(summaries)
+        est = assemble_evsi(summaries.inb)
         # The absolute floor absorbs summation-order roundoff at money scale.
         assert est.value == pytest.approx(0.0, abs=3.0 * est.std_error + 1e-6)
 
@@ -176,7 +180,7 @@ class TestNmcEvsi:
         assert_inb_averages_to_prior(small_summaries.inb, psa)
 
     def test_nonnegative_up_to_noise(self, small_summaries):
-        est = nmc_evsi(small_summaries)
+        est = assemble_evsi(small_summaries.inb)
         assert est.value >= -3.0 * est.std_error
 
     def test_collapsed_posterior_recovers_perfect_information(self, psa):
@@ -186,7 +190,7 @@ class TestNmcEvsi:
         summaries = PosteriorSummaries(inb=psa.nb[:, 1] - psa.nb[:, 0],
                                        p=(psa.nb[:, 1] > psa.nb[:, 0]).astype(float),
                                        nb_var=np.zeros((len(psa), 2)))
-        assert nmc_evsi(summaries).value == pytest.approx(evpi(psa), rel=1e-12)
+        assert assemble_evsi(summaries.inb).value == pytest.approx(evpi(psa), rel=1e-12)
 
     def test_determinism(self, priors, fixed):
         design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
@@ -518,22 +522,22 @@ class TestNmcEvsiIm:
         # like the unadjusted estimator; the two must agree to the last bit.
         incumbent = CurrentShares((0.0, 1.0)) if small_summaries.inb.mean() > 0.0 \
             else CurrentShares((1.0, 0.0))
-        plain = nmc_evsi(small_summaries)
-        adjusted = nmc_evsi_im(small_summaries, StepShare(), incumbent)
+        plain = assemble_evsi(small_summaries.inb)
+        adjusted = assemble_evsi_im(*small_summaries.toward(1), StepShare(), incumbent)
         assert adjusted.value == plain.value
 
-    def test_matches_direct_assembly(self, small_summaries, market_fn, current_shares):
-        from voi.market import assemble_evsi_im
-
-        est = nmc_evsi_im(small_summaries, market_fn, current_shares)
+    def test_matches_hand_computed_terms(self, small_summaries, market_fn, current_shares):
+        # The value is the mean of (share after - share now) * inb and the
+        # standard error that of the mean, to the last bit.
         inb, p = small_summaries.toward(market_fn.target)
-        value, terms = assemble_evsi_im(inb, p, market_fn, current_shares)
-        assert est.value == value
+        est = assemble_evsi_im(inb, p, market_fn, current_shares)
+        terms = (market_fn.target_share(p) - current_shares.shares[market_fn.target]) * inb
+        assert est.value == np.mean(terms)
         assert est.std_error == terms.std(ddof=1) / math.sqrt(len(terms))
 
     def test_threshold_never_reached_is_worthless(self, small_summaries):
         fn = ThresholdLinearShare(threshold=0.999999, saturation_at=1.0, target=1)
-        est = nmc_evsi_im(small_summaries, fn, CurrentShares((1.0, 0.0)))
+        est = assemble_evsi_im(*small_summaries.toward(1), fn, CurrentShares((1.0, 0.0)))
         assert est.value == pytest.approx(0.0, abs=1e-6)
 
     def test_empty_summaries_rejected(self, small_summaries):
@@ -542,9 +546,9 @@ class TestNmcEvsiIm:
             few = PosteriorSummaries(small_summaries.inb[:size], small_summaries.p[:size],
                                      small_summaries.nb_var[:size])
             with pytest.raises(ValueError, match="at least two"):
-                nmc_evsi(few)
+                assemble_evsi(few.inb)
             with pytest.raises(ValueError, match="at least two"):
-                nmc_evsi_im(few, StepShare(), CurrentShares((1.0, 0.0)))
+                assemble_evsi_im(*few.toward(1), StepShare(), CurrentShares((1.0, 0.0)))
 
 
 class TestRelabelling:
@@ -568,9 +572,10 @@ class TestRelabelling:
     ], ids=["threshold-linear", "step"])
     def test_values_agree(self, both_labellings, make_fn):
         as_given, relabelled = both_labellings
-        adjusted = [nmc_evsi_im(as_given, make_fn(1), CurrentShares((1.0, 0.0))),
-                    nmc_evsi_im(relabelled, make_fn(0), CurrentShares((0.0, 1.0)))]
-        plain = [nmc_evsi(as_given), nmc_evsi(relabelled)]
+        adjusted = [assemble_evsi_im(*as_given.toward(1), make_fn(1), CurrentShares((1.0, 0.0))),
+                    assemble_evsi_im(*relabelled.toward(0), make_fn(0),
+                                     CurrentShares((0.0, 1.0)))]
+        plain = [assemble_evsi(as_given.inb), assemble_evsi(relabelled.inb)]
         for a, b in (adjusted, plain):
             assert a.value > 0.0
             assert b.value == pytest.approx(a.value, rel=1e-12)

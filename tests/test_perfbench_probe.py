@@ -48,9 +48,13 @@ STALE_TARGETS = {
         "posterior_side_effects", "posterior_quality", "run_rct_chains",
         "posterior_nb_summary", "rct_nb_summaries", "evsi_im_terms")),
     *(f"voi.moment_matching.{name}" for name in (
-        "posterior_nb_summary", "rct_nb_summaries", "assemble_evsi_im", "evsi_im_terms")),
+        "posterior_nb_summary", "rct_nb_summaries", "evsi_im_terms")),
     # The logistic fit searches from one fixed start and draws no random ones.
     "voi.curves.substream",
+    # Both estimators value their summaries through voi.market, and the
+    # nested engine imports none of it; one function fits both logistic forms.
+    "voi.cli.nmc_evsi", "voi.cli.nmc_evsi_im", "voi.nmc.assemble_evsi_im",
+    "voi.moment_matching.fit_generalized_logistic_n",
 }
 
 
