@@ -5,8 +5,8 @@ Two subcommands:
 * ``voi run --config cfg.json [--method nmc|mm|both] [--seed N] [--out DIR]``
   estimates the value of every configured study and writes ``results.csv``
   (plus ``by_n_study<k>.csv`` per study when the config has an ``n_grid``).
-  Whenever moment matching runs it also writes, per study, the fitted
-  probability trend ``trend_study<k>.csv`` (512 grid rows) and the
+  Whenever moment matching runs it also writes, per study, the probability
+  map its value used, ``trend_study<k>.csv`` (512 grid rows), and the
   incremental net benefit sample ``inb_density_study<k>.csv``.  It first
   deletes the per-study files an earlier run left in the output directory.
   It prints each estimate, then the prior sample's summary: every
@@ -143,11 +143,11 @@ def _write_outputs(config: RunConfig, table: ResultTable,
                    [scan.sizes, [est.value for est in scan.estimates],
                     [est.std_error for est in scan.estimates]], study=k)
     for k, result in mm_results.items():
-        # The fitted trend on a strictly increasing grid spanning the
+        # The probability map on a strictly increasing grid spanning the
         # incremental net benefit sample, then the sample itself.
         lo, hi = float(result.inb.min()), float(result.inb.max())
         grid = np.linspace(lo, hi if hi > lo else lo + 1.0, TREND_GRID_POINTS)
-        probs = np.asarray(result.logistic.predict(grid), dtype=float)
+        probs = np.asarray(result.probability_map(grid), dtype=float)
         _write_csv(out / f"trend_study{k}.csv", table, "inb,probability",
                    [grid.tolist(), probs.tolist()], study=k)
         _write_csv(out / f"inb_density_study{k}.csv", table, "inb",

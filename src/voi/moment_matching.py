@@ -1,59 +1,55 @@
 """Moment-matching estimation of the value of a study.
 
 Instead of nesting a posterior sample inside every simulated dataset, this
-method needs only a handful of carefully chosen datasets:
+method needs only a handful of carefully chosen datasets (Heath,
+Manolopoulou & Baio 2018, MDM 38:163):
 
 1. Build Q datasets whose generating parameters sit at the (q - 0.5) / Q
-   marginal sample quantiles of the parameters the study informs, so the
-   datasets sweep the informative range evenly.
-2. Sample each dataset's posterior once and record its incremental net
-   benefit (INB), the probability that the novel treatment is best, and
-   both treatments' posterior variances of net benefit.
-3. Regress each treatment's net benefit on the informed parameters over the
-   PSA sample (penalized splines, GCV smoothing).  The fitted values have the
-   right conditional-mean shape but too little spread, so they are linearly
-   rescaled to the variance the nested runs say posterior means should have:
-   prior variance minus the average posterior variance.  The rescaled means
-   give each PSA draw one INB for the market's target treatment.
-4. The probability of being best is carried along by a generalized logistic
-   fitted to the Q pairs of (INB, probability), both for the target
-   (:func:`voi.curves.fit_generalized_logistic`).  The INB column and these
-   probabilities then go to the nested estimator's valuation,
+   marginal sample quantiles of the PSA, so the datasets sweep the range of
+   the parameter the study informs evenly.
+2. Run each dataset's posterior through the nested engine once, for its
+   incremental net benefit (INB) and the probability that the target
+   treatment is best.
+3. Regress the PSA's INB of the target on the informed parameter theta
+   (one penalized spline, GCV smoothing), giving g(theta) = E[INB | theta].
+   A dataset depends on theta alone, so by the law of total variance the
+   posterior means E[INB | D] have variance Var(g) - E[Var(g | D)]; the
+   target averages Var(g | D_q) over the Q datasets, each computed exactly
+   by its posterior's quadrature with g interpolated over the PSA's sorted
+   theta.  g is rescaled affinely to that variance: one INB per PSA draw.
+4. Each INB is mapped to a probability by linear interpolation through the
+   Q (INB, probability) pairs sorted by INB, constant beyond them.  The INB
+   column and these probabilities go to the nested estimator's valuation,
    :func:`voi.market.assemble_evsi_im`, and the INB column alone to
    :func:`voi.market.assemble_evsi`.
 
 A variant re-uses one set of nested runs across a whole range of study sizes
-by spreading the Q datasets over sample sizes, fitting a variance decay curve
-per treatment and a sample-size-indexed logistic (the same fitter, given
-each dataset's size), and predicting the value at any size on a grid.  Both
-passes share one calibration (steps 1 and 2, :func:`_calibrate`) and one
-valuation (:func:`_value`: cap, rescale, incremental net benefit,
-probability, ``evsi_im``).  The step-3 regression depends on the PSA and the
-study's informed parameters but not on its size, so a single-size pass and
-a scan of the same study share one fit.
+by spreading the Q datasets over sample sizes, fitting one decay curve of
+Var(g | D) from Var(g) and a sample-size-indexed generalized logistic
+(:func:`voi.curves.fit_generalized_logistic`, given each dataset's size),
+and predicting the value at any size on a grid.  Both passes share one
+calibration (steps 1 and 2, :func:`_calibrate`) and one valuation
+(:func:`_value`: rescale, probability, ``evsi_im``).  g depends on the PSA
+and the informed parameter but not on the study size, so a single-size pass
+and a scan of the same study share one fit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .curves import LogisticFit, VarianceCurveFit, fit_generalized_logistic, fit_variance_curve
-from .market import (
-    CurrentShares,
-    EvsiEstimate,
-    MarketShareFunction,
-    assemble_evsi,
-    assemble_evsi_im,
-)
+from .market import (CurrentShares, EvsiEstimate, MarketShareFunction, assemble_evsi,
+                     assemble_evsi_im)
 from .model import DEFAULT_NB_FUNCTIONS, FixedParams, ParameterDraw, PriorSpec, PsaSample
 from .nmc import PosteriorSummaries, chunked_summaries
 from .rng import child_seed, substream
 from .smoothing import fit_pspline
-from .studies import Dataset, StudyDesign, StudyKind, simulate_dataset
+from .studies import Dataset, StudyDesign, simulate_dataset, study_posterior
 
 __all__ = [
     "MomentMatchingResult",
@@ -62,6 +58,7 @@ __all__ = [
     "quantile_datasets",
     "nested_summaries",
     "fit_conditional_expectation",
+    "posterior_variances",
     "variance_reduction_target",
     "rescale",
     "mm_pipeline",
@@ -79,12 +76,9 @@ def quantile_grid(psa: PsaSample, n_points: int) -> ParameterDraw:
     if n_points < 1:
         raise ValueError("n_points must be at least 1")
     probs = (np.arange(1, n_points + 1) - 0.5) / n_points
-    return ParameterDraw.from_primitives(
-        p_event=np.quantile(np.asarray(psa.draws.p_event), probs),
-        odds_ratio=np.quantile(np.asarray(psa.draws.odds_ratio), probs),
-        p_side_effect=np.quantile(np.asarray(psa.draws.p_side_effect), probs),
-        qol_after_event=np.quantile(np.asarray(psa.draws.qol_after_event), probs),
-    )
+    return ParameterDraw.from_primitives(**{
+        name: np.quantile(np.asarray(getattr(psa.draws, name)), probs)
+        for name in PriorSpec.FIELD_ORDER})
 
 
 def quantile_datasets(psa: PsaSample, design: StudyDesign, n_sets: int, seed: int,
@@ -123,71 +117,61 @@ def nested_summaries(datasets: Sequence[Dataset], prior: PriorSpec, fixed: Fixed
 
     The datasets run in chunks through :func:`voi.nmc.chunked_summaries`, the
     path every nested summary takes, so the result does not depend on the
-    number of cores.  Each dataset gets its own prior refill: the variance
-    target averages these datasets' posterior variances, and a refill shared
-    across them would put the same noise into every one.
+    number of cores.  Each dataset gets its own prior refill: the Q (INB,
+    probability) pairs are the whole probability map, and a refill shared
+    within a chunk would correlate their errors, which so few pairs do not
+    average out (:mod:`voi.nmc` gives the measured cost).
     """
     return chunked_summaries(len(datasets), lambda indices: [datasets[j] for j in indices],
                              prior, fixed, n_inner, seed, nb_fns, shared_fill=False)
 
 
-_REGRESSION_FEATURES = {
-    StudyKind.SIDE_EFFECTS: ("p_side_effect",),
-    StudyKind.QUALITY_OF_LIFE: ("qol_after_event",),
-    # The trial's sampling distribution depends on the baseline rate and the
-    # odds ratio; conditioning on the two arm probabilities spans the same
-    # information, and in these coordinates each net-benefit column's
-    # conditional mean is additive, so the basis needs no interaction terms.
-    StudyKind.EFFECTIVENESS_RCT: ("p_event", "p_event_treated"),
-}
+def fit_conditional_expectation(psa: PsaSample, field: str, target: int) -> np.ndarray:
+    """g: a smooth estimate of E[INB of treatment ``target`` | ``field``] at every PSA draw."""
+    inb = psa.nb[:, target] - psa.nb[:, 1 - target]
+    return fit_pspline(np.asarray(getattr(psa.draws, field)), inb).fitted
 
 
-def fit_conditional_expectation(psa: PsaSample, design: StudyDesign) -> np.ndarray:
-    """S x D smooth estimates of E[net benefit | the study's informed parameters]."""
-    x = np.column_stack([np.asarray(getattr(psa.draws, name))
-                         for name in _REGRESSION_FEATURES[design.kind]])
-    return np.column_stack([fit_pspline(x, psa.nb[:, d]).fitted
-                            for d in range(psa.n_treatments)])
+def posterior_variances(psa: PsaSample, cond: np.ndarray, posterior) -> np.ndarray:
+    """Var(g | D) for each dataset behind ``posterior``, by its quadrature.
 
-
-def variance_reduction_target(psa: PsaSample, posterior_nb_variances) -> np.ndarray:
-    """Variance the rescaled posterior means should have, per treatment.
-
-    ``posterior_nb_variances`` is a (Q, D) array of per-dataset posterior
-    net-benefit variances.  The target is the prior net-benefit variance
-    minus the average posterior variance, clipped into [0, prior variance].
+    g is ``cond`` interpolated linearly over the PSA's sorted values of the
+    field the posterior informs, and constant beyond their range.
     """
-    arr = np.asarray(posterior_nb_variances, dtype=float)
-    if arr.ndim != 2 or arr.shape[1] != psa.n_treatments:
-        raise ValueError("expected per-dataset variances of shape (Q, D)")
-    prior_var = psa.nb.var(axis=0, ddof=1)
-    mean_posterior = arr.mean(axis=0)
-    return np.clip(prior_var - mean_posterior, 0.0, prior_var)
+    theta = np.asarray(getattr(psa.draws, posterior.field))
+    order = np.argsort(theta)
+    nodes, weights = posterior.quadrature()
+    g = np.interp(nodes, theta[order], cond[order])
+    mean = np.sum(weights * g, axis=1, keepdims=True)
+    return np.sum(weights * (g - mean) ** 2, axis=1)
 
 
-def _cap_at_fit_variance(target: np.ndarray, cond: np.ndarray) -> np.ndarray:
-    # A dataset moves a posterior mean only through the parameters the study
-    # updates, so Var(E[NB_d | data]) can never exceed the variance of the
-    # conditional expectation on those parameters.  Without this ceiling,
-    # Monte Carlo noise in the prior-minus-posterior variance difference gets
-    # amplified onto a near-flat fit for any treatment the study cannot move.
-    return np.minimum(target, cond.var(axis=0, ddof=1))
+def variance_reduction_target(cond: np.ndarray, variances) -> float:
+    """Var(E[INB | D]): Var(g) minus the mean of the datasets' ``variances`` of g.
+
+    By the law of total variance this is exact for data that depend on the
+    informed parameter alone, so it lies within [0, Var(g)]; the clip
+    absorbs the PSA's sampling error in Var(g), which shows near size 0.
+    """
+    total = cond.var(ddof=1)
+    return float(np.clip(total - np.mean(variances), 0.0, total))
 
 
-def rescale(cond: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Affinely rescale the S x D fitted values to the target variance, per column.
+def rescale(cond: np.ndarray, target) -> np.ndarray:
+    """Affinely rescale fitted values to the target variance, per column.
 
-    Means are preserved exactly; a zero target collapses the column to its
-    mean.  A column whose fit is constant carries no ranking information and
-    stays at its mean whatever the target.
+    ``cond`` is a vector with one target, or S x D with one target per
+    column.  Means are preserved exactly; a zero target collapses a column
+    to its mean.  A column whose fit is constant carries no ranking
+    information and stays at its mean whatever the target.
     """
     target = np.asarray(target, dtype=float)
-    if target.shape != (cond.shape[1],):
-        raise ValueError("need one target variance per treatment")
+    if target.shape != cond.shape[1:]:
+        raise ValueError("need one target variance per column")
     if np.any(target < 0.0):
         raise ValueError("target variances must be nonnegative")
     means = cond.mean(axis=0)
-    variances = cond.var(axis=0, ddof=1)
+    variances = np.asarray(cond.var(axis=0, ddof=1))
     ratio = np.divide(target, variances, out=np.zeros_like(variances), where=variances > 0.0)
     return means + (cond - means) * np.sqrt(ratio)
 
@@ -198,50 +182,49 @@ class MomentMatchingResult:
 
     evsi: EvsiEstimate
     evsi_im: EvsiEstimate
-    logistic: LogisticFit
-    rescaled_mu: np.ndarray      # S x 2 calibrated posterior means
-    inb: np.ndarray              # S incremental net benefits (target minus other)
+    probability_map: Callable    # INB -> target probability, through the Q pairs
+    inb: np.ndarray              # S rescaled INBs of the target treatment
     p_target: np.ndarray         # S predicted probabilities for the target
     summaries: PosteriorSummaries
-    variance_target: np.ndarray
-    cond: np.ndarray             # S x 2 fitted E[NB | informed parameters]
+    variance_target: float
+    cond: np.ndarray             # S fitted E[INB | informed parameter]
 
 
 def _calibrate(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
-               n_sets: int, n_inner: int, seed: int,
-               sizes: list[int] | None = None) -> PosteriorSummaries:
-    """Steps 1 and 2: the Q nested runs, at the design size or at ``sizes``."""
+               n_sets: int, n_inner: int, seed: int, sizes: list[int] | None = None):
+    """Steps 1 and 2 at the design size or at ``sizes``: the Q datasets'
+    exact posteriors and their nested runs."""
     datasets = quantile_datasets(psa, design, n_sets, child_seed(seed, "mm-data"), sizes)
-    return nested_summaries(datasets, prior, fixed, n_inner, child_seed(seed, "mm-post"))
+    return (study_posterior(datasets, prior),
+            nested_summaries(datasets, prior, fixed, n_inner, child_seed(seed, "mm-post")))
 
 
-def _value(cond: np.ndarray, target_var: np.ndarray, predict,
+def _value(cond: np.ndarray, target_var: float, predict,
            market_fn: MarketShareFunction, current_shares: CurrentShares):
-    """Steps 3 and 4 from a variance target: calibrated means to ``evsi_im``.
+    """Steps 3 and 4 from a variance target: rescaled INBs to ``evsi_im``.
 
-    ``predict`` maps incremental net benefits to target probabilities.
-    Returns the capped target, the rescaled means, their incremental net
-    benefits and target probabilities, and the ``evsi_im`` estimate.
+    ``predict`` maps INBs to target probabilities.  Returns the INBs, their
+    target probabilities and the ``evsi_im`` estimate.
     """
-    capped = _cap_at_fit_variance(target_var, cond)
-    mu = rescale(cond, capped)
-    inb = mu[:, market_fn.target] - mu[:, 1 - market_fn.target]
+    inb = rescale(cond, target_var)
     p_target = np.asarray(predict(inb))
-    return capped, mu, inb, p_target, assemble_evsi_im(inb, p_target, market_fn, current_shares)
+    return inb, p_target, assemble_evsi_im(inb, p_target, market_fn, current_shares)
 
 
 def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
                 market_fn: MarketShareFunction, current_shares: CurrentShares,
                 n_sets: int, n_inner: int, seed: int) -> MomentMatchingResult:
     """Full moment-matching pass for one study at its design sample size."""
-    summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed)
-    cond = fit_conditional_expectation(psa, design)
-    logistic = fit_generalized_logistic(*summaries.toward(market_fn.target))
-    target_var, mu, inb, p_target, evsi_im = _value(
-        cond, variance_reduction_target(psa, summaries.nb_var), logistic.predict,
-        market_fn, current_shares)
+    posterior, summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed)
+    cond = fit_conditional_expectation(psa, posterior.field, market_fn.target)
+    target_var = variance_reduction_target(cond, posterior_variances(psa, cond, posterior))
+    pairs_inb, pairs_p = summaries.toward(market_fn.target)
+    order = np.argsort(pairs_inb, kind="stable")
+    probability_map = partial(np.interp, xp=pairs_inb[order], fp=pairs_p[order])
+    inb, p_target, evsi_im = _value(cond, target_var, probability_map,
+                                    market_fn, current_shares)
     return MomentMatchingResult(
-        evsi=assemble_evsi(inb), evsi_im=evsi_im, logistic=logistic, rescaled_mu=mu,
+        evsi=assemble_evsi(inb), evsi_im=evsi_im, probability_map=probability_map,
         inb=inb, p_target=p_target, summaries=summaries, variance_target=target_var,
         cond=cond,
     )
@@ -254,7 +237,7 @@ class SampleSizeScan:
     sizes: tuple[int, ...]
     estimates: tuple[EvsiEstimate, ...]
     logistic: LogisticFit
-    variance_curves: tuple[VarianceCurveFit, ...]
+    variance_curve: VarianceCurveFit
     summaries: PosteriorSummaries
 
 
@@ -265,24 +248,24 @@ def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
     """Calibrate once across [min(n_grid), max(n_grid)], predict at each size.
 
     The Q quantile datasets are spread over sample sizes covering the grid's
-    range; the nested runs then support a per-treatment variance decay curve
-    and a sample-size-indexed logistic, from which the value at every grid
-    size follows without further simulation.  ``cond`` is the single-size
-    pass's regression on the same PSA and design, which does not depend on
-    the study size.
+    range; their exact posterior variances of g support one variance decay
+    curve from Var(g), and their nested runs a sample-size-indexed
+    logistic, from which the value at every grid size follows without
+    further simulation.  ``cond`` is the single-size pass's g on the same
+    PSA and design, which does not depend on the study size.
     """
     sizes = tuple(int(n) for n in n_grid)
     if not sizes or min(sizes) < 1:
         raise ValueError("the grid needs at least one size, each at least 1")
     calib_sizes = np.rint(np.linspace(min(sizes), max(sizes), n_sets)).astype(int).tolist()
-    summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed, sizes=calib_sizes)
-    prior_var = psa.nb.var(axis=0, ddof=1)
-    curves = tuple(fit_variance_curve(summaries.nb_var[:, d], calib_sizes, prior_var[d])
-                   for d in range(psa.n_treatments))
+    posterior, summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed,
+                                      sizes=calib_sizes)
+    curve = fit_variance_curve(posterior_variances(psa, cond, posterior), calib_sizes,
+                               cond.var(ddof=1))
     logistic = fit_generalized_logistic(*summaries.toward(market_fn.target), calib_sizes)
     estimates = tuple(
-        _value(cond, np.array([c.variance_reduction(n) for c in curves]),
-               partial(logistic.predict, n=n), market_fn, current_shares)[-1]
+        _value(cond, curve.variance_reduction(n), partial(logistic.predict, n=n),
+               market_fn, current_shares)[-1]
         for n in sizes)
     return SampleSizeScan(sizes=sizes, estimates=estimates, logistic=logistic,
-                          variance_curves=curves, summaries=summaries)
+                          variance_curve=curve, summaries=summaries)

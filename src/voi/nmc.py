@@ -3,18 +3,19 @@
 The outer loop simulates datasets from the prior predictive: draw parameters,
 draw a dataset.  The inner loop samples the posterior given each dataset and
 reduces it to a row of :class:`PosteriorSummaries`: the incremental net
-benefit ``inb`` (the novel treatment's posterior mean net benefit minus the
-standard one's), the probability ``p`` that the novel treatment is best, and
-both treatments' posterior variances of net benefit.  This module stops
-there: both estimators value the rows through :mod:`voi.market`
-(``assemble_evsi_im`` on ``summaries.toward(target)`` for the adjusted
-value, ``assemble_evsi`` on ``summaries.inb`` for the unadjusted one).
+benefit ``inb`` (the posterior mean of the novel treatment's net benefit
+minus the standard one's) and the probability ``p`` that the novel treatment
+is best.  This module stops there: both estimators value the rows through
+:mod:`voi.market` (``assemble_evsi_im`` on ``summaries.toward(target)`` for
+the adjusted value, ``assemble_evsi`` on ``summaries.inb`` for the
+unadjusted one).
 
 One inner engine, :func:`posterior_summaries`, serves every study kind and
 both estimators: the study's posterior (:func:`voi.studies.study_posterior`)
 draws the one parameter it informs for a batch of datasets, the prior
-refills the rest, and each block of draws is folded into running moments and
-win counts.  :func:`chunked_summaries` cuts the datasets into chunks of
+refills the rest, and each block of draws is folded into a running sum of
+each draw's net-benefit difference and a count of the draws the novel
+treatment wins.  :func:`chunked_summaries` cuts the datasets into chunks of
 ``CHUNK_SIZE``, each with its own derived streams, and runs the chunks on one
 thread per usable core; numpy's generators release the interpreter lock
 while they fill arrays.  Results come back in dataset order and are bit for
@@ -29,10 +30,12 @@ many chunks of an outer loop that correlation is small: over 30 seeds at
 about 500 outer datasets, each estimate moved from its one-fill-per-dataset
 value by 0.08-0.24 of its reported SE (SD of the paired shift), and the
 across-seed SD stayed at 0.88-1.14 reported SEs (0.85-1.13 before).
-Moment matching keeps one fill per dataset: it averages its few datasets'
-posterior variances into a variance target, and a shared fill would give
-all of them the same refill noise, which the average would no longer
-cancel.
+Moment matching keeps one fill per dataset.  Its few datasets' (INB, P)
+pairs are the whole probability map, so correlated inner errors do not
+average out there: over seeds 0-29 a shared fill would more than halve its
+engine time, but it shifted each study's estimate with a paired SD of 57,
+41 and 45 and raised the across-seed SD of studies 2 and 3 from 108 to 119
+and from 125 to 136.
 """
 
 from __future__ import annotations
@@ -89,17 +92,14 @@ def _map_in_order(fn: Callable, items: Iterable) -> list:
 class PosteriorSummaries:
     """The inner posterior samples of S datasets, each reduced to one row.
 
-    inb: posterior mean net benefit of the novel treatment minus the
+    inb: posterior mean of the novel treatment's net benefit minus the
          standard one's, length S.
     p: probability that the novel treatment's net benefit exceeds the
        standard one's (a tie counts for the standard one), length S.
-    nb_var: posterior sample variance (ddof=1) of each treatment's net
-            benefit, S x 2.
     """
 
     inb: np.ndarray
     p: np.ndarray
-    nb_var: np.ndarray
 
     def toward(self, target: int) -> tuple[np.ndarray, np.ndarray]:
         """``(inb, p)`` for treatment ``target``, exact for either treatment."""
@@ -115,7 +115,7 @@ def posterior_summaries(
     nb_fns=DEFAULT_NB_FUNCTIONS,
     grid_memo: dict | None = None,
     *,
-    shared_fill: bool = False,
+    shared_fill: bool,
 ) -> PosteriorSummaries:
     """Summaries for a batch of one study kind's datasets, reduced block by block.
 
@@ -127,10 +127,8 @@ def posterior_summaries(
     column that every dataset of the batch shares.  With one dataset the two
     fills are the same numbers.  Each block is evaluated by the pair
     ``nb_fns`` (standard, novel), whose results broadcast to ``(k,
-    len(datasets))``, and folded into running moments and the novel
-    treatment's win count in one pass.  Moments accumulate relative to the
-    first block's first row, which keeps the variance accumulation well
-    conditioned at net-benefit magnitudes.  ``grid_memo`` goes to
+    len(datasets))``; each draw's novel minus standard net benefit is summed
+    and its positive values counted.  ``grid_memo`` goes to
     :func:`voi.studies.study_posterior`.
     """
     standard, novel = nb_fns
@@ -140,35 +138,22 @@ def posterior_summaries(
     fill_rng = substream(seed, "posterior", kind, "complement")
     m = len(datasets)
     length = max(1, BLOCK_ELEMENTS // m)
-    sums = np.zeros((m, 2))
-    sumsq = np.zeros((m, 2))
+    sums = np.zeros(m)
     wins = np.zeros(m)
-    # Every block's deviations from the shift, then their squares, in one
-    # array; the net benefits themselves belong to the caller's functions.
-    delta = np.empty((min(length, n_draws), m, 2))
-    shift = None
+    # Every block's differences in one array; the net benefits themselves
+    # belong to the caller's functions.
+    diff = np.empty((min(length, n_draws), m))
     for start in range(0, n_draws, length):
         x = posterior.draw(rng, min(length, n_draws - start))
         fill = (x.shape[0], 1) if shared_fill else x.shape
         draw = prior.sample(fill_rng, fill, {posterior.field: x})
-        nb = standard(draw, fixed), novel(draw, fixed)
-        wins += np.count_nonzero(nb[1] > nb[0], axis=0)
-        if shift is None:
-            # A net benefit that reads only shared parameters has one column.
-            shift = np.empty((m, 2))
-            shift[:, 0], shift[:, 1] = nb[0][0], nb[1][0]
-        block = delta[:x.shape[0]]
-        for d in (0, 1):
-            np.subtract(nb[d], shift[:, d], out=block[..., d])
+        block = np.subtract(novel(draw, fixed), standard(draw, fixed), out=diff[:x.shape[0]])
         sums += block.sum(axis=0)
-        np.multiply(block, block, out=block)
-        sumsq += block.sum(axis=0)
+        wins += np.count_nonzero(block > 0.0, axis=0)
         # Let this block's draws go before the next block draws its own.
-        del x, draw, nb
+        del x, draw
 
-    mu = shift + sums / n_draws
-    var = (sumsq - sums * sums / n_draws) / (n_draws - 1)
-    return PosteriorSummaries(inb=mu[:, 1] - mu[:, 0], p=wins / n_draws, nb_var=var)
+    return PosteriorSummaries(inb=sums / n_draws, p=wins / n_draws)
 
 
 def chunked_summaries(n_datasets: int, datasets_at: Callable[[range], Sequence[Dataset]],
@@ -196,7 +181,7 @@ def chunked_summaries(n_datasets: int, datasets_at: Callable[[range], Sequence[D
 
     chunks = _map_in_order(chunk, range(0, n_datasets, CHUNK_SIZE))
     return PosteriorSummaries(*(np.concatenate([getattr(c, name) for c in chunks])
-                                for name in ("inb", "p", "nb_var")))
+                                for name in ("inb", "p")))
 
 
 def nmc_summaries(design: StudyDesign, prior: PriorSpec, fixed: FixedParams,

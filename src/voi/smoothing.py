@@ -1,9 +1,9 @@
 """Penalized cubic regression splines with GCV-chosen smoothing.
 
-Used to estimate conditional expectations E[y | x] over a Monte Carlo sample.
-Each feature gets a cubic B-spline basis with knots at its sample quantiles
-and a second-order difference penalty on the coefficients; several features
-combine additively.  The smoothing weight is picked by minimising generalized
+Used to estimate a conditional expectation E[y | x] of one feature over a
+Monte Carlo sample.  The feature gets a cubic B-spline basis with knots at
+its sample quantiles and a second-order difference penalty on the
+coefficients.  The smoothing weight is picked by minimising generalized
 cross validation over a logarithmic grid, which only needs one p x p
 eigensystem-free solve per grid point.
 """
@@ -17,7 +17,7 @@ import numpy as np
 __all__ = ["SmoothFit", "fit_pspline"]
 
 _DEGREE = 3
-# Interior knots per feature, at sample quantiles.
+# Interior knots, at sample quantiles.
 _N_KNOTS = 20
 
 
@@ -86,42 +86,36 @@ def _basis_block(x: np.ndarray, knots: int | np.ndarray,
 
 
 def fit_pspline(x: np.ndarray, y: np.ndarray, n_lambdas: int = 31) -> SmoothFit:
-    """Fit an additive penalized cubic spline of ``y`` on the columns of ``x``.
+    """Fit a penalized cubic spline of ``y`` on the vector ``x``.
 
-    ``x`` may be a vector (one feature) or an (n, k) matrix.  Returns fitted
-    values at the training points.  With every feature constant the fit is the
-    sample mean.
+    Returns fitted values at the training points.  With ``x`` constant the
+    fit is the sample mean.
     """
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
     n = y.size
-    if x.shape[0] != n:
-        raise ValueError("x and y must have the same number of rows")
+    if x.shape != (n,):
+        raise ValueError("x and y must be vectors of the same length")
     y_mean = float(y.mean())
     yc = y - y_mean
 
-    features = [(xj, t) for xj in x.T if (t := _knots(xj, _N_KNOTS)) is not None]
-    if not features:
+    knots = _knots(x, _N_KNOTS)
+    if knots is None:
         resid = float(yc @ yc / max(n - 1, 1))
         return SmoothFit(fitted=np.full(n, y_mean), residual_var=resid, edf=1.0, lam=0.0)
 
-    # One design: an intercept, then each feature's block, centred so the
-    # additive pieces are orthogonal to the intercept.  Second differences
-    # are penalized within each block.
-    sizes = [t.size - _DEGREE - 1 for _, t in features]
-    p = 1 + sum(sizes)
+    # One design: an intercept, then the basis, centred so that it is
+    # orthogonal to the intercept.  Second differences of the basis
+    # coefficients are penalized.
+    size = knots.size - _DEGREE - 1
+    p = 1 + size
     design = np.zeros((n, p))
     design[:, 0] = 1.0
+    block = _basis_block(x, knots, out=design[:, 1:])
+    block -= block.mean(axis=0)
     penalty = np.zeros((p, p))
-    offset = 1
-    for (xj, t), size in zip(features, sizes):
-        block = _basis_block(xj, t, out=design[:, offset:offset + size])
-        block -= block.mean(axis=0)
-        d = np.diff(np.eye(size), n=2, axis=0)  # no rows below three columns
-        penalty[offset:offset + size, offset:offset + size] = d.T @ d
-        offset += size
+    d = np.diff(np.eye(size), n=2, axis=0)  # no rows below three columns
+    penalty[1:, 1:] = d.T @ d
 
     gram = design.T @ design
     rhs = design.T @ yc

@@ -11,17 +11,20 @@ Three data collection exercises can inform the decision model:
 
 Each study informs one model parameter.  For a batch of its datasets, a
 study supplies one small posterior object (:func:`study_posterior`, one
-table entry per kind) with the :class:`ParameterDraw` field it informs and a
-``draw(rng, k)`` that returns ``(k, datasets)`` draws of that field.  The
-inner engine (:func:`voi.nmc.posterior_summaries`) redraws every other
-parameter fresh from the prior: they are a priori independent of the
+table entry per kind) with the :class:`ParameterDraw` field it informs, a
+``draw(rng, k)`` that returns ``(k, datasets)`` draws of that field, and a
+``quadrature()`` that returns ``(datasets, K)`` nodes of the field and
+weights summing to 1 per row, for exact posterior moments of any function
+of it.  The inner engine (:func:`voi.nmc.posterior_summaries`) redraws every
+other parameter fresh from the prior: they are a priori independent of the
 informed one, and the data carry nothing about them.
 
-The first two posteriors are conjugate: a Beta per dataset, and a Normal on
-the logit scale.  The trial posterior over ``(logit p_event, log
+The first two posteriors are conjugate: a Beta per dataset, integrated over
+equal cells of (0, 1), and a Normal on the logit scale, integrated by
+Gauss-Hermite.  The trial posterior over ``(logit p_event, log
 odds_ratio)`` has no closed form.  Only its log odds ratio marginal feeds
-the model, so it is gridded for each dataset and drawn from by inverse-CDF
-interpolation (:func:`rct_marginal_grid`).
+the model, so it is gridded for each dataset, drawn from by inverse-CDF
+interpolation and integrated over the grid's cells (:func:`rct_marginal_grid`).
 """
 
 from __future__ import annotations
@@ -57,6 +60,11 @@ __all__ = [
 
 # Known variance of one survey response on the logit scale.
 LOGIT_RESPONSE_VARIANCE = 2.0
+
+# Quadrature for the conjugate posteriors' moments: equal cells of the unit
+# interval for a Beta, Gauss-Hermite nodes for a Normal on the logit scale.
+_BETA_CELLS = 4000
+_HERMITE_NODES = 40
 
 # The largest study size: the engine and the by-n scan hold sizes as float64,
 # which is exact for every integer up to 2**53.
@@ -141,6 +149,14 @@ class SideEffectPosterior:
         """``(k, m)`` draws, column j from dataset j."""
         return rng.beta(self.a, self.b, (k, self.a.size))
 
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights, row j for dataset j: the midpoints of
+        ``_BETA_CELLS`` equal cells of (0, 1), weighted by the Beta density."""
+        p = (np.arange(_BETA_CELLS) + 0.5) / _BETA_CELLS
+        log_w = (self.a[:, None] - 1.0) * np.log(p) + (self.b[:, None] - 1.0) * np.log1p(-p)
+        w = np.exp(log_w - log_w.max(axis=1, keepdims=True))
+        return np.broadcast_to(p, w.shape), w / w.sum(axis=1, keepdims=True)
+
 
 def side_effect_posterior(datasets: Sequence[Dataset], prior: PriorSpec) -> SideEffectPosterior:
     """Conjugate posteriors for a batch of safety studies."""
@@ -179,6 +195,12 @@ class QualityPosterior:
         x *= self.sd
         x += self.mean
         return expit(x, out=x)
+
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights, row j for dataset j: Gauss-Hermite on the logit scale."""
+        x, w = np.polynomial.hermite.hermgauss(_HERMITE_NODES)
+        z = self.mean[:, None] + math.sqrt(2.0) * self.sd[:, None] * x
+        return expit(z), np.broadcast_to(w / math.sqrt(math.pi), z.shape)
 
 
 def quality_posterior(datasets: Sequence[Dataset], prior: PriorSpec) -> QualityPosterior:
@@ -365,6 +387,12 @@ class RctMarginalGrid:
         u = rng.random((self.nodes.shape[0], k))
         u.sort(axis=1)
         return np.exp(self.quantile(u)).T
+
+    def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes and weights, row j for dataset j: the odds ratio at the
+        midpoint of each cell between g nodes, weighted by the cell's probability."""
+        mid = 0.5 * (self.nodes[:, 1:] + self.nodes[:, :-1])
+        return np.exp(mid), np.diff(self.stacked_cdf, axis=1)
 
 
 def _grid_rows(x1: np.ndarray, x2: np.ndarray, n: np.ndarray,

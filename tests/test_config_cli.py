@@ -371,7 +371,7 @@ class TestTrendCommand:
             grid = np.array([float(r[0]) for r in rows])
             assert (grid[0], grid[-1]) == (result.inb.min(), result.inb.max())
             np.testing.assert_array_equal([float(r[1]) for r in rows],
-                                          result.logistic.predict(grid))
+                                          result.probability_map(grid))
             _, _, rows = _read_rows(out / f"inb_density_study{k}.csv")
             np.testing.assert_array_equal([float(r[0]) for r in rows], result.inb)
 

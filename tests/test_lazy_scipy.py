@@ -80,8 +80,8 @@ def tiny_scan_config(case, tmp_path) -> str:
 
 
 def test_moment_matching_runs_import_no_scipy(tiny_scan_config):
-    # Every fitter runs: the spline, the single-size and the across-size
-    # logistic, and the variance curves of the by-n scan; so does every
+    # Every fitter runs: the spline, the across-size logistic and the
+    # variance curve of the by-n scan; so does every
     # writer: the by-n, trend and density files.
     seen = _run(f"""
 import contextlib, io
@@ -102,9 +102,10 @@ print(json.dumps(seen))
                                         for k in (1, 2, 3)]}
 
 
-def test_traced_pass_still_wraps_the_logistic_search(tiny_config):
+def test_traced_pass_still_wraps_the_logistic_search(tiny_scan_config):
     # The benchmark's tracer patches voi.curves.minimize by name; the search
-    # must stay a module-level function that every fit calls.
+    # must stay a module-level function that every fit calls.  The by-n
+    # scan fits the logistic; the single-size pass interpolates.
     seen = _run(f"""
 import contextlib, io
 sys.path.insert(0, {str(PERFBENCH)!r})
@@ -115,7 +116,7 @@ with contextlib.redirect_stderr(io.StringIO()):
     tracer.install()
 try:
     with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(["run", "--config", {tiny_config!r}, "--method", "mm"]) == 0
+        assert cli.main(["run", "--config", {tiny_scan_config!r}, "--method", "mm"]) == 0
 finally:
     tracer.uninstall()
 print(json.dumps({{"missing": tracer.missing,

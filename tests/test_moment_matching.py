@@ -1,6 +1,9 @@
 """Moment-matching estimator: quantile sweeps, rescaling, and pipelines."""
 
+import contextlib
+import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,14 +11,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import voi.cli as cli
 import voi.moment_matching as moment_matching
 from voi.cli import run_config
-from voi.model import DEFAULT_NB_FUNCTIONS
 from voi.moment_matching import (
     fit_conditional_expectation,
     mm_by_n_pipeline,
     mm_pipeline,
     nested_summaries,
+    posterior_variances,
     quantile_datasets,
     quantile_grid,
     rescale,
@@ -25,7 +29,7 @@ import voi.nmc as nmc
 from voi.nmc import posterior_summaries
 from voi.rng import child_seed
 from voi.smoothing import fit_pspline
-from voi.studies import StudyDesign, StudyKind
+from voi.studies import StudyDesign, StudyKind, study_posterior
 
 SIDE_EFFECTS = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
 TRIAL = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200)
@@ -89,34 +93,42 @@ class TestQuantileDatasets:
             quantile_datasets(psa, SIDE_EFFECTS, 6, 33, sizes=[10, 20])
 
 
+def _side_effect_fit(psa):
+    return fit_conditional_expectation(psa, "p_side_effect", 1)
+
+
 class TestVarianceTarget:
     def test_no_information_gives_zero(self, psa):
-        prior_var = psa.nb.var(axis=0, ddof=1)
-        target = variance_reduction_target(psa, np.tile(prior_var, (12, 1)))
-        np.testing.assert_allclose(target, 0.0, atol=1e-6)
+        cond = _side_effect_fit(psa)
+        target = variance_reduction_target(cond, np.full(12, cond.var(ddof=1)))
+        assert target == pytest.approx(0.0, abs=1e-6)
 
     def test_perfect_information_gives_prior_variance(self, psa):
-        target = variance_reduction_target(psa, np.zeros((12, 2)))
-        np.testing.assert_allclose(target, psa.nb.var(axis=0, ddof=1))
+        cond = _side_effect_fit(psa)
+        assert variance_reduction_target(cond, np.zeros(12)) == cond.var(ddof=1)
 
     def test_noisy_estimates_stay_clipped(self, psa):
-        prior_var = psa.nb.var(axis=0, ddof=1)
-        target = variance_reduction_target(psa, np.tile(prior_var * 1.5, (12, 1)))
-        np.testing.assert_allclose(target, 0.0)
+        cond = _side_effect_fit(psa)
+        assert variance_reduction_target(cond, np.full(12, 1.5 * cond.var(ddof=1))) == 0.0
 
-    def test_real_study_sits_strictly_between(self, psa, priors, fixed):
-        from voi.moment_matching import nested_summaries
+    def test_real_study_sits_strictly_between(self, psa, priors):
+        cond = _side_effect_fit(psa)
+        posterior = study_posterior(quantile_datasets(psa, SIDE_EFFECTS, 12, 34), priors)
+        target = variance_reduction_target(cond, posterior_variances(psa, cond, posterior))
+        assert 0.0 < target < cond.var(ddof=1)
 
-        datasets = quantile_datasets(psa, SIDE_EFFECTS, 12, 34)
-        summaries = nested_summaries(datasets, priors, fixed, 2000, 34)
-        target = variance_reduction_target(psa, summaries.nb_var)
-        prior_var = psa.nb.var(axis=0, ddof=1)
-        # The side-effect study moves the novel arm but not the standard one.
-        assert 0.0 < target[1] < prior_var[1]
-
-    def test_shape_checked(self, psa):
-        with pytest.raises(ValueError):
-            variance_reduction_target(psa, np.zeros((12, 3)))
+    def test_one_variance_per_dataset(self, psa, priors):
+        # At size 0 every posterior is the prior, so each dataset's posterior
+        # variance of g is the prior one, which the PSA's sample variance
+        # estimates, and the target is 0.
+        cond = _side_effect_fit(psa)
+        design = StudyDesign(StudyKind.SIDE_EFFECTS, 0)
+        posterior = study_posterior(quantile_datasets(psa, design, 7, 35), priors)
+        variances = posterior_variances(psa, cond, posterior)
+        assert variances.shape == (7,)
+        assert np.all(variances == variances[0])
+        assert variances[0] == pytest.approx(cond.var(ddof=1), rel=0.05)
+        assert variance_reduction_target(cond, variances) <= 0.05 * cond.var(ddof=1)
 
 
 class TestRescale:
@@ -169,20 +181,25 @@ class TestRescale:
 
 class TestConditionalExpectation:
     def test_smooths_toward_the_informed_parameter(self, psa):
-        fit = fit_conditional_expectation(psa, SIDE_EFFECTS)
-        assert fit.shape == psa.nb.shape
-        # The novel arm's conditional mean falls as side-effect risk rises.
-        rho = stats.spearmanr(np.asarray(psa.draws.p_side_effect), fit[:, 1]).statistic
+        fit = _side_effect_fit(psa)
+        assert fit.shape == (len(psa),)
+        # The novel treatment's INB falls as side-effect risk rises.
+        rho = stats.spearmanr(np.asarray(psa.draws.p_side_effect), fit).statistic
         assert rho < -0.99
 
     def test_conditional_variance_below_total(self, psa):
-        for design in (SIDE_EFFECTS, TRIAL,
-                       StudyDesign(StudyKind.QUALITY_OF_LIFE, 100)):
-            fit = fit_conditional_expectation(psa, design)
-            assert np.all(fit.var(axis=0, ddof=1)
-                          <= psa.nb.var(axis=0, ddof=1) * (1.0 + 1e-9))
+        inb = psa.nb[:, 1] - psa.nb[:, 0]
+        for field in ("p_side_effect", "qol_after_event", "odds_ratio"):
+            fit = fit_conditional_expectation(psa, field, 1)
+            assert fit.var(ddof=1) <= inb.var(ddof=1) * (1.0 + 1e-9)
 
-    def test_trial_uses_both_arm_probabilities(self, psa, monkeypatch):
+    def test_either_target_gives_the_same_fit_up_to_sign(self, psa):
+        np.testing.assert_allclose(fit_conditional_expectation(psa, "odds_ratio", 0),
+                                   -fit_conditional_expectation(psa, "odds_ratio", 1),
+                                   rtol=1e-12, atol=1e-6)
+
+    def test_trial_regresses_on_the_odds_ratio(self, psa, priors, fixed, market_fn,
+                                               current_shares, monkeypatch):
         features = []
 
         def recording(x, y):
@@ -190,16 +207,18 @@ class TestConditionalExpectation:
             return fit_pspline(x, y)
 
         monkeypatch.setattr(moment_matching, "fit_pspline", recording)
-        fit_conditional_expectation(psa, TRIAL)
-        expected = np.column_stack([psa.draws.p_event, psa.draws.p_event_treated])
-        assert len(features) == 2
-        assert all(np.array_equal(x, expected) for x in features)
+        mm_pipeline(psa, priors, fixed, TRIAL, market_fn, current_shares,
+                    n_sets=8, n_inner=200, seed=39)
+        assert len(features) == 1
+        assert np.array_equal(features[0], psa.draws.odds_ratio)
 
-    def test_standard_arm_ignores_side_effects(self, psa):
-        # NB of the standard of care does not depend on side-effect risk, so
-        # its conditional expectation on that parameter is essentially flat.
-        fit = fit_conditional_expectation(psa, SIDE_EFFECTS)
-        assert fit[:, 0].std(ddof=1) < 0.01 * psa.nb[:, 0].std(ddof=1)
+    def test_standard_arm_ignores_side_effects(self, psa, fixed):
+        # The standard of care's net benefit does not depend on side-effect
+        # risk, so the INB's spread along that parameter is the novel arm's
+        # side-effect term alone: B^2 Var(p_side_effect).
+        loss = fixed.wtp * fixed.side_effect_qol_loss + fixed.side_effect_cost
+        expected = loss**2 * np.asarray(psa.draws.p_side_effect).var(ddof=1)
+        assert _side_effect_fit(psa).var(ddof=1) == pytest.approx(expected, rel=0.01)
 
 
 @pytest.fixture(scope="module")
@@ -213,13 +232,12 @@ def scan(psa, priors, fixed, market_fn, current_shares):
     return mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
                             current_shares, n_sets=16, n_inner=2000,
                             n_grid=[10, 30, 60, 120, 240], seed=40,
-                            cond=fit_conditional_expectation(psa, SIDE_EFFECTS))
+                            cond=_side_effect_fit(psa))
 
 
 class TestPipeline:
     def test_shapes(self, psa, result):
-        assert result.rescaled_mu.shape == (len(psa), 2)
-        assert result.inb.shape == (len(psa),)
+        assert result.cond.shape == result.inb.shape == (len(psa),)
         assert result.p_target.shape == (len(psa),)
         assert result.summaries.inb.shape == result.summaries.p.shape == (16,)
 
@@ -228,17 +246,22 @@ class TestPipeline:
         assert np.all(result.p_target <= 1.0)
 
     def test_rescaled_variance_hits_target(self, result):
-        np.testing.assert_allclose(result.rescaled_mu.var(axis=0, ddof=1),
-                                   result.variance_target, rtol=1e-9)
+        assert result.inb.var(ddof=1) == pytest.approx(result.variance_target, rel=1e-9)
 
-    def test_target_within_prior_variance(self, psa, result):
-        prior_var = psa.nb.var(axis=0, ddof=1)
-        assert np.all(result.variance_target >= 0.0)
-        assert np.all(result.variance_target <= prior_var)
+    def test_target_within_prior_variance(self, result):
+        assert 0.0 < result.variance_target < result.cond.var(ddof=1)
 
     def test_rescaled_means_match_prior_means(self, psa, result):
-        np.testing.assert_allclose(result.rescaled_mu.mean(axis=0),
-                                   psa.nb.mean(axis=0), rtol=1e-9)
+        assert result.inb.mean() == pytest.approx((psa.nb[:, 1] - psa.nb[:, 0]).mean(),
+                                                  rel=1e-9)
+
+    def test_probability_map_interpolates_the_calibration_pairs(self, result):
+        inb, p = result.summaries.toward(1)
+        np.testing.assert_array_equal(result.probability_map(inb), p)
+        lo, hi = np.argmin(inb), np.argmax(inb)
+        assert result.probability_map(inb[lo] - 1e6) == p[lo]
+        assert result.probability_map(inb[hi] + 1e6) == p[hi]
+        np.testing.assert_array_equal(result.p_target, result.probability_map(result.inb))
 
     def test_evsi_nonnegative(self, result):
         assert result.evsi.value >= -1e-9
@@ -248,7 +271,7 @@ class TestPipeline:
         again = mm_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
                             current_shares, n_sets=16, n_inner=2000, seed=38)
         assert again.evsi_im.value == result.evsi_im.value
-        np.testing.assert_array_equal(again.rescaled_mu, result.rescaled_mu)
+        np.testing.assert_array_equal(again.inb, result.inb)
 
     def test_trial_pipeline_runs(self, psa, priors, fixed, market_fn, current_shares):
         result = mm_pipeline(psa, priors, fixed, TRIAL, market_fn,
@@ -263,10 +286,10 @@ class TestNestedSummaries:
         monkeypatch.setattr(nmc, "CHUNK_SIZE", 4)
         datasets = quantile_datasets(psa, SIDE_EFFECTS, 10, 5, sizes=range(10, 110, 10))
         expected = [posterior_summaries(datasets[start:start + 4], priors, fixed, 150,
-                                        child_seed(44, "post-chunk", start))
+                                        child_seed(44, "post-chunk", start), shared_fill=False)
                     for start in range(0, 10, 4)]
         got = nested_summaries(datasets, priors, fixed, 150, 44)
-        for field in ("inb", "p", "nb_var"):
+        for field in ("inb", "p"):
             assert np.array_equal(getattr(got, field),
                                   np.concatenate([getattr(s, field) for s in expected]))
 
@@ -276,11 +299,8 @@ class TestByN:
         assert scan.sizes == (10, 30, 60, 120, 240)
         assert len(scan.estimates) == 5
 
-    def test_curves_per_treatment(self, psa, scan):
-        assert len(scan.variance_curves) == 2
-        prior_var = psa.nb.var(axis=0, ddof=1)
-        for curve, v in zip(scan.variance_curves, prior_var):
-            assert curve.prior_variance == pytest.approx(v)
+    def test_one_variance_curve_from_var_g(self, psa, scan):
+        assert scan.variance_curve.prior_variance == _side_effect_fit(psa).var(ddof=1)
 
     def test_logistic_is_size_indexed(self, scan):
         assert scan.logistic.size_power is not None
@@ -306,7 +326,7 @@ class TestByN:
 
     def test_fits_at_the_simulated_sizes(self, psa, priors, fixed, market_fn,
                                          current_shares, monkeypatch):
-        # The variance curves and the sized logistic are fitted at the sizes
+        # The variance curve and the sized logistic are fitted at the sizes
         # the calibration datasets were simulated at.
         datasets, seen = [], []
         simulate = moment_matching.quantile_datasets
@@ -331,9 +351,9 @@ class TestByN:
         grid = [60, 15, 200]
         mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn, current_shares,
                          n_sets=9, n_inner=300, n_grid=grid, seed=43,
-                         cond=fit_conditional_expectation(psa, SIDE_EFFECTS))
+                         cond=_side_effect_fit(psa))
         expected = np.rint(np.linspace(min(grid), max(grid), 9))
-        assert len(seen) == 3  # two variance curves and the logistic
+        assert len(seen) == 2  # the variance curve and the logistic
         for sizes in seen:
             np.testing.assert_array_equal(sizes, expected)
             np.testing.assert_array_equal(sizes, [d.design.n for d in datasets])
@@ -341,8 +361,8 @@ class TestByN:
 
 class TestSharedRegression:
     def test_scan_reuses_the_single_size_regression(self, case, monkeypatch):
-        # mm_pipeline and the by-n scan of a study regress the same PSA on the
-        # same features, so run_config fits it once per treatment per study.
+        # mm_pipeline and the by-n scan of a study regress the same PSA INB
+        # on the same parameter, so run_config fits it once per study.
         calls = []
 
         def counting(*args, **kwargs):
@@ -353,7 +373,25 @@ class TestSharedRegression:
         config = case.override(method="mm", psa_samples=2000, posterior_draws=1000,
                                quantile_sets=8, n_grid=[20, 100], seed=6)
         table, mm_results, scans = run_config(config)
-        n_treat = len(DEFAULT_NB_FUNCTIONS)
-        assert len(calls) == n_treat * len(config.studies)
+        assert len(calls) == len(config.studies)
         assert sorted(scans) == sorted(mm_results) == [1, 2, 3]
         assert [r.method for r in table.rows] == ["mm"] * 3
+
+
+def test_largest_sizes_run_cleanly(case, tmp_path):
+    # At n = 2**53 every posterior is a point for the quadrature; the run
+    # must still exit 0 with finite values and no floating-point warning.
+    out = tmp_path / "out"
+    config = case.override(method="mm", psa_samples=2000, posterior_draws=300,
+                           quantile_sets=8, seed=5, out_dir=str(out), n_grid=[10, 2**53],
+                           studies=[StudyDesign(StudyKind.SIDE_EFFECTS, 2**53),
+                                    StudyDesign(StudyKind.EFFECTIVENESS_RCT, 2**53)])
+    path = tmp_path / "huge.json"
+    path.write_text(config.to_json())
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli.main(["run", "--config", str(path)]) == 0
+    for name in ("results.csv", "by_n_study1.csv", "by_n_study2.csv"):
+        rows = [line.split(",") for line in (out / name).read_text().splitlines()[2:]]
+        values = [float(cell) for row in rows for cell in row if cell not in ("mm",)]
+        assert len(rows) == 2 and np.all(np.isfinite(values)), name

@@ -51,27 +51,26 @@ def engine_reduction(priors, fixed):
     Each treatment's function hands the engine its column, whatever the
     draws, for one dataset whose R draws fit in one block.
     """
-    def reduce(nb: np.ndarray) -> tuple[float, float, np.ndarray]:
+    def reduce(nb: np.ndarray) -> tuple[float, float]:
         assert nb.shape[0] <= nmc.BLOCK_ELEMENTS
         fns = tuple(lambda draw, fixed, col=col: col[:, None] for col in np.asarray(nb, float).T)
         ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60), events=15)
-        s = posterior_summaries([ds], priors, fixed, nb.shape[0], 0, fns)
-        return s.inb[0], s.p[0], s.nb_var[0]
+        s = posterior_summaries([ds], priors, fixed, nb.shape[0], 0, fns, shared_fill=False)
+        return s.inb[0], s.p[0]
     return reduce
 
 
 def _concat(parts: list[PosteriorSummaries]) -> PosteriorSummaries:
     return PosteriorSummaries(*(np.concatenate([getattr(s, name) for s in parts])
-                                for name in ("inb", "p", "nb_var")))
+                                for name in ("inb", "p")))
 
 
 class TestSummarize:
     def test_unanimous_posterior(self, engine_reduction):
         nb = np.array([[1.0, 2.0], [0.0, 5.0], [2.0, 3.0]])
-        inb, p, var = engine_reduction(nb)
+        inb, p = engine_reduction(nb)
         assert inb == pytest.approx(10.0 / 3.0 - 1.0)
         assert p == 1.0
-        np.testing.assert_allclose(var, nb.var(axis=0, ddof=1))
 
     def test_matches_argmax_reduction_with_ties(self, engine_reduction):
         # Values on a coarse grid tie often; every tie goes to the standard
@@ -79,15 +78,13 @@ class TestSummarize:
         rng = np.random.default_rng(3)
         nb = rng.integers(0, 3, (5000, 2)).astype(float)
         nb[:50] = 1.0  # rows tied across both treatments
-        inb, p, var = engine_reduction(nb)
+        inb, p = engine_reduction(nb)
         assert p == np.count_nonzero(np.argmax(nb, axis=1) == 1) / nb.shape[0]
         mu = nb.mean(axis=0)
         assert inb == pytest.approx(mu[1] - mu[0], rel=1e-12)
-        np.testing.assert_allclose(var, nb.var(axis=0, ddof=1), rtol=1e-12)
 
     def test_summary_invariants(self, small_summaries):
         assert small_summaries.inb.shape == small_summaries.p.shape == (400,)
-        assert small_summaries.nb_var.shape == (400, 2)
         assert np.all((small_summaries.p >= 0.0) & (small_summaries.p <= 1.0))
         assert np.all(np.isfinite(small_summaries.inb))
 
@@ -117,12 +114,12 @@ class TestRctStreaming:
         datasets = [Dataset(design=design, control_events=20 + 3 * j,
                             treated_events=4 + j) for j in range(6)]
         n_draws = 1234
-        summaries = posterior_summaries(datasets, priors, fixed, n_draws, 31, nb_fns)
+        summaries = posterior_summaries(datasets, priors, fixed, n_draws, 31, nb_fns,
+                                        shared_fill=False)
         nb = np.stack([np.concatenate(blocks) for blocks in recorded], axis=-1)
         assert nb.shape == (n_draws, len(datasets), 2)
         mu = nb.mean(axis=0)
         np.testing.assert_allclose(summaries.inb, mu[:, 1] - mu[:, 0], rtol=1e-9)
-        np.testing.assert_allclose(summaries.nb_var, nb.var(axis=0, ddof=1), rtol=1e-9)
         np.testing.assert_array_equal(summaries.p, (np.argmax(nb, axis=-1) == 1).mean(axis=0))
 
 
@@ -143,17 +140,16 @@ class TestRctEngineRobustness:
     def test_extreme_trial_gives_finite_summary(self, priors, fixed, xc, xt, n):
         ds = Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n),
                      control_events=xc, treated_events=xt)
-        s = posterior_summaries([ds], priors, fixed, 2000, 41)
-        assert np.all(np.isfinite(s.inb)) and np.all(np.isfinite(s.nb_var))
-        assert np.all(s.nb_var > 0.0)
+        s = posterior_summaries([ds], priors, fixed, 2000, 41, shared_fill=False)
+        assert np.all(np.isfinite(s.inb))
         assert np.all((s.p >= 0.0) & (s.p <= 1.0))
 
     def test_extreme_trials_in_one_batch(self, priors, fixed):
         datasets = [Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n),
                             control_events=xc, treated_events=xt)
                     for xc, xt, n in EXTREME_TRIALS]
-        summaries = posterior_summaries(datasets, priors, fixed, 2000, 42)
-        assert np.all(np.isfinite(summaries.inb)) and np.all(np.isfinite(summaries.nb_var))
+        summaries = posterior_summaries(datasets, priors, fixed, 2000, 42, shared_fill=False)
+        assert np.all(np.isfinite(summaries.inb))
 
     def test_zero_information_trial_sits_at_prior(self, priors, fixed, psa):
         design = StudyDesign(StudyKind.EFFECTIVENESS_RCT, 0)
@@ -188,8 +184,7 @@ class TestNmcEvsi:
         # perfect-signal limit, so the estimator must give the full value of
         # eliminating uncertainty.
         summaries = PosteriorSummaries(inb=psa.nb[:, 1] - psa.nb[:, 0],
-                                       p=(psa.nb[:, 1] > psa.nb[:, 0]).astype(float),
-                                       nb_var=np.zeros((len(psa), 2)))
+                                       p=(psa.nb[:, 1] > psa.nb[:, 0]).astype(float))
         assert assemble_evsi(summaries.inb).value == pytest.approx(evpi(psa), rel=1e-12)
 
     def test_determinism(self, priors, fixed):
@@ -208,7 +203,6 @@ class TestNmcEvsi:
 def assert_same_summaries(got, expected):
     assert np.array_equal(got.inb, expected.inb)
     assert np.array_equal(got.p, expected.p)
-    assert np.array_equal(got.nb_var, expected.nb_var)
 
 
 class TestMapInOrder:
@@ -301,7 +295,7 @@ class TestSharedFill:
         n_draws = 2 * nmc.BLOCK_ELEMENTS + 7
         assert_same_summaries(
             posterior_summaries(ds, priors, fixed, n_draws, 61, shared_fill=True),
-            posterior_summaries(ds, priors, fixed, n_draws, 61))
+            posterior_summaries(ds, priors, fixed, n_draws, 61, shared_fill=False))
 
     @pytest.mark.parametrize("kind,n,field", INFORMED)
     def test_chunk_datasets_share_the_uninformed_columns(self, priors, fixed, kind, n, field,
@@ -363,11 +357,14 @@ class TestGridMemo:
     def test_memo_backed_summaries_match_memo_free(self, priors, fixed):
         datasets = _repeating_trials(9)
         memo = {}
-        posterior_summaries(datasets[:2], priors, fixed, 150, 30, grid_memo=memo)
+        posterior_summaries(datasets[:2], priors, fixed, 150, 30, grid_memo=memo,
+                            shared_fill=False)
         assert len(memo) == 2
-        got = posterior_summaries(datasets, priors, fixed, 150, 31, grid_memo=memo)
+        got = posterior_summaries(datasets, priors, fixed, 150, 31, grid_memo=memo,
+                                  shared_fill=False)
         assert len(memo) == 6
-        assert_same_summaries(got, posterior_summaries(datasets, priors, fixed, 150, 31))
+        assert_same_summaries(got, posterior_summaries(datasets, priors, fixed, 150, 31,
+                                                       shared_fill=False))
 
     def test_memo_stays_within_one_call(self, priors, fixed, cores, monkeypatch):
         # Two calls on the same statistics under different priors: a memo
@@ -380,7 +377,8 @@ class TestGridMemo:
             got = nmc.chunked_summaries(len(datasets), lambda idx: [datasets[j] for j in idx],
                                         prior, fixed, 150, 32, shared_fill=False)
             expected = _concat([posterior_summaries(datasets[start:start + 3], prior, fixed, 150,
-                                                    child_seed(32, "post-chunk", start))
+                                                    child_seed(32, "post-chunk", start),
+                                                    shared_fill=False)
                                 for start in range(0, len(datasets), 3)])
             assert_same_summaries(got, expected)
             results.append(got)
@@ -396,18 +394,26 @@ class TestDrawsStayWithTheirDataset:
     """One chunk mixes datasets far apart; each summary matches its own posterior.
 
     The novel treatment's net-benefit function returns the informed
-    parameter (for the survey, on the logit scale) and the standard one's
-    returns zero, so each summary's INB and novel variance are that
-    dataset's posterior moments.
+    parameter (for the survey, on the logit scale), or its square, and the
+    standard one's returns zero, so each summary's INB is that dataset's
+    posterior first or second moment.
     """
+
+    @staticmethod
+    def _moments(datasets, priors, fixed, seed, value):
+        first, second = (posterior_summaries(datasets, priors, fixed, 4000, seed,
+                                             nb_fns=(_zero, lambda draw, _: value(draw) ** k),
+                                             shared_fill=False).inb
+                         for k in (1, 2))
+        return first, second - first**2
 
     def test_side_effect_extremes(self, priors, fixed):
         design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
         events = [0, 60, 0, 30, 60, 0]
         datasets = [Dataset(design=design, events=x) for x in events]
-        got = posterior_summaries(datasets, priors, fixed, 4000, 51,
-                                  nb_fns=(_zero, lambda draw, _: draw.p_side_effect))
-        for x, mean, var in zip(events, got.inb, got.nb_var[:, 1]):
+        means, variances = self._moments(datasets, priors, fixed, 51,
+                                         lambda draw: draw.p_side_effect)
+        for x, mean, var in zip(events, means, variances):
             ref = stats.beta(3 + x, 9 + 60 - x)
             assert abs(mean - ref.mean()) <= 4.0 * ref.std() / math.sqrt(4000), x
             assert var == pytest.approx(ref.var(), rel=0.1), x
@@ -416,9 +422,9 @@ class TestDrawsStayWithTheirDataset:
         cases = [(100, -300.0), (100, 300.0), (0, 0.0), (100, -300.0), (5, 40.0)]
         datasets = [Dataset(design=StudyDesign(StudyKind.QUALITY_OF_LIFE, n),
                             logit_total=total) for n, total in cases]
-        got = posterior_summaries(datasets, priors, fixed, 4000, 52,
-                                  nb_fns=(_zero, lambda draw, _: logit(draw.qol_after_event)))
-        for (n, total), got_mean, got_var in zip(cases, got.inb, got.nb_var[:, 1]):
+        means, variances = self._moments(datasets, priors, fixed, 52,
+                                         lambda draw: logit(draw.qol_after_event))
+        for (n, total), got_mean, got_var in zip(cases, means, variances):
             mean, var = quality_posterior_moments(n, total, priors)
             assert abs(got_mean - mean) <= 4.0 * math.sqrt(var / 4000), (n, total)
             assert got_var == pytest.approx(var, rel=0.1), (n, total)
@@ -426,7 +432,7 @@ class TestDrawsStayWithTheirDataset:
 
 def _stacked_summaries(datasets, prior, fixed, n_draws, seed, nb_fns=DEFAULT_NB_FUNCTIONS):
     """The engine's fold as first written: each block's net benefits stacked
-    into one (k, m, 2) array, then a shifted copy and its square summed.  The
+    into one (k, m, 2) array, then the difference of its columns summed.  The
     reference for the fold through one reused buffer."""
     standard, novel = nb_fns
     posterior = study_posterior(datasets, prior)
@@ -435,20 +441,14 @@ def _stacked_summaries(datasets, prior, fixed, n_draws, seed, nb_fns=DEFAULT_NB_
     fill_rng = substream(seed, "posterior", kind, "complement")
     m = len(datasets)
     length = max(1, nmc.BLOCK_ELEMENTS // m)
-    sums, sumsq, wins, shift = np.zeros((m, 2)), np.zeros((m, 2)), np.zeros(m), None
+    sums, wins = np.zeros(m), np.zeros(m)
     for start in range(0, n_draws, length):
         x = posterior.draw(rng, min(length, n_draws - start))
         draw = prior.sample(fill_rng, x.shape, {posterior.field: x})
         nb = np.stack([standard(draw, fixed), novel(draw, fixed)], axis=-1)
-        if shift is None:
-            shift = nb[0].copy()
-        delta = nb - shift
-        sums += delta.sum(axis=0)
-        sumsq += (delta * delta).sum(axis=0)
+        sums += (nb[..., 1] - nb[..., 0]).sum(axis=0)
         wins += np.count_nonzero(nb[..., 1] > nb[..., 0], axis=0)
-    mu = shift + sums / n_draws
-    var = (sumsq - sums * sums / n_draws) / (n_draws - 1)
-    return PosteriorSummaries(inb=mu[:, 1] - mu[:, 0], p=wins / n_draws, nb_var=var)
+    return PosteriorSummaries(inb=sums / n_draws, p=wins / n_draws)
 
 
 class TestBlockFold:
@@ -467,8 +467,9 @@ class TestBlockFold:
         design = StudyDesign(kind, n)
         datasets = [simulate_dataset(design, draws.item(s), child_seed(40, "data", s))
                     for s in range(m)]
-        assert_same_summaries(posterior_summaries(datasets, priors, fixed, n_draws, 41),
-                              _stacked_summaries(datasets, priors, fixed, n_draws, 41))
+        assert_same_summaries(
+            posterior_summaries(datasets, priors, fixed, n_draws, 41, shared_fill=False),
+            _stacked_summaries(datasets, priors, fixed, n_draws, 41))
 
     def test_leaves_the_net_benefit_arrays_alone(self, priors, fixed):
         # Functions that hand back the draws themselves, read-only: a fold
@@ -483,8 +484,9 @@ class TestBlockFold:
         design = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
         datasets = [Dataset(design=design, events=x) for x in (0, 20, 60)]
         fns = (frozen("p_event"), frozen("p_side_effect"))
-        assert_same_summaries(posterior_summaries(datasets, priors, fixed, 5000, 42, fns),
-                              _stacked_summaries(datasets, priors, fixed, 5000, 42, fns))
+        assert_same_summaries(
+            posterior_summaries(datasets, priors, fixed, 5000, 42, fns, shared_fill=False),
+            _stacked_summaries(datasets, priors, fixed, 5000, 42, fns))
 
 
 class TestFactoredNetBenefitInTheEngine:
@@ -497,7 +499,6 @@ class TestFactoredNetBenefitInTheEngine:
         # the same draws, and no draw sits within rounding of a tie.
         np.testing.assert_allclose(got.inb, tree.inb, rtol=0.0, atol=1e-9)
         assert np.array_equal(got.p, tree.p)
-        np.testing.assert_allclose(got.nb_var, tree.nb_var, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("seed", [3, 2026])
     @pytest.mark.parametrize("kind,n", [(kind, n) for kind, n, _ in INFORMED])
@@ -510,9 +511,10 @@ class TestFactoredNetBenefitInTheEngine:
     @pytest.mark.parametrize("kind,n", [(kind, n) for kind, n, _ in INFORMED])
     def test_per_dataset_fill(self, priors, fixed, kind, n, seed):
         datasets = TestSharedFill._datasets(priors, kind, n, 6)
-        self._assert_close(posterior_summaries(datasets, priors, fixed, 5000, seed),
+        self._assert_close(posterior_summaries(datasets, priors, fixed, 5000, seed,
+                                               shared_fill=False),
                            posterior_summaries(datasets, priors, fixed, 5000, seed,
-                                               TREE_NB_FUNCTIONS))
+                                               TREE_NB_FUNCTIONS, shared_fill=False))
 
 
 class TestNmcEvsiIm:
@@ -543,8 +545,7 @@ class TestNmcEvsiIm:
     def test_empty_summaries_rejected(self, small_summaries):
         # Fewer than two datasets give no standard error.
         for size in (0, 1):
-            few = PosteriorSummaries(small_summaries.inb[:size], small_summaries.p[:size],
-                                     small_summaries.nb_var[:size])
+            few = PosteriorSummaries(small_summaries.inb[:size], small_summaries.p[:size])
             with pytest.raises(ValueError, match="at least two"):
                 assemble_evsi(few.inb)
             with pytest.raises(ValueError, match="at least two"):

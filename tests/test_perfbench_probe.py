@@ -55,6 +55,8 @@ STALE_TARGETS = {
     # nested engine imports none of it; one function fits both logistic forms.
     "voi.cli.nmc_evsi", "voi.cli.nmc_evsi_im", "voi.nmc.assemble_evsi_im",
     "voi.moment_matching.fit_generalized_logistic_n",
+    # Moment matching's variance target cannot exceed Var(g) by construction.
+    "voi.moment_matching._cap_at_fit_variance",
 }
 
 

@@ -39,7 +39,8 @@ def engine_blocks(datasets, priors, fixed, n_draws: int, seed: int) -> list[Para
         return np.zeros(np.shape(draw.p_event))
 
     posterior_summaries(datasets, priors, fixed, n_draws, seed,
-                        nb_fns=(capture, lambda draw, _: np.zeros(np.shape(draw.p_event))))
+                        nb_fns=(capture, lambda draw, _: np.zeros(np.shape(draw.p_event))),
+                        shared_fill=False)
     return seen
 
 
@@ -346,3 +347,68 @@ class TestDispatch:
             post = studies.study_posterior([ds, ds], priors)
             assert post.field == informed[kind]
             assert post.draw(np.random.default_rng(0), 7).shape == (7, 2)
+
+
+# One dataset per kind at size 0 and at its design size.
+QUADRATURE_CASES = {
+    "side_effects-0": Dataset(StudyDesign(StudyKind.SIDE_EFFECTS, 0), events=0),
+    "side_effects-60": Dataset(StudyDesign(StudyKind.SIDE_EFFECTS, 60), events=15),
+    "quality_of_life-0": Dataset(StudyDesign(StudyKind.QUALITY_OF_LIFE, 0), logit_total=0.0),
+    "quality_of_life-100": Dataset(StudyDesign(StudyKind.QUALITY_OF_LIFE, 100),
+                                   logit_total=55.0),
+    "effectiveness_rct-0": Dataset(StudyDesign(StudyKind.EFFECTIVENESS_RCT, 0),
+                                   control_events=0, treated_events=0),
+    "effectiveness_rct-200": Dataset(StudyDesign(StudyKind.EFFECTIVENESS_RCT, 200),
+                                     control_events=30, treated_events=9),
+}
+
+
+def _quadrature_moments(posterior, g):
+    nodes, weights = posterior.quadrature()
+    np.testing.assert_allclose(weights.sum(axis=1), 1.0, rtol=1e-12)
+    values = g(nodes)
+    mean = np.sum(weights * values, axis=1)
+    return mean, np.sum(weights * (values - mean[:, None]) ** 2, axis=1)
+
+
+class TestQuadrature:
+    """Each posterior's quadrature gives the moments of its own draws."""
+
+    @pytest.mark.parametrize("name", sorted(QUADRATURE_CASES))
+    def test_smooth_moments_match_the_draws(self, priors, name):
+        posterior = studies.study_posterior([QUADRATURE_CASES[name]], priors)
+        g = lambda theta: np.sin(4.0 * theta) + theta**2  # noqa: E731
+        values = g(posterior.draw(np.random.default_rng(14), 20_000)[:, 0])
+        (mean,), (var,) = _quadrature_moments(posterior, g)
+        centred = values - values.mean()
+        mean_se = values.std(ddof=1) / math.sqrt(values.size)
+        var_se = math.sqrt((np.mean(centred**4) - np.mean(centred**2) ** 2) / values.size)
+        assert abs(mean - values.mean()) <= 4.0 * mean_se
+        assert abs(var - values.var(ddof=1)) <= 4.0 * var_se
+
+    @pytest.mark.parametrize("events,n", [(0, 0), (15, 60), (0, 60), (60, 60)])
+    def test_beta_moments_are_closed_form(self, priors, events, n):
+        ds = Dataset(StudyDesign(StudyKind.SIDE_EFFECTS, n), events=events)
+        (mean,), (var,) = _quadrature_moments(side_effect_posterior([ds], priors),
+                                              lambda p: p)
+        ref = stats.beta(priors.p_side_effect.alpha + events,
+                         priors.p_side_effect.beta + n - events)
+        assert mean == pytest.approx(ref.mean(), rel=1e-6)
+        assert var == pytest.approx(ref.var(), rel=1e-6)
+
+    @pytest.mark.parametrize("n,total", [(0, 0.0), (100, 55.0), (100, -300.0)])
+    def test_logit_normal_moments_are_closed_form(self, priors, n, total):
+        ds = Dataset(StudyDesign(StudyKind.QUALITY_OF_LIFE, n), logit_total=total)
+        (mean,), (var,) = _quadrature_moments(quality_posterior([ds], priors), logit)
+        ref_mean, ref_var = quality_posterior_moments(n, total, priors)
+        assert mean == pytest.approx(ref_mean, rel=1e-6)
+        assert var == pytest.approx(ref_var, rel=1e-6)
+
+    def test_rows_follow_their_datasets(self, priors):
+        # The stacked CDF's row offsets round the weights in the last digit.
+        datasets = list(QUADRATURE_CASES.values())[4:]
+        together = _quadrature_moments(rct_marginal_grid(datasets, priors), np.log)
+        for j, ds in enumerate(datasets):
+            alone = _quadrature_moments(rct_marginal_grid([ds], priors), np.log)
+            np.testing.assert_allclose([together[0][j], together[1][j]],
+                                       [alone[0][0], alone[1][0]], rtol=1e-12)
