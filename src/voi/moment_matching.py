@@ -7,7 +7,8 @@ Manolopoulou & Baio 2018, MDM 38:163):
 1. Build Q datasets whose generating parameters sit at the (q - 0.5) / Q
    marginal sample quantiles of the PSA, so the datasets sweep the range of
    the parameter the study informs evenly.
-2. Run each dataset's posterior through the nested engine once, for its
+2. Build the Q datasets' exact posteriors, gridding each trial statistic
+   once, and run them through the nested engine once, for each dataset's
    incremental net benefit (INB) and the probability that the target
    treatment is best.
 3. Regress the PSA's INB of the target on the informed parameter theta
@@ -45,7 +46,7 @@ import numpy as np
 from .curves import LogisticFit, VarianceCurveFit, fit_generalized_logistic, fit_variance_curve
 from .market import (CurrentShares, EvsiEstimate, MarketShareFunction, assemble_evsi,
                      assemble_evsi_im)
-from .model import DEFAULT_NB_FUNCTIONS, FixedParams, ParameterDraw, PriorSpec, PsaSample
+from .model import FixedParams, ParameterDraw, PriorSpec, PsaSample
 from .nmc import PosteriorSummaries, chunked_summaries
 from .rng import child_seed, substream
 from .smoothing import fit_pspline
@@ -56,7 +57,6 @@ __all__ = [
     "SampleSizeScan",
     "quantile_grid",
     "quantile_datasets",
-    "nested_summaries",
     "fit_conditional_expectation",
     "posterior_variances",
     "variance_reduction_target",
@@ -108,22 +108,6 @@ def quantile_datasets(psa: PsaSample, design: StudyDesign, n_sets: int, seed: in
         simulate_dataset(designs[j], grid.item(int(order[j])), child_seed(seed, "data", j))
         for j in range(n_sets)
     ]
-
-
-def nested_summaries(datasets: Sequence[Dataset], prior: PriorSpec, fixed: FixedParams,
-                     n_inner: int, seed: int,
-                     nb_fns=DEFAULT_NB_FUNCTIONS) -> PosteriorSummaries:
-    """Posterior summaries for each dataset, through the nested estimator's engine.
-
-    The datasets run in chunks through :func:`voi.nmc.chunked_summaries`, the
-    path every nested summary takes, so the result does not depend on the
-    number of cores.  Each dataset gets its own prior refill: the Q (INB,
-    probability) pairs are the whole probability map, and a refill shared
-    within a chunk would correlate their errors, which so few pairs do not
-    average out (:mod:`voi.nmc` gives the measured cost).
-    """
-    return chunked_summaries(len(datasets), lambda indices: [datasets[j] for j in indices],
-                             prior, fixed, n_inner, seed, nb_fns, shared_fill=False)
 
 
 def fit_conditional_expectation(psa: PsaSample, field: str, target: int) -> np.ndarray:
@@ -193,10 +177,18 @@ class MomentMatchingResult:
 def _calibrate(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
                n_sets: int, n_inner: int, seed: int, sizes: list[int] | None = None):
     """Steps 1 and 2 at the design size or at ``sizes``: the Q datasets'
-    exact posteriors and their nested runs."""
+    exact posterior and their nested runs, whose chunks' posteriors come
+    through the same grid memo, so the trial grids each statistic once."""
     datasets = quantile_datasets(psa, design, n_sets, child_seed(seed, "mm-data"), sizes)
-    return (study_posterior(datasets, prior),
-            nested_summaries(datasets, prior, fixed, n_inner, child_seed(seed, "mm-post")))
+    grid_memo: dict = {}
+    posterior = study_posterior(datasets, prior, grid_memo)
+    # One prior refill per dataset: the Q (INB, probability) pairs are the
+    # whole probability map, and a refill shared within a chunk would correlate
+    # their errors, which so few pairs do not average out (:mod:`voi.nmc`).
+    summaries = chunked_summaries(
+        n_sets, lambda indices: study_posterior([datasets[j] for j in indices], prior, grid_memo),
+        prior, fixed, n_inner, child_seed(seed, "mm-post"), shared_fill=False)
+    return posterior, summaries
 
 
 def _value(cond: np.ndarray, target_var: float, predict,

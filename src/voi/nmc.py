@@ -11,15 +11,16 @@ the adjusted value, ``assemble_evsi`` on ``summaries.inb`` for the
 unadjusted one).
 
 One inner engine, :func:`posterior_summaries`, serves every study kind and
-both estimators: the study's posterior (:func:`voi.studies.study_posterior`)
-draws the one parameter it informs for a batch of datasets, the prior
-refills the rest, and each block of draws is folded into a running sum of
-each draw's net-benefit difference and a count of the draws the novel
-treatment wins.  :func:`chunked_summaries` cuts the datasets into chunks of
-``CHUNK_SIZE``, each with its own derived streams, and runs the chunks on one
-thread per usable core; numpy's generators release the interpreter lock
-while they fill arrays.  Results come back in dataset order and are bit for
-bit the same whatever the number of cores.
+both estimators: given the posterior of a batch of datasets
+(:func:`voi.studies.study_posterior`), which draws the one parameter the
+study informs, it lets the prior refill the rest and folds each block of
+draws into a running sum of each draw's net-benefit difference and a count of
+the draws the novel treatment wins.  :func:`chunked_summaries` cuts the
+datasets into chunks of ``CHUNK_SIZE``, each with the posterior its caller
+builds and its own derived streams, and runs the chunks on one thread per
+usable core; numpy's generators release the interpreter lock while they fill
+arrays.  Results come back in dataset order and are bit for bit the same
+whatever the number of cores.
 
 The prior refill is most of the inner work, so the nested estimator draws it
 once per inner row of a chunk and lets the chunk's datasets share it (the
@@ -43,13 +44,13 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .model import DEFAULT_NB_FUNCTIONS, FixedParams, PriorSpec
 from .rng import child_seed, substream
-from .studies import BLOCK_ELEMENTS, Dataset, StudyDesign, simulate_dataset, study_posterior
+from .studies import BLOCK_ELEMENTS, StudyDesign, simulate_dataset, study_posterior
 
 __all__ = [
     "PosteriorSummaries",
@@ -107,36 +108,32 @@ class PosteriorSummaries:
 
 
 def posterior_summaries(
-    datasets: Sequence[Dataset],
+    posterior,
     prior: PriorSpec,
     fixed: FixedParams,
     n_draws: int,
     seed: int,
     nb_fns=DEFAULT_NB_FUNCTIONS,
-    grid_memo: dict | None = None,
     *,
     shared_fill: bool,
 ) -> PosteriorSummaries:
     """Summaries for a batch of one study kind's datasets, reduced block by block.
 
-    The study's posterior draws its informed parameter for every dataset as
-    ``(k, len(datasets))`` blocks of about ``BLOCK_ELEMENTS`` draws from the
-    stream ``(seed, "posterior", kind)``; the prior refills every other
-    parameter from ``(seed, "posterior", kind, "complement")``, as a
-    ``(k, len(datasets))`` block or, with ``shared_fill``, as one ``(k, 1)``
-    column that every dataset of the batch shares.  With one dataset the two
-    fills are the same numbers.  Each block is evaluated by the pair
-    ``nb_fns`` (standard, novel), whose results broadcast to ``(k,
-    len(datasets))``; each draw's novel minus standard net benefit is summed
-    and its positive values counted.  ``grid_memo`` goes to
-    :func:`voi.studies.study_posterior`.
+    ``posterior`` (:func:`voi.studies.study_posterior`) draws its informed
+    parameter for every dataset as ``(k, len(posterior))`` blocks of about
+    ``BLOCK_ELEMENTS`` draws from the stream ``(seed, "posterior", kind)``;
+    the prior refills every other parameter from ``(seed, "posterior", kind,
+    "complement")``, as a ``(k, len(posterior))`` block or, with
+    ``shared_fill``, as one ``(k, 1)`` column that every dataset of the batch
+    shares.  With one dataset the two fills are the same numbers.  Each block
+    is evaluated by the pair ``nb_fns`` (standard, novel), whose results
+    broadcast to ``(k, len(posterior))``; each draw's novel minus standard
+    net benefit is summed and its positive values counted.
     """
     standard, novel = nb_fns
-    posterior = study_posterior(datasets, prior, grid_memo)
-    kind = datasets[0].design.kind.value
-    rng = substream(seed, "posterior", kind)
-    fill_rng = substream(seed, "posterior", kind, "complement")
-    m = len(datasets)
+    rng = substream(seed, "posterior", posterior.kind)
+    fill_rng = substream(seed, "posterior", posterior.kind, "complement")
+    m = len(posterior)
     length = max(1, BLOCK_ELEMENTS // m)
     sums = np.zeros(m)
     wins = np.zeros(m)
@@ -156,27 +153,22 @@ def posterior_summaries(
     return PosteriorSummaries(inb=sums / n_draws, p=wins / n_draws)
 
 
-def chunked_summaries(n_datasets: int, datasets_at: Callable[[range], Sequence[Dataset]],
+def chunked_summaries(n_datasets: int, posterior_at: Callable[[range], object],
                       prior: PriorSpec, fixed: FixedParams, n_draws: int, seed: int,
                       nb_fns=DEFAULT_NB_FUNCTIONS, *, shared_fill: bool) -> PosteriorSummaries:
     """One summary row per dataset, ``CHUNK_SIZE`` datasets at a time.
 
-    The chunk starting at dataset ``start`` gets its datasets from
-    ``datasets_at(range(start, stop))``, inside its own task, and its
+    The chunk starting at dataset ``start`` gets its datasets' posterior
+    from ``posterior_at(range(start, stop))``, inside its own task, and its
     posterior streams from ``child_seed(seed, "post-chunk", start)``.  Chunks
     run on one thread per usable core; the result does not depend on the
-    number of cores.  The chunks share one grid memo for this call, so the
-    trial's posterior grids each distinct statistic about once, whichever
-    chunk meets it first; two threads may grid the same statistic, which
-    gives the same row.  ``shared_fill`` goes to :func:`posterior_summaries`;
+    number of cores.  ``shared_fill`` goes to :func:`posterior_summaries`;
     each caller states it.  The chunks' rows are concatenated in dataset order.
     """
-    grid_memo: dict = {}
-
     def chunk(start: int) -> PosteriorSummaries:
         indices = range(start, min(start + CHUNK_SIZE, n_datasets))
-        return posterior_summaries(datasets_at(indices), prior, fixed, n_draws,
-                                   child_seed(seed, "post-chunk", start), nb_fns, grid_memo,
+        return posterior_summaries(posterior_at(indices), prior, fixed, n_draws,
+                                   child_seed(seed, "post-chunk", start), nb_fns,
                                    shared_fill=shared_fill)
 
     chunks = _map_in_order(chunk, range(0, n_datasets, CHUNK_SIZE))
@@ -192,18 +184,22 @@ def nmc_summaries(design: StudyDesign, prior: PriorSpec, fixed: FixedParams,
     Dataset s is simulated from the prior draw s under the substream
     ``(seed, "data", s)``, inside its chunk's task, and every chunk's
     posterior work runs through :func:`chunked_summaries` with the shared
-    fill: the chunk's datasets share each inner row's prior refill.
+    fill: the chunk's datasets share each inner row's prior refill.  The
+    chunks' posteriors share one grid memo for this call, so the trial grids
+    each distinct statistic about once, whichever chunk meets it first; two
+    threads may grid the same statistic, which gives the same row.
     """
     if n_outer < 2:
         raise ValueError("n_outer must be at least 2")
     if n_inner < 2:
         raise ValueError("n_inner must be at least 2")
     draws = prior.sample(substream(seed, "outer"), n_outer)
+    grid_memo: dict = {}
 
-    def simulate(indices: range) -> list[Dataset]:
-        return [simulate_dataset(design, draws.item(s), child_seed(seed, "data", s))
-                for s in indices]
+    def posterior_at(indices: range):
+        datasets = [simulate_dataset(design, draws.item(s), child_seed(seed, "data", s))
+                    for s in indices]
+        return study_posterior(datasets, prior, grid_memo)
 
-    return chunked_summaries(n_outer, simulate, prior, fixed, n_inner, seed, nb_fns,
+    return chunked_summaries(n_outer, posterior_at, prior, fixed, n_inner, seed, nb_fns,
                              shared_fill=True)
-

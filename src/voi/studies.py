@@ -11,11 +11,12 @@ Three data collection exercises can inform the decision model:
 
 Each study informs one model parameter.  For a batch of its datasets, a
 study supplies one small posterior object (:func:`study_posterior`, one
-table entry per kind) with the :class:`ParameterDraw` field it informs, a
-``draw(rng, k)`` that returns ``(k, datasets)`` draws of that field, and a
-``quadrature()`` that returns ``(datasets, K)`` nodes of the field and
-weights summing to 1 per row, for exact posterior moments of any function
-of it.  The inner engine (:func:`voi.nmc.posterior_summaries`) redraws every
+table entry per kind) with its study ``kind``, the :class:`ParameterDraw`
+``field`` it informs, the batch size as ``len()``, a ``draw(rng, k)`` that
+returns ``(k, datasets)`` draws of that field, and a ``quadrature()`` that
+returns ``(datasets, K)`` nodes of the field and weights summing to 1 per
+row, for exact posterior moments of any function of it.  The inner engine
+(:func:`voi.nmc.posterior_summaries`) takes this object and redraws every
 other parameter fresh from the prior: they are a priori independent of the
 informed one, and the data carry nothing about them.
 
@@ -123,17 +124,14 @@ def simulate_dataset(design: StudyDesign, draw: ParameterDraw, seed: int) -> Dat
     return Dataset(design=design, control_events=xc, treated_events=xt)
 
 
-def _require_kind(dataset: Dataset, kind: StudyKind) -> None:
-    if dataset.design.kind is not kind:
-        raise ValueError(f"dataset comes from {dataset.design.kind.value!r}, expected {kind.value!r}")
-
-
 def _statistics(datasets: Sequence[Dataset], kind: StudyKind, *names: str) -> list[np.ndarray]:
     """The named sufficient statistics of a batch of one kind's datasets, as arrays."""
     if not datasets:
         raise ValueError("need at least one dataset")
     for ds in datasets:
-        _require_kind(ds, kind)
+        if ds.design.kind is not kind:
+            raise ValueError(f"dataset comes from {ds.design.kind.value!r}, "
+                             f"expected {kind.value!r}")
     return [np.array(list(map(attrgetter(name), datasets)), dtype=float) for name in names]
 
 
@@ -141,13 +139,17 @@ def _statistics(datasets: Sequence[Dataset], kind: StudyKind, *names: str) -> li
 class SideEffectPosterior:
     """``p_side_effect | x ~ Beta(alpha + x, beta + n - x)``, one per dataset."""
 
+    kind: ClassVar[str] = StudyKind.SIDE_EFFECTS.value
     field: ClassVar[str] = "p_side_effect"
     a: np.ndarray
     b: np.ndarray
 
+    def __len__(self) -> int:
+        return self.a.size
+
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """``(k, m)`` draws, column j from dataset j."""
-        return rng.beta(self.a, self.b, (k, self.a.size))
+        return rng.beta(self.a, self.b, (k, len(self)))
 
     def quadrature(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes and weights, row j for dataset j: the midpoints of
@@ -183,15 +185,19 @@ def quality_posterior_moments(n, logit_total, prior: PriorSpec):
 class QualityPosterior:
     """``logit(qol) | data ~ Normal(mean, sd^2)``, one per dataset."""
 
+    kind: ClassVar[str] = StudyKind.QUALITY_OF_LIFE.value
     field: ClassVar[str] = "qol_after_event"
     mean: np.ndarray
     sd: np.ndarray
+
+    def __len__(self) -> int:
+        return self.mean.size
 
     def draw(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """``(k, m)`` draws on the model's scale, column j from dataset j."""
         # The same numbers as rng.normal(mean, sd, (k, m)), which takes a
         # slower path for array parameters, scaled and mapped in place.
-        x = rng.standard_normal((k, self.mean.size))
+        x = rng.standard_normal((k, len(self)))
         x *= self.sd
         x += self.mean
         return expit(x, out=x)
@@ -362,9 +368,13 @@ class RctMarginalGrid:
     # marginal, baseline integrated out) feeds the decision model; the
     # baseline rate is redrawn from the prior like every other parameter the
     # study does not inform.
+    kind: ClassVar[str] = StudyKind.EFFECTIVENESS_RCT.value
     field: ClassVar[str] = "odds_ratio"
     nodes: np.ndarray
     stacked_cdf: np.ndarray
+
+    def __len__(self) -> int:
+        return self.nodes.shape[0]
 
     def quantile(self, u: np.ndarray) -> np.ndarray:
         """Map ``(m, k)`` uniforms to log odds ratio draws, row j from dataset j.
@@ -384,7 +394,7 @@ class RctMarginalGrid:
         engine pairs each with independent prior draws, so the order is
         immaterial.
         """
-        u = rng.random((self.nodes.shape[0], k))
+        u = rng.random((len(self), k))
         u.sort(axis=1)
         return np.exp(self.quantile(u)).T
 
@@ -477,12 +487,12 @@ def study_posterior(datasets: Sequence[Dataset], prior: PriorSpec,
                     grid_memo: dict | None = None):
     """The posterior of the one parameter a batch of datasets informs.
 
-    Every kind's posterior has the ``field`` of :class:`ParameterDraw` it
-    informs and a ``draw(rng, k)`` returning ``(k, len(datasets))`` draws of
-    it on the model's scale, column j from dataset j.  The datasets must all
-    come from the same kind of study.  The trial's posterior reuses the grid
-    rows in ``grid_memo`` (:func:`rct_marginal_grid`); the conjugate ones
-    ignore it.
+    Every kind's posterior has its study ``kind``, the ``field`` of
+    :class:`ParameterDraw` it informs, length ``len(datasets)`` and a
+    ``draw(rng, k)`` returning ``(k, len(datasets))`` draws of the field on
+    the model's scale, column j from dataset j.  The datasets must all come
+    from the same kind of study.  The trial's posterior reuses the grid rows
+    in ``grid_memo`` (:func:`rct_marginal_grid`); the conjugate ones ignore it.
     """
     if not datasets:
         raise ValueError("need at least one dataset")

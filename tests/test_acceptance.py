@@ -158,7 +158,8 @@ def _engine_draws(case, ds: Dataset, n_draws: int, seed: int):
         seen.append(draw)
         return np.zeros(np.shape(draw.p_event))
 
-    posterior_summaries([ds], case.priors, case.fixed, n_draws, seed,
+    posterior_summaries(studies.study_posterior([ds], case.priors), case.priors, case.fixed,
+                        n_draws, seed,
                         nb_fns=(capture, lambda draw, _: np.zeros(np.shape(draw.p_event))),
                         shared_fill=False)
     return lambda field: np.concatenate([np.asarray(getattr(d, field))[:, 0] for d in seen])

@@ -434,10 +434,10 @@ class TestExitCodes:
         monkeypatch.setattr(nmc, "CHUNK_SIZE", 16)
         real = nmc.posterior_summaries
 
-        def fail_on_last_chunk(datasets, *args, **kwargs):
-            if len(datasets) < 16:
+        def fail_on_last_chunk(posterior, *args, **kwargs):
+            if len(posterior) < 16:
                 raise ValueError("nb contains non-finite values")
-            return real(datasets, *args, **kwargs)
+            return real(posterior, *args, **kwargs)
 
         monkeypatch.setattr(nmc, "posterior_summaries", fail_on_last_chunk)
         assert cli.main(["run", "--config", str(small_config_path), "--method", "nmc"]) == 2

@@ -18,7 +18,6 @@ from voi.moment_matching import (
     fit_conditional_expectation,
     mm_by_n_pipeline,
     mm_pipeline,
-    nested_summaries,
     posterior_variances,
     quantile_datasets,
     quantile_grid,
@@ -29,6 +28,7 @@ import voi.nmc as nmc
 from voi.nmc import posterior_summaries
 from voi.rng import child_seed
 from voi.smoothing import fit_pspline
+import voi.studies as studies
 from voi.studies import StudyDesign, StudyKind, study_posterior
 
 SIDE_EFFECTS = StudyDesign(StudyKind.SIDE_EFFECTS, 60)
@@ -284,14 +284,46 @@ class TestNestedSummaries:
         # Chunks spread over threads give every summary bit for bit as a
         # plain loop over the same per-chunk streams.
         monkeypatch.setattr(nmc, "CHUNK_SIZE", 4)
-        datasets = quantile_datasets(psa, SIDE_EFFECTS, 10, 5, sizes=range(10, 110, 10))
-        expected = [posterior_summaries(datasets[start:start + 4], priors, fixed, 150,
-                                        child_seed(44, "post-chunk", start), shared_fill=False)
+        sizes = list(range(10, 110, 10))
+        datasets = quantile_datasets(psa, SIDE_EFFECTS, 10, child_seed(5, "mm-data"), sizes)
+        expected = [posterior_summaries(study_posterior(datasets[start:start + 4], priors),
+                                        priors, fixed, 150,
+                                        child_seed(child_seed(5, "mm-post"), "post-chunk", start),
+                                        shared_fill=False)
                     for start in range(0, 10, 4)]
-        got = nested_summaries(datasets, priors, fixed, 150, 44)
+        _, got = moment_matching._calibrate(psa, priors, fixed, SIDE_EFFECTS, 10, 150, 5, sizes)
         for field in ("inb", "p"):
             assert np.array_equal(getattr(got, field),
                                   np.concatenate([getattr(s, field) for s in expected]))
+
+    def test_each_calibration_grids_a_statistic_once(self, psa, priors, fixed, market_fn,
+                                                      current_shares, cores, monkeypatch):
+        # The quadrature's posterior and the engine's chunk posteriors share
+        # one grid memo: each pass builds one trial row per distinct statistic.
+        monkeypatch.setattr(nmc, "CHUNK_SIZE", 5)
+        passes = []
+        real_datasets = moment_matching.quantile_datasets
+        real_rows = studies._grid_rows
+
+        def recording_datasets(*args, **kwargs):
+            datasets = real_datasets(*args, **kwargs)
+            passes.append(([(d.control_events, d.treated_events, d.design.n) for d in datasets],
+                           []))
+            return datasets
+
+        def recording_rows(x1, x2, n, prior):
+            passes[-1][1].extend(zip(x1.tolist(), x2.tolist(), n.tolist()))
+            return real_rows(x1, x2, n, prior)
+
+        monkeypatch.setattr(moment_matching, "quantile_datasets", recording_datasets)
+        monkeypatch.setattr(studies, "_grid_rows", recording_rows)
+        result = mm_pipeline(psa, priors, fixed, TRIAL, market_fn, current_shares,
+                             n_sets=12, n_inner=200, seed=45)
+        mm_by_n_pipeline(psa, priors, fixed, TRIAL, market_fn, current_shares, n_sets=12,
+                         n_inner=200, n_grid=(10, 60, 200), seed=45, cond=result.cond)
+        assert len(passes) == 2
+        for statistics, gridded in passes:
+            assert sorted(gridded) == sorted(set(statistics))
 
 
 class TestByN:

@@ -55,7 +55,8 @@ def engine_reduction(priors, fixed):
         assert nb.shape[0] <= nmc.BLOCK_ELEMENTS
         fns = tuple(lambda draw, fixed, col=col: col[:, None] for col in np.asarray(nb, float).T)
         ds = Dataset(design=StudyDesign(StudyKind.SIDE_EFFECTS, 60), events=15)
-        s = posterior_summaries([ds], priors, fixed, nb.shape[0], 0, fns, shared_fill=False)
+        s = posterior_summaries(study_posterior([ds], priors), priors, fixed, nb.shape[0], 0, fns,
+                                shared_fill=False)
         return s.inb[0], s.p[0]
     return reduce
 
@@ -114,8 +115,8 @@ class TestRctStreaming:
         datasets = [Dataset(design=design, control_events=20 + 3 * j,
                             treated_events=4 + j) for j in range(6)]
         n_draws = 1234
-        summaries = posterior_summaries(datasets, priors, fixed, n_draws, 31, nb_fns,
-                                        shared_fill=False)
+        summaries = posterior_summaries(study_posterior(datasets, priors), priors, fixed, n_draws,
+                                        31, nb_fns, shared_fill=False)
         nb = np.stack([np.concatenate(blocks) for blocks in recorded], axis=-1)
         assert nb.shape == (n_draws, len(datasets), 2)
         mu = nb.mean(axis=0)
@@ -140,7 +141,8 @@ class TestRctEngineRobustness:
     def test_extreme_trial_gives_finite_summary(self, priors, fixed, xc, xt, n):
         ds = Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n),
                      control_events=xc, treated_events=xt)
-        s = posterior_summaries([ds], priors, fixed, 2000, 41, shared_fill=False)
+        s = posterior_summaries(study_posterior([ds], priors), priors, fixed, 2000, 41,
+                                shared_fill=False)
         assert np.all(np.isfinite(s.inb))
         assert np.all((s.p >= 0.0) & (s.p <= 1.0))
 
@@ -148,7 +150,8 @@ class TestRctEngineRobustness:
         datasets = [Dataset(design=StudyDesign(StudyKind.EFFECTIVENESS_RCT, n),
                             control_events=xc, treated_events=xt)
                     for xc, xt, n in EXTREME_TRIALS]
-        summaries = posterior_summaries(datasets, priors, fixed, 2000, 42, shared_fill=False)
+        summaries = posterior_summaries(study_posterior(datasets, priors), priors, fixed, 2000, 42,
+                                        shared_fill=False)
         assert np.all(np.isfinite(summaries.inb))
 
     def test_zero_information_trial_sits_at_prior(self, priors, fixed, psa):
@@ -237,7 +240,8 @@ def _chunk_by_chunk(design, priors, fixed, n_outer, n_inner, seed, chunk):
     draws = priors.sample(substream(seed, "outer"), n_outer)
     datasets = [simulate_dataset(design, draws.item(s), child_seed(seed, "data", s))
                 for s in range(n_outer)]
-    return _concat([posterior_summaries(datasets[start:start + chunk], priors, fixed, n_inner,
+    return _concat([posterior_summaries(study_posterior(datasets[start:start + chunk], priors),
+                                        priors, fixed, n_inner,
                                         child_seed(seed, "post-chunk", start), shared_fill=True)
                     for start in range(0, n_outer, chunk)])
 
@@ -291,11 +295,11 @@ class TestSharedFill:
     @pytest.mark.parametrize("kind,n", [(kind, n) for kind, n, _ in INFORMED])
     def test_one_dataset_is_the_same_under_either_fill(self, priors, fixed, kind, n):
         # Three blocks, the last one short.
-        ds = self._datasets(priors, kind, n, 1)
+        posterior = study_posterior(self._datasets(priors, kind, n, 1), priors)
         n_draws = 2 * nmc.BLOCK_ELEMENTS + 7
         assert_same_summaries(
-            posterior_summaries(ds, priors, fixed, n_draws, 61, shared_fill=True),
-            posterior_summaries(ds, priors, fixed, n_draws, 61, shared_fill=False))
+            posterior_summaries(posterior, priors, fixed, n_draws, 61, shared_fill=True),
+            posterior_summaries(posterior, priors, fixed, n_draws, 61, shared_fill=False))
 
     @pytest.mark.parametrize("kind,n,field", INFORMED)
     def test_chunk_datasets_share_the_uninformed_columns(self, priors, fixed, kind, n, field,
@@ -313,13 +317,17 @@ class TestSharedFill:
                 assert np.all(block[name] == block[name][:, :1]), name
 
     @pytest.mark.parametrize("kind,n,field", INFORMED)
-    def test_moment_matching_datasets_keep_their_own_columns(self, priors, fixed, kind, n,
-                                                             field):
-        from voi.moment_matching import nested_summaries
+    def test_moment_matching_datasets_keep_their_own_columns(self, priors, fixed, psa, kind, n,
+                                                             field, monkeypatch):
+        # Moment matching's one engine call, on five quantile datasets, with
+        # net-benefit functions that record every block.
+        import voi.moment_matching as moment_matching
 
         blocks = []
-        nested_summaries(self._datasets(priors, kind, n, 5), priors, fixed, 150, 63,
-                         nb_fns=self._recording(blocks))
+        real = moment_matching.chunked_summaries
+        monkeypatch.setattr(moment_matching, "chunked_summaries", lambda *args, **kwargs: real(
+            *args, nb_fns=self._recording(blocks), **kwargs))
+        moment_matching._calibrate(psa, priors, fixed, StudyDesign(kind, n), 5, 150, 63)
         assert blocks
         for block in blocks:
             for name in FIELDS:
@@ -357,29 +365,31 @@ class TestGridMemo:
     def test_memo_backed_summaries_match_memo_free(self, priors, fixed):
         datasets = _repeating_trials(9)
         memo = {}
-        posterior_summaries(datasets[:2], priors, fixed, 150, 30, grid_memo=memo,
-                            shared_fill=False)
+        study_posterior(datasets[:2], priors, memo)
         assert len(memo) == 2
-        got = posterior_summaries(datasets, priors, fixed, 150, 31, grid_memo=memo,
-                                  shared_fill=False)
+        backed = study_posterior(datasets, priors, memo)
         assert len(memo) == 6
-        assert_same_summaries(got, posterior_summaries(datasets, priors, fixed, 150, 31,
-                                                       shared_fill=False))
+        assert_same_summaries(
+            posterior_summaries(backed, priors, fixed, 150, 31, shared_fill=False),
+            posterior_summaries(study_posterior(datasets, priors), priors, fixed, 150, 31,
+                                shared_fill=False))
 
     def test_memo_stays_within_one_call(self, priors, fixed, cores, monkeypatch):
-        # Two calls on the same statistics under different priors: a memo
-        # that outlived its call would hand the second the first's grids.
+        # Two nested runs on the same statistics under different priors: a
+        # memo that outlived its call would hand the second the first's grids.
         monkeypatch.setattr(nmc, "CHUNK_SIZE", 3)
         datasets = _repeating_trials(8)
+        by_seed = {child_seed(32, "data", s): ds for s, ds in enumerate(datasets)}
+        monkeypatch.setattr(nmc, "simulate_dataset", lambda design, draw, seed: by_seed[seed])
         vague = replace(priors, log_odds_ratio=NormalPrior(0.0, 4.0))
         results = []
         for prior in (priors, vague, priors):
-            got = nmc.chunked_summaries(len(datasets), lambda idx: [datasets[j] for j in idx],
-                                        prior, fixed, 150, 32, shared_fill=False)
-            expected = _concat([posterior_summaries(datasets[start:start + 3], prior, fixed, 150,
-                                                    child_seed(32, "post-chunk", start),
-                                                    shared_fill=False)
-                                for start in range(0, len(datasets), 3)])
+            got = nmc_summaries(datasets[0].design, prior, fixed, len(datasets), 150, 32)
+            expected = _concat([
+                posterior_summaries(study_posterior(datasets[start:start + 3], prior), prior,
+                                    fixed, 150, child_seed(32, "post-chunk", start),
+                                    shared_fill=True)
+                for start in range(0, len(datasets), 3)])
             assert_same_summaries(got, expected)
             results.append(got)
         assert results[0].inb[0] != results[1].inb[0]
@@ -401,7 +411,8 @@ class TestDrawsStayWithTheirDataset:
 
     @staticmethod
     def _moments(datasets, priors, fixed, seed, value):
-        first, second = (posterior_summaries(datasets, priors, fixed, 4000, seed,
+        posterior = study_posterior(datasets, priors)
+        first, second = (posterior_summaries(posterior, priors, fixed, 4000, seed,
                                              nb_fns=(_zero, lambda draw, _: value(draw) ** k),
                                              shared_fill=False).inb
                          for k in (1, 2))
@@ -468,7 +479,8 @@ class TestBlockFold:
         datasets = [simulate_dataset(design, draws.item(s), child_seed(40, "data", s))
                     for s in range(m)]
         assert_same_summaries(
-            posterior_summaries(datasets, priors, fixed, n_draws, 41, shared_fill=False),
+            posterior_summaries(study_posterior(datasets, priors), priors, fixed, n_draws, 41,
+                                shared_fill=False),
             _stacked_summaries(datasets, priors, fixed, n_draws, 41))
 
     def test_leaves_the_net_benefit_arrays_alone(self, priors, fixed):
@@ -485,7 +497,8 @@ class TestBlockFold:
         datasets = [Dataset(design=design, events=x) for x in (0, 20, 60)]
         fns = (frozen("p_event"), frozen("p_side_effect"))
         assert_same_summaries(
-            posterior_summaries(datasets, priors, fixed, 5000, 42, fns, shared_fill=False),
+            posterior_summaries(study_posterior(datasets, priors), priors, fixed, 5000, 42, fns,
+                                shared_fill=False),
             _stacked_summaries(datasets, priors, fixed, 5000, 42, fns))
 
 
@@ -510,10 +523,10 @@ class TestFactoredNetBenefitInTheEngine:
     @pytest.mark.parametrize("seed", [4, 2027])
     @pytest.mark.parametrize("kind,n", [(kind, n) for kind, n, _ in INFORMED])
     def test_per_dataset_fill(self, priors, fixed, kind, n, seed):
-        datasets = TestSharedFill._datasets(priors, kind, n, 6)
-        self._assert_close(posterior_summaries(datasets, priors, fixed, 5000, seed,
+        posterior = study_posterior(TestSharedFill._datasets(priors, kind, n, 6), priors)
+        self._assert_close(posterior_summaries(posterior, priors, fixed, 5000, seed,
                                                shared_fill=False),
-                           posterior_summaries(datasets, priors, fixed, 5000, seed,
+                           posterior_summaries(posterior, priors, fixed, 5000, seed,
                                                TREE_NB_FUNCTIONS, shared_fill=False))
 
 

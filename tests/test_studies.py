@@ -38,7 +38,7 @@ def engine_blocks(datasets, priors, fixed, n_draws: int, seed: int) -> list[Para
         seen.append(draw)
         return np.zeros(np.shape(draw.p_event))
 
-    posterior_summaries(datasets, priors, fixed, n_draws, seed,
+    posterior_summaries(studies.study_posterior(datasets, priors), priors, fixed, n_draws, seed,
                         nb_fns=(capture, lambda draw, _: np.zeros(np.shape(draw.p_event))),
                         shared_fill=False)
     return seen
