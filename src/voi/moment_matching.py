@@ -29,10 +29,13 @@ by spreading the Q datasets over sample sizes, fitting one decay curve of
 Var(g | D) from Var(g) and a sample-size-indexed generalized logistic
 (:func:`voi.curves.fit_generalized_logistic`, given each dataset's size),
 and predicting the value at any size on a grid.  Both passes share one
-calibration (steps 1 and 2, :func:`_calibrate`) and one valuation
+calibration routine (steps 1 and 2, :func:`_calibrate`) and one valuation
 (:func:`_value`: rescale, probability, ``evsi_im``).  g depends on the PSA
 and the informed parameter but not on the study size, so a single-size pass
-and a scan of the same study share one fit.
+and a scan of the same study share one fit.  Given ``scan``,
+:func:`mm_pipeline` also makes the scan's calibration, in the same engine
+map as its own, so the two calibrations' chunks keep every core busy; it
+hands that calibration to :func:`mm_by_n_pipeline` through its result.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .smoothing import fit_pspline
 from .studies import Dataset, StudyDesign, simulate_dataset, study_posterior
 
 __all__ = [
+    "Calibration",
     "MomentMatchingResult",
     "SampleSizeScan",
     "quantile_grid",
@@ -81,12 +85,13 @@ def quantile_grid(psa: PsaSample, n_points: int) -> ParameterDraw:
         for name in PriorSpec.FIELD_ORDER})
 
 
-def quantile_datasets(psa: PsaSample, design: StudyDesign, n_sets: int, seed: int,
+def quantile_datasets(grid: ParameterDraw, design: StudyDesign, seed: int,
                       sizes: Sequence[int] | None = None) -> list[Dataset]:
     """Simulate the Q datasets sweeping the matched parameter quantiles.
 
     Dataset j is generated from the draw whose primitive parameters all sit
-    at their (j + 0.5) / Q marginal quantiles.  Only the parameters the
+    at their (j + 0.5) / Q marginal quantiles, ``grid.item(j)`` of a
+    :func:`quantile_grid` of Q points.  Only the parameters the
     study's sampling distribution depends on shape the data, so the sweep
     covers that range evenly; for the trial design the baseline rate and the
     odds ratio move through their quantiles together.
@@ -95,7 +100,7 @@ def quantile_datasets(psa: PsaSample, design: StudyDesign, n_sets: int, seed: in
     ``sizes[j]`` and the quantile order is randomly permuted first, so that
     sample size and parameter quantile are not confounded along the sweep.
     """
-    grid = quantile_grid(psa, n_sets)
+    n_sets = len(grid.p_event)
     if sizes is None:
         designs = [design] * n_sets
         order = np.arange(n_sets)
@@ -161,6 +166,17 @@ def rescale(cond: np.ndarray, target) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class Calibration:
+    """Steps 1 and 2 of one pass: the Q datasets' exact posterior and their
+    nested runs' summaries, with the ``(seed, sizes, n_inner)`` they were
+    made for (``sizes`` is None at the design size)."""
+
+    posterior: object
+    summaries: PosteriorSummaries
+    made_for: tuple
+
+
+@dataclass(frozen=True)
 class MomentMatchingResult:
     """Everything the moment-matching pass produces for one study."""
 
@@ -172,23 +188,42 @@ class MomentMatchingResult:
     summaries: PosteriorSummaries
     variance_target: float
     cond: np.ndarray             # S fitted E[INB | informed parameter]
+    scan_calibration: Calibration | None = None  # for mm_by_n_pipeline, given ``scan``
 
 
 def _calibrate(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
-               n_sets: int, n_inner: int, seed: int, sizes: list[int] | None = None):
-    """Steps 1 and 2 at the design size or at ``sizes``: the Q datasets'
-    exact posterior and their nested runs, whose chunks' posteriors come
-    through the same grid memo, so the trial grids each statistic once."""
-    datasets = quantile_datasets(psa, design, n_sets, child_seed(seed, "mm-data"), sizes)
-    grid_memo: dict = {}
-    posterior = study_posterior(datasets, prior, grid_memo)
+               n_sets: int, n_inner: int, runs: Sequence[tuple[int, list[int] | None]]):
+    """Steps 1 and 2 for each ``(seed, sizes)`` run, at the design size when
+    ``sizes`` is None: one :class:`Calibration` per run, with every run's
+    nested runs in one engine map.  A run's chunks' posteriors come through its
+    posterior's grid memo, so the trial grids each statistic once per run."""
+    grid = quantile_grid(psa, n_sets)
+    posteriors, batches = [], []
+    for seed, sizes in runs:
+        datasets = quantile_datasets(grid, design, child_seed(seed, "mm-data"), sizes)
+        grid_memo: dict = {}
+        posteriors.append(study_posterior(datasets, prior, grid_memo))
+        batches.append((n_sets, partial(_subset_posterior, datasets, prior, grid_memo),
+                        child_seed(seed, "mm-post")))
     # One prior refill per dataset: the Q (INB, probability) pairs are the
     # whole probability map, and a refill shared within a chunk would correlate
     # their errors, which so few pairs do not average out (:mod:`voi.nmc`).
-    summaries = chunked_summaries(
-        n_sets, lambda indices: study_posterior([datasets[j] for j in indices], prior, grid_memo),
-        prior, fixed, n_inner, child_seed(seed, "mm-post"), shared_fill=False)
-    return posterior, summaries
+    summaries = chunked_summaries(batches, prior, fixed, n_inner, shared_fill=False)
+    return [Calibration(posterior, rows, (seed, sizes, n_inner))
+            for (seed, sizes), posterior, rows in zip(runs, posteriors, summaries)]
+
+
+def _subset_posterior(datasets: list[Dataset], prior: PriorSpec, grid_memo: dict,
+                      indices: range):
+    return study_posterior([datasets[j] for j in indices], prior, grid_memo)
+
+
+def _scan_sizes(n_grid: Sequence[int], n_sets: int) -> tuple[tuple[int, ...], list[int]]:
+    """The grid's sizes, and the Q calibration sizes spread evenly over their range."""
+    sizes = tuple(int(n) for n in n_grid)
+    if not sizes or min(sizes) < 1:
+        raise ValueError("the grid needs at least one size, each at least 1")
+    return sizes, np.rint(np.linspace(min(sizes), max(sizes), n_sets)).astype(int).tolist()
 
 
 def _value(cond: np.ndarray, target_var: float, predict,
@@ -205,9 +240,22 @@ def _value(cond: np.ndarray, target_var: float, predict,
 
 def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
                 market_fn: MarketShareFunction, current_shares: CurrentShares,
-                n_sets: int, n_inner: int, seed: int) -> MomentMatchingResult:
-    """Full moment-matching pass for one study at its design sample size."""
-    posterior, summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed)
+                n_sets: int, n_inner: int, seed: int,
+                scan: tuple[Sequence[int], int] | None = None) -> MomentMatchingResult:
+    """Full moment-matching pass for one study at its design sample size.
+
+    With ``scan=(n_grid, scan_seed)`` the same engine map also runs the
+    calibration that :func:`mm_by_n_pipeline` makes for ``n_grid`` under
+    ``scan_seed``, and returns it as ``scan_calibration`` for that call: the
+    two calibrations' chunks then share the cores.  Either calibration's
+    summaries are bit for bit those of a separate pass.
+    """
+    runs = [(seed, None)]
+    if scan is not None:
+        n_grid, scan_seed = scan
+        runs.append((scan_seed, _scan_sizes(n_grid, n_sets)[1]))
+    calibrations = _calibrate(psa, prior, fixed, design, n_sets, n_inner, runs)
+    posterior, summaries = calibrations[0].posterior, calibrations[0].summaries
     cond = fit_conditional_expectation(psa, posterior.field, market_fn.target)
     target_var = variance_reduction_target(cond, posterior_variances(psa, cond, posterior))
     pairs_inb, pairs_p = summaries.toward(market_fn.target)
@@ -218,7 +266,7 @@ def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: St
     return MomentMatchingResult(
         evsi=assemble_evsi(inb), evsi_im=evsi_im, probability_map=probability_map,
         inb=inb, p_target=p_target, summaries=summaries, variance_target=target_var,
-        cond=cond,
+        cond=cond, scan_calibration=calibrations[1] if scan is not None else None,
     )
 
 
@@ -236,7 +284,8 @@ class SampleSizeScan:
 def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
                      design: StudyDesign, market_fn: MarketShareFunction,
                      current_shares: CurrentShares, n_sets: int, n_inner: int,
-                     n_grid: Sequence[int], seed: int, *, cond: np.ndarray) -> SampleSizeScan:
+                     n_grid: Sequence[int], seed: int, *, cond: np.ndarray,
+                     calibration: Calibration | None = None) -> SampleSizeScan:
     """Calibrate once across [min(n_grid), max(n_grid)], predict at each size.
 
     The Q quantile datasets are spread over sample sizes covering the grid's
@@ -245,13 +294,17 @@ def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
     logistic, from which the value at every grid size follows without
     further simulation.  ``cond`` is the single-size pass's g on the same
     PSA and design, which does not depend on the study size.
+    ``calibration`` is that pass's ``scan_calibration``, which must have been
+    made for this ``n_grid``, ``n_sets``, ``n_inner`` and ``seed``; without
+    it the scan calibrates by itself.
     """
-    sizes = tuple(int(n) for n in n_grid)
-    if not sizes or min(sizes) < 1:
-        raise ValueError("the grid needs at least one size, each at least 1")
-    calib_sizes = np.rint(np.linspace(min(sizes), max(sizes), n_sets)).astype(int).tolist()
-    posterior, summaries = _calibrate(psa, prior, fixed, design, n_sets, n_inner, seed,
-                                      sizes=calib_sizes)
+    sizes, calib_sizes = _scan_sizes(n_grid, n_sets)
+    if calibration is None:
+        [calibration] = _calibrate(psa, prior, fixed, design, n_sets, n_inner,
+                                   [(seed, calib_sizes)])
+    elif calibration.made_for != (seed, calib_sizes, n_inner):
+        raise ValueError("the calibration was made for another seed, grid or sample count")
+    posterior, summaries = calibration.posterior, calibration.summaries
     curve = fit_variance_curve(posterior_variances(psa, cond, posterior), calib_sizes,
                                cond.var(ddof=1))
     logistic = fit_generalized_logistic(*summaries.toward(market_fn.target), calib_sizes)

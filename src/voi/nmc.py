@@ -15,12 +15,20 @@ both estimators: given the posterior of a batch of datasets
 (:func:`voi.studies.study_posterior`), which draws the one parameter the
 study informs, it lets the prior refill the rest and folds each block of
 draws into a running sum of each draw's net-benefit difference and a count of
-the draws the novel treatment wins.  :func:`chunked_summaries` cuts the
-datasets into chunks of ``CHUNK_SIZE``, each with the posterior its caller
-builds and its own derived streams, and runs the chunks on one thread per
-usable core; numpy's generators release the interpreter lock while they fill
-arrays.  Results come back in dataset order and are bit for bit the same
+the draws the novel treatment wins.  :func:`chunked_summaries` cuts one or
+more batches of datasets into chunks of ``CHUNK_SIZE``, each with the
+posterior its caller builds and its own derived streams, and runs all the
+chunks in one map on one thread per usable core; numpy's generators release
+the interpreter lock while they fill arrays.  Moment matching hands it a
+study's design-size and by-n calibrations together: at Q = 50 their four
+chunks of 32, 18, 32 and 18 datasets split evenly over two cores, where one
+calibration alone left a core idle for 14 of 32 datasets' time.  Results
+come back in dataset order, batch by batch, and are bit for bit the same
 whatever the number of cores.
+
+``BLOCK_ELEMENTS``, ``CHUNK_SIZE`` and the order in which the prior refill
+draws its fields decide which random numbers each dataset gets;
+``tests/test_streams.py`` pins them.
 
 The prior refill is most of the inner work, so the nested estimator draws it
 once per inner row of a chunk and lets the chunk's datasets share it (the
@@ -44,7 +52,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -153,27 +161,40 @@ def posterior_summaries(
     return PosteriorSummaries(inb=sums / n_draws, p=wins / n_draws)
 
 
-def chunked_summaries(n_datasets: int, posterior_at: Callable[[range], object],
-                      prior: PriorSpec, fixed: FixedParams, n_draws: int, seed: int,
-                      nb_fns=DEFAULT_NB_FUNCTIONS, *, shared_fill: bool) -> PosteriorSummaries:
-    """One summary row per dataset, ``CHUNK_SIZE`` datasets at a time.
+def chunked_summaries(batches: Sequence[tuple[int, Callable[[range], object], int]],
+                      prior: PriorSpec, fixed: FixedParams, n_draws: int,
+                      nb_fns=DEFAULT_NB_FUNCTIONS, *,
+                      shared_fill: bool) -> list[PosteriorSummaries]:
+    """One summary row per dataset of each batch, ``CHUNK_SIZE`` datasets at a time.
 
-    The chunk starting at dataset ``start`` gets its datasets' posterior
-    from ``posterior_at(range(start, stop))``, inside its own task, and its
-    posterior streams from ``child_seed(seed, "post-chunk", start)``.  Chunks
-    run on one thread per usable core; the result does not depend on the
-    number of cores.  ``shared_fill`` goes to :func:`posterior_summaries`;
-    each caller states it.  The chunks' rows are concatenated in dataset order.
+    Each batch is ``(n_datasets, posterior_at, seed)``.  The batch's chunk
+    starting at dataset ``start`` gets its datasets' posterior from
+    ``posterior_at(range(start, stop))``, inside its own task, and its
+    posterior streams from ``child_seed(seed, "post-chunk", start)``.  The
+    chunks of every batch run in one map, on one thread per usable core, so
+    one batch's short last chunk need not leave a core idle; the result
+    depends neither on the number of cores nor on which batches share the
+    map.  ``shared_fill`` goes to :func:`posterior_summaries`; each caller
+    states it.  Returns one :class:`PosteriorSummaries` per batch, its rows
+    in dataset order.
     """
-    def chunk(start: int) -> PosteriorSummaries:
+    tasks = [(b, start) for b, (n_datasets, _, _) in enumerate(batches)
+             for start in range(0, n_datasets, CHUNK_SIZE)]
+
+    def chunk(task: tuple[int, int]) -> PosteriorSummaries:
+        b, start = task
+        n_datasets, posterior_at, seed = batches[b]
         indices = range(start, min(start + CHUNK_SIZE, n_datasets))
         return posterior_summaries(posterior_at(indices), prior, fixed, n_draws,
                                    child_seed(seed, "post-chunk", start), nb_fns,
                                    shared_fill=shared_fill)
 
-    chunks = _map_in_order(chunk, range(0, n_datasets, CHUNK_SIZE))
-    return PosteriorSummaries(*(np.concatenate([getattr(c, name) for c in chunks])
-                                for name in ("inb", "p")))
+    chunks = [[] for _ in batches]
+    for (b, _), rows in zip(tasks, _map_in_order(chunk, tasks)):
+        chunks[b].append(rows)
+    return [PosteriorSummaries(*(np.concatenate([getattr(c, name) for c in parts])
+                                 for name in ("inb", "p")))
+            for parts in chunks]
 
 
 def nmc_summaries(design: StudyDesign, prior: PriorSpec, fixed: FixedParams,
@@ -201,5 +222,5 @@ def nmc_summaries(design: StudyDesign, prior: PriorSpec, fixed: FixedParams,
                     for s in indices]
         return study_posterior(datasets, prior, grid_memo)
 
-    return chunked_summaries(n_outer, posterior_at, prior, fixed, n_inner, seed, nb_fns,
-                             shared_fill=True)
+    return chunked_summaries([(n_outer, posterior_at, seed)], prior, fixed, n_inner, nb_fns,
+                             shared_fill=True)[0]

@@ -71,26 +71,26 @@ class TestQuantileGrid:
 
 class TestQuantileDatasets:
     def test_deterministic(self, psa):
-        a = quantile_datasets(psa, SIDE_EFFECTS, 10, 31)
-        b = quantile_datasets(psa, SIDE_EFFECTS, 10, 31)
+        a = quantile_datasets(quantile_grid(psa, 10), SIDE_EFFECTS, 31)
+        b = quantile_datasets(quantile_grid(psa, 10), SIDE_EFFECTS, 31)
         assert a == b
 
     def test_sweep_spans_the_side_effect_range(self, psa):
         # Low quantiles of the side-effect risk should tend to produce fewer
         # events than high quantiles; compare the two halves of the sweep.
-        datasets = quantile_datasets(psa, SIDE_EFFECTS, 40, 32)
+        datasets = quantile_datasets(quantile_grid(psa, 40), SIDE_EFFECTS, 32)
         events = np.array([d.events for d in datasets], dtype=float)
         assert events[:20].mean() < events[20:].mean()
 
     def test_sizes_override(self, psa):
         sizes = [10, 20, 40, 80, 160, 320]
-        datasets = quantile_datasets(psa, SIDE_EFFECTS, 6, 33, sizes=sizes)
+        datasets = quantile_datasets(quantile_grid(psa, 6), SIDE_EFFECTS, 33, sizes=sizes)
         assert [d.design.n for d in datasets] == sizes
         assert all(d.events <= d.design.n for d in datasets)
 
     def test_sizes_length_checked(self, psa):
         with pytest.raises(ValueError):
-            quantile_datasets(psa, SIDE_EFFECTS, 6, 33, sizes=[10, 20])
+            quantile_datasets(quantile_grid(psa, 6), SIDE_EFFECTS, 33, sizes=[10, 20])
 
 
 def _side_effect_fit(psa):
@@ -113,7 +113,8 @@ class TestVarianceTarget:
 
     def test_real_study_sits_strictly_between(self, psa, priors):
         cond = _side_effect_fit(psa)
-        posterior = study_posterior(quantile_datasets(psa, SIDE_EFFECTS, 12, 34), priors)
+        posterior = study_posterior(quantile_datasets(quantile_grid(psa, 12), SIDE_EFFECTS, 34),
+                                    priors)
         target = variance_reduction_target(cond, posterior_variances(psa, cond, posterior))
         assert 0.0 < target < cond.var(ddof=1)
 
@@ -123,7 +124,8 @@ class TestVarianceTarget:
         # estimates, and the target is 0.
         cond = _side_effect_fit(psa)
         design = StudyDesign(StudyKind.SIDE_EFFECTS, 0)
-        posterior = study_posterior(quantile_datasets(psa, design, 7, 35), priors)
+        posterior = study_posterior(quantile_datasets(quantile_grid(psa, 7), design, 35),
+                                    priors)
         variances = posterior_variances(psa, cond, posterior)
         assert variances.shape == (7,)
         assert np.all(variances == variances[0])
@@ -285,15 +287,17 @@ class TestNestedSummaries:
         # plain loop over the same per-chunk streams.
         monkeypatch.setattr(nmc, "CHUNK_SIZE", 4)
         sizes = list(range(10, 110, 10))
-        datasets = quantile_datasets(psa, SIDE_EFFECTS, 10, child_seed(5, "mm-data"), sizes)
+        datasets = quantile_datasets(quantile_grid(psa, 10), SIDE_EFFECTS,
+                                     child_seed(5, "mm-data"), sizes)
         expected = [posterior_summaries(study_posterior(datasets[start:start + 4], priors),
                                         priors, fixed, 150,
                                         child_seed(child_seed(5, "mm-post"), "post-chunk", start),
                                         shared_fill=False)
                     for start in range(0, 10, 4)]
-        _, got = moment_matching._calibrate(psa, priors, fixed, SIDE_EFFECTS, 10, 150, 5, sizes)
+        [calibration] = moment_matching._calibrate(psa, priors, fixed, SIDE_EFFECTS, 10, 150,
+                                                  [(5, sizes)])
         for field in ("inb", "p"):
-            assert np.array_equal(getattr(got, field),
+            assert np.array_equal(getattr(calibration.summaries, field),
                                   np.concatenate([getattr(s, field) for s in expected]))
 
     def test_each_calibration_grids_a_statistic_once(self, psa, priors, fixed, market_fn,
@@ -408,6 +412,60 @@ class TestSharedRegression:
         assert len(calls) == len(config.studies)
         assert sorted(scans) == sorted(mm_results) == [1, 2, 3]
         assert [r.method for r in table.rows] == ["mm"] * 3
+
+
+class TestOnePassPerStudy:
+    """run_config runs a study's single-size and by-n calibrations in one
+    engine map, and gets what the two standalone pipelines give."""
+
+    def test_matches_the_standalone_pipelines(self, case, cores, monkeypatch):
+        config = case.override(method="mm", psa_samples=2000, posterior_draws=500,
+                               quantile_sets=8, n_grid=[20, 60, 100], seed=9)
+        maps = []
+        real = nmc._map_in_order
+
+        def counting(fn, items):
+            maps.append(len(items))
+            return real(fn, items)
+
+        monkeypatch.setattr(nmc, "_map_in_order", counting)
+        table, mm_results, scans = run_config(config)
+        # One map per study, holding one chunk of each calibration.
+        assert maps == [2] * len(config.studies)
+        psa = cli._psa(config)
+        args = (config.priors, config.fixed)
+        for (k, design), row in zip(enumerate(config.studies, start=1), table.rows):
+            alone = mm_pipeline(psa, *args, design, config.market, config.current_shares,
+                                config.quantile_sets, config.posterior_draws,
+                                child_seed(config.seed, "mm", k))
+            scan = mm_by_n_pipeline(psa, *args, design, config.market, config.current_shares,
+                                    config.quantile_sets, config.posterior_draws, config.n_grid,
+                                    child_seed(config.seed, "mm-by-n", k), cond=alone.cond)
+            got = mm_results[k]
+            assert (row.evsi, row.evsi_im, row.std_error) == (
+                alone.evsi.value, alone.evsi_im.value, alone.evsi_im.std_error)
+            for name in ("inb", "p_target", "cond"):
+                np.testing.assert_array_equal(getattr(got, name), getattr(alone, name))
+            for name in ("inb", "p"):
+                np.testing.assert_array_equal(getattr(got.summaries, name),
+                                              getattr(alone.summaries, name))
+                np.testing.assert_array_equal(getattr(scans[k].summaries, name),
+                                              getattr(scan.summaries, name))
+            assert scans[k].estimates == scan.estimates
+
+    def test_refuses_a_calibration_made_for_another_scan(self, case):
+        config = case.override(psa_samples=2000)
+        psa = cli._psa(config)
+        args = (psa, config.priors, config.fixed, config.studies[0], config.market,
+                config.current_shares)
+        result = mm_pipeline(*args, 8, 200, 3, scan=([20, 60], 4))
+        calibration = result.scan_calibration
+        mm_by_n_pipeline(*args, 8, 200, [20, 60], 4, cond=result.cond, calibration=calibration)
+        for n_sets, n_inner, n_grid, seed in [(8, 200, [20, 60], 5), (8, 200, [20, 100], 4),
+                                              (8, 300, [20, 60], 4), (9, 200, [20, 60], 4)]:
+            with pytest.raises(ValueError, match="another seed, grid or sample count"):
+                mm_by_n_pipeline(*args, n_sets, n_inner, n_grid, seed, cond=result.cond,
+                                 calibration=calibration)
 
 
 def test_largest_sizes_run_cleanly(case, tmp_path):

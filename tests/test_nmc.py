@@ -21,6 +21,7 @@ from voi.model import NormalPrior, PriorSpec, evpi
 from voi.nmc import (
     PosteriorSummaries,
     _map_in_order,
+    chunked_summaries,
     nmc_summaries,
     posterior_summaries,
 )
@@ -263,6 +264,34 @@ class TestParallelMatchesSerial:
         assert_same_summaries(nmc_summaries(design, priors, fixed, 8, 150, seed), expected)
 
 
+class TestBatches:
+    """Several batches in one map give each batch the rows it gets alone."""
+
+    @pytest.mark.parametrize("shared_fill", [False, True])
+    def test_each_batch_as_if_alone(self, priors, fixed, cores, shared_fill, monkeypatch):
+        # Chunks of 4: two full chunks and a short one, a batch shorter than
+        # a chunk, and a batch of whole chunks, of three study kinds.
+        monkeypatch.setattr(nmc, "CHUNK_SIZE", 4)
+        batches = []
+        for (kind, n, _), m, seed in zip(INFORMED, (10, 3, 8), (70, 71, 72)):
+            datasets = TestSharedFill._datasets(priors, kind, n, m)
+            batches.append((m, lambda indices, datasets=datasets: study_posterior(
+                [datasets[j] for j in indices], priors), seed))
+        maps = []
+
+        def counting(fn, items):
+            maps.append(len(items))
+            return _map_in_order(fn, items)
+
+        monkeypatch.setattr(nmc, "_map_in_order", counting)
+        together = chunked_summaries(batches, priors, fixed, 150, shared_fill=shared_fill)
+        assert maps == [3 + 1 + 2]
+        assert [len(s.inb) for s in together] == [10, 3, 8]
+        for batch, got in zip(batches, together):
+            [alone] = chunked_summaries([batch], priors, fixed, 150, shared_fill=shared_fill)
+            assert_same_summaries(got, alone)
+
+
 # Each study kind with the one parameter its posterior draws.
 INFORMED = [(StudyKind.SIDE_EFFECTS, 60, "p_side_effect"),
             (StudyKind.QUALITY_OF_LIFE, 60, "qol_after_event"),
@@ -327,7 +356,7 @@ class TestSharedFill:
         real = moment_matching.chunked_summaries
         monkeypatch.setattr(moment_matching, "chunked_summaries", lambda *args, **kwargs: real(
             *args, nb_fns=self._recording(blocks), **kwargs))
-        moment_matching._calibrate(psa, priors, fixed, StudyDesign(kind, n), 5, 150, 63)
+        moment_matching._calibrate(psa, priors, fixed, StudyDesign(kind, n), 5, 150, [(63, None)])
         assert blocks
         for block in blocks:
             for name in FIELDS:
