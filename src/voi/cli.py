@@ -94,21 +94,17 @@ def run_config(config: RunConfig, psa: PsaSample | None = None):
             # The scan's calibration runs in the single-size pass's engine
             # map, so the row's seconds include the scan's nested runs.
             scan_seed = child_seed(config.seed, "mm-by-n", k)
+            scan = (config.n_grid, scan_seed) if config.n_grid else None
             t0 = time.perf_counter()
             result = mm_pipeline(psa, config.priors, config.fixed, design,
                                  config.market, config.current_shares,
                                  config.quantile_sets, config.posterior_draws,
-                                 child_seed(config.seed, "mm", k),
-                                 scan=(config.n_grid, scan_seed) if config.n_grid else None)
+                                 child_seed(config.seed, "mm", k), scan=scan)
             mm_results[k] = result
             rows.append(ResultRow(k, "mm", result.evsi.value, result.evsi_im.value,
                                   result.evsi_im.std_error, time.perf_counter() - t0))
-            if config.n_grid:
-                scans[k] = mm_by_n_pipeline(psa, config.priors, config.fixed, design,
-                                            config.market, config.current_shares,
-                                            config.quantile_sets, config.posterior_draws,
-                                            config.n_grid, scan_seed, cond=result.cond,
-                                            calibration=result.scan_calibration)
+            if scan:
+                scans[k] = mm_by_n_pipeline(psa, config.market, config.current_shares, result)
     table = ResultTable(rows=tuple(rows), config_hash=config.config_hash(),
                         seed=config.seed)
     return table, mm_results, scans

@@ -34,8 +34,8 @@ calibration routine (steps 1 and 2, :func:`_calibrate`) and one valuation
 and the informed parameter but not on the study size, so a single-size pass
 and a scan of the same study share one fit.  Given ``scan``,
 :func:`mm_pipeline` also makes the scan's calibration, in the same engine
-map as its own, so the two calibrations' chunks keep every core busy; it
-hands that calibration to :func:`mm_by_n_pipeline` through its result.
+map as its own, so the two calibrations' chunks keep every core busy;
+:func:`mm_by_n_pipeline` values the scan from that result alone.
 """
 
 from __future__ import annotations
@@ -167,13 +167,13 @@ def rescale(cond: np.ndarray, target) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Calibration:
-    """Steps 1 and 2 of one pass: the Q datasets' exact posterior and their
-    nested runs' summaries, with the ``(seed, sizes, n_inner)`` they were
-    made for (``sizes`` is None at the design size)."""
+    """Steps 1 and 2 of one pass: the Q datasets' exact posterior, their
+    nested runs' summaries and the sizes they were simulated at (None at the
+    design size)."""
 
     posterior: object
     summaries: PosteriorSummaries
-    made_for: tuple
+    sizes: list[int] | None
 
 
 @dataclass(frozen=True)
@@ -188,7 +188,7 @@ class MomentMatchingResult:
     summaries: PosteriorSummaries
     variance_target: float
     cond: np.ndarray             # S fitted E[INB | informed parameter]
-    scan_calibration: Calibration | None = None  # for mm_by_n_pipeline, given ``scan``
+    scan: tuple[tuple[int, ...], Calibration] | None = None  # the grid and its calibration
 
 
 def _calibrate(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: StudyDesign,
@@ -209,21 +209,13 @@ def _calibrate(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: Stu
     # whole probability map, and a refill shared within a chunk would correlate
     # their errors, which so few pairs do not average out (:mod:`voi.nmc`).
     summaries = chunked_summaries(batches, prior, fixed, n_inner, shared_fill=False)
-    return [Calibration(posterior, rows, (seed, sizes, n_inner))
-            for (seed, sizes), posterior, rows in zip(runs, posteriors, summaries)]
+    return [Calibration(posterior, rows, sizes)
+            for (_, sizes), posterior, rows in zip(runs, posteriors, summaries)]
 
 
 def _subset_posterior(datasets: list[Dataset], prior: PriorSpec, grid_memo: dict,
                       indices: range):
     return study_posterior([datasets[j] for j in indices], prior, grid_memo)
-
-
-def _scan_sizes(n_grid: Sequence[int], n_sets: int) -> tuple[tuple[int, ...], list[int]]:
-    """The grid's sizes, and the Q calibration sizes spread evenly over their range."""
-    sizes = tuple(int(n) for n in n_grid)
-    if not sizes or min(sizes) < 1:
-        raise ValueError("the grid needs at least one size, each at least 1")
-    return sizes, np.rint(np.linspace(min(sizes), max(sizes), n_sets)).astype(int).tolist()
 
 
 def _value(cond: np.ndarray, target_var: float, predict,
@@ -244,18 +236,21 @@ def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: St
                 scan: tuple[Sequence[int], int] | None = None) -> MomentMatchingResult:
     """Full moment-matching pass for one study at its design sample size.
 
-    With ``scan=(n_grid, scan_seed)`` the same engine map also runs the
-    calibration that :func:`mm_by_n_pipeline` makes for ``n_grid`` under
-    ``scan_seed``, and returns it as ``scan_calibration`` for that call: the
-    two calibrations' chunks then share the cores.  Either calibration's
-    summaries are bit for bit those of a separate pass.
+    With ``scan=(n_grid, scan_seed)`` the same engine map also runs a second
+    calibration under ``scan_seed``, its Q datasets spread evenly over
+    [min(n_grid), max(n_grid)], and the result keeps the grid and that
+    calibration as ``scan`` for :func:`mm_by_n_pipeline`.  Either
+    calibration's summaries are bit for bit those of a pass made alone.
     """
     runs = [(seed, None)]
     if scan is not None:
-        n_grid, scan_seed = scan
-        runs.append((scan_seed, _scan_sizes(n_grid, n_sets)[1]))
-    calibrations = _calibrate(psa, prior, fixed, design, n_sets, n_inner, runs)
-    posterior, summaries = calibrations[0].posterior, calibrations[0].summaries
+        grid = tuple(int(n) for n in scan[0])
+        if not grid or min(grid) < 1:
+            raise ValueError("the grid needs at least one size, each at least 1")
+        runs.append((scan[1], np.rint(np.linspace(min(grid), max(grid), n_sets))
+                     .astype(int).tolist()))
+    [single, *scanned] = _calibrate(psa, prior, fixed, design, n_sets, n_inner, runs)
+    posterior, summaries = single.posterior, single.summaries
     cond = fit_conditional_expectation(psa, posterior.field, market_fn.target)
     target_var = variance_reduction_target(cond, posterior_variances(psa, cond, posterior))
     pairs_inb, pairs_p = summaries.toward(market_fn.target)
@@ -266,7 +261,7 @@ def mm_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams, design: St
     return MomentMatchingResult(
         evsi=assemble_evsi(inb), evsi_im=evsi_im, probability_map=probability_map,
         inb=inb, p_target=p_target, summaries=summaries, variance_target=target_var,
-        cond=cond, scan_calibration=calibrations[1] if scan is not None else None,
+        cond=cond, scan=(grid, scanned[0]) if scanned else None,
     )
 
 
@@ -281,36 +276,29 @@ class SampleSizeScan:
     summaries: PosteriorSummaries
 
 
-def mm_by_n_pipeline(psa: PsaSample, prior: PriorSpec, fixed: FixedParams,
-                     design: StudyDesign, market_fn: MarketShareFunction,
-                     current_shares: CurrentShares, n_sets: int, n_inner: int,
-                     n_grid: Sequence[int], seed: int, *, cond: np.ndarray,
-                     calibration: Calibration | None = None) -> SampleSizeScan:
-    """Calibrate once across [min(n_grid), max(n_grid)], predict at each size.
+def mm_by_n_pipeline(psa: PsaSample, market_fn: MarketShareFunction,
+                     current_shares: CurrentShares,
+                     result: MomentMatchingResult) -> SampleSizeScan:
+    """Value the study at every size of the grid ``result`` was made to scan.
 
-    The Q quantile datasets are spread over sample sizes covering the grid's
+    The scan's Q datasets were simulated at sizes spread over the grid's
     range; their exact posterior variances of g support one variance decay
     curve from Var(g), and their nested runs a sample-size-indexed
     logistic, from which the value at every grid size follows without
-    further simulation.  ``cond`` is the single-size pass's g on the same
-    PSA and design, which does not depend on the study size.
-    ``calibration`` is that pass's ``scan_calibration``, which must have been
-    made for this ``n_grid``, ``n_sets``, ``n_inner`` and ``seed``; without
-    it the scan calibrates by itself.
+    further simulation.  g is the single-size pass's, which does not depend
+    on the study size.  ``result`` comes from :func:`mm_pipeline` on the
+    same PSA and market, given ``scan``.
     """
-    sizes, calib_sizes = _scan_sizes(n_grid, n_sets)
-    if calibration is None:
-        [calibration] = _calibrate(psa, prior, fixed, design, n_sets, n_inner,
-                                   [(seed, calib_sizes)])
-    elif calibration.made_for != (seed, calib_sizes, n_inner):
-        raise ValueError("the calibration was made for another seed, grid or sample count")
-    posterior, summaries = calibration.posterior, calibration.summaries
-    curve = fit_variance_curve(posterior_variances(psa, cond, posterior), calib_sizes,
-                               cond.var(ddof=1))
-    logistic = fit_generalized_logistic(*summaries.toward(market_fn.target), calib_sizes)
+    if result.scan is None:
+        raise ValueError("the moment-matching result was made without a scan")
+    (sizes, calibration), cond = result.scan, result.cond
+    curve = fit_variance_curve(posterior_variances(psa, cond, calibration.posterior),
+                               calibration.sizes, cond.var(ddof=1))
+    logistic = fit_generalized_logistic(*calibration.summaries.toward(market_fn.target),
+                                        calibration.sizes)
     estimates = tuple(
         _value(cond, curve.variance_reduction(n), partial(logistic.predict, n=n),
                market_fn, current_shares)[-1]
         for n in sizes)
     return SampleSizeScan(sizes=sizes, estimates=estimates, logistic=logistic,
-                          variance_curve=curve, summaries=summaries)
+                          variance_curve=curve, summaries=calibration.summaries)

@@ -161,9 +161,12 @@ CALIBRATION_GRID = [10, 60, 100, 150, 200]
 
 @pytest.fixture(scope="module")
 def calibration(case):
-    """The inputs of every logistic fit that ``voi run --method mm`` makes on
-    the shipped config at reduced settings: per form and study, the (INB,
-    probability[, size]) pairs of the calibration datasets."""
+    """Real calibration pairs from ``voi run --method mm`` on the shipped
+    config at reduced settings: per form and study, the (INB, probability[,
+    size]) pairs of the calibration datasets.  The sized pairs are the
+    inputs of the scan's fit; ``voi run`` fits no plain curve, since its
+    single-size pass interpolates, so the single-size pairs only serve as
+    realistic inputs for the plain form."""
     config = case.override(method="mm", psa_samples=2000, posterior_draws=1000,
                            quantile_sets=20, n_grid=CALIBRATION_GRID, seed=7)
     _, mm_results, scans = run_config(config)

@@ -1,6 +1,7 @@
 """Moment-matching estimator: quantile sweeps, rescaling, and pipelines."""
 
 import contextlib
+import dataclasses
 import io
 import math
 import warnings
@@ -226,15 +227,13 @@ class TestConditionalExpectation:
 @pytest.fixture(scope="module")
 def result(psa, priors, fixed, market_fn, current_shares):
     return mm_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
-                       current_shares, n_sets=16, n_inner=2000, seed=38)
+                       current_shares, n_sets=16, n_inner=2000, seed=38,
+                       scan=([10, 30, 60, 120, 240], 40))
 
 
 @pytest.fixture(scope="module")
-def scan(psa, priors, fixed, market_fn, current_shares):
-    return mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
-                            current_shares, n_sets=16, n_inner=2000,
-                            n_grid=[10, 30, 60, 120, 240], seed=40,
-                            cond=_side_effect_fit(psa))
+def scan(psa, market_fn, current_shares, result):
+    return mm_by_n_pipeline(psa, market_fn, current_shares, result)
 
 
 class TestPipeline:
@@ -322,9 +321,8 @@ class TestNestedSummaries:
         monkeypatch.setattr(moment_matching, "quantile_datasets", recording_datasets)
         monkeypatch.setattr(studies, "_grid_rows", recording_rows)
         result = mm_pipeline(psa, priors, fixed, TRIAL, market_fn, current_shares,
-                             n_sets=12, n_inner=200, seed=45)
-        mm_by_n_pipeline(psa, priors, fixed, TRIAL, market_fn, current_shares, n_sets=12,
-                         n_inner=200, n_grid=(10, 60, 200), seed=45, cond=result.cond)
+                             n_sets=12, n_inner=200, seed=45, scan=((10, 60, 200), 45))
+        mm_by_n_pipeline(psa, market_fn, current_shares, result)
         assert len(passes) == 2
         for statistics, gridded in passes:
             assert sorted(gridded) == sorted(set(statistics))
@@ -350,15 +348,19 @@ class TestByN:
     def test_empty_grid(self, psa, priors, fixed, market_fn, current_shares):
         # run_config scans only a nonempty grid; an empty one is an error.
         with pytest.raises(ValueError):
-            mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
-                             current_shares, n_sets=8, n_inner=500, n_grid=[], seed=41,
-                             cond=psa.nb)
+            mm_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn, current_shares,
+                        n_sets=8, n_inner=500, seed=41, scan=([], 41))
 
     def test_bad_sizes_rejected(self, psa, priors, fixed, market_fn, current_shares):
         with pytest.raises(ValueError):
-            mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn,
-                             current_shares, n_sets=8, n_inner=500,
-                             n_grid=[0, 10], seed=42, cond=psa.nb)
+            mm_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn, current_shares,
+                        n_sets=8, n_inner=500, seed=42, scan=([0, 10], 42))
+
+    def test_needs_a_result_made_with_a_scan(self, psa, market_fn, current_shares,
+                                             result):
+        alone = dataclasses.replace(result, scan=None)
+        with pytest.raises(ValueError, match="without a scan"):
+            mm_by_n_pipeline(psa, market_fn, current_shares, alone)
 
     def test_fits_at_the_simulated_sizes(self, psa, priors, fixed, market_fn,
                                          current_shares, monkeypatch):
@@ -385,14 +387,15 @@ class TestByN:
         record_sizes("fit_variance_curve", 1)
         record_sizes("fit_generalized_logistic", 2)
         grid = [60, 15, 200]
-        mm_by_n_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn, current_shares,
-                         n_sets=9, n_inner=300, n_grid=grid, seed=43,
-                         cond=_side_effect_fit(psa))
+        result = mm_pipeline(psa, priors, fixed, SIDE_EFFECTS, market_fn, current_shares,
+                             n_sets=9, n_inner=300, seed=43, scan=(grid, 43))
+        mm_by_n_pipeline(psa, market_fn, current_shares, result)
         expected = np.rint(np.linspace(min(grid), max(grid), 9))
         assert len(seen) == 2  # the variance curve and the logistic
         for sizes in seen:
             np.testing.assert_array_equal(sizes, expected)
-            np.testing.assert_array_equal(sizes, [d.design.n for d in datasets])
+            # The scan's datasets follow the single-size pass's in the sweep.
+            np.testing.assert_array_equal(sizes, [d.design.n for d in datasets[9:]])
 
 
 class TestSharedRegression:
@@ -416,7 +419,7 @@ class TestSharedRegression:
 
 class TestOnePassPerStudy:
     """run_config runs a study's single-size and by-n calibrations in one
-    engine map, and gets what the two standalone pipelines give."""
+    engine map, and gets what each calibration gives when run alone."""
 
     def test_matches_the_standalone_pipelines(self, case, cores, monkeypatch):
         config = case.override(method="mm", psa_samples=2000, posterior_draws=500,
@@ -434,13 +437,16 @@ class TestOnePassPerStudy:
         assert maps == [2] * len(config.studies)
         psa = cli._psa(config)
         args = (config.priors, config.fixed)
+        sizes = np.rint(np.linspace(20, 100, config.quantile_sets)).astype(int).tolist()
         for (k, design), row in zip(enumerate(config.studies, start=1), table.rows):
             alone = mm_pipeline(psa, *args, design, config.market, config.current_shares,
                                 config.quantile_sets, config.posterior_draws,
                                 child_seed(config.seed, "mm", k))
-            scan = mm_by_n_pipeline(psa, *args, design, config.market, config.current_shares,
-                                    config.quantile_sets, config.posterior_draws, config.n_grid,
-                                    child_seed(config.seed, "mm-by-n", k), cond=alone.cond)
+            [calibration] = moment_matching._calibrate(
+                psa, *args, design, config.quantile_sets, config.posterior_draws,
+                [(child_seed(config.seed, "mm-by-n", k), sizes)])
+            scan = mm_by_n_pipeline(psa, config.market, config.current_shares,
+                                    dataclasses.replace(alone, scan=(config.n_grid, calibration)))
             got = mm_results[k]
             assert (row.evsi, row.evsi_im, row.std_error) == (
                 alone.evsi.value, alone.evsi_im.value, alone.evsi_im.std_error)
@@ -452,20 +458,6 @@ class TestOnePassPerStudy:
                 np.testing.assert_array_equal(getattr(scans[k].summaries, name),
                                               getattr(scan.summaries, name))
             assert scans[k].estimates == scan.estimates
-
-    def test_refuses_a_calibration_made_for_another_scan(self, case):
-        config = case.override(psa_samples=2000)
-        psa = cli._psa(config)
-        args = (psa, config.priors, config.fixed, config.studies[0], config.market,
-                config.current_shares)
-        result = mm_pipeline(*args, 8, 200, 3, scan=([20, 60], 4))
-        calibration = result.scan_calibration
-        mm_by_n_pipeline(*args, 8, 200, [20, 60], 4, cond=result.cond, calibration=calibration)
-        for n_sets, n_inner, n_grid, seed in [(8, 200, [20, 60], 5), (8, 200, [20, 100], 4),
-                                              (8, 300, [20, 60], 4), (9, 200, [20, 60], 4)]:
-            with pytest.raises(ValueError, match="another seed, grid or sample count"):
-                mm_by_n_pipeline(*args, n_sets, n_inner, n_grid, seed, cond=result.cond,
-                                 calibration=calibration)
 
 
 def test_largest_sizes_run_cleanly(case, tmp_path):

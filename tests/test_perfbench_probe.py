@@ -4,6 +4,9 @@
 ``PROBE_SPANS``, which ``perfbench/tracing.py``'s ``_TARGETS`` map to
 functions in ``voi.cli``.  A pass that cannot wrap one of them exits 4, and
 the benchmark fails, so a rename in ``voi.cli`` must show up here first.
+The worker also ends set-up time at the first estimator call and times the
+by-n scan as the ``mm_by_n_pipeline`` span, so the engine work must stay
+inside the estimator calls and out of the scan's.
 """
 
 import importlib.util
@@ -12,6 +15,7 @@ import typing
 from pathlib import Path
 
 import voi.cli as cli
+import voi.nmc as nmc
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -32,6 +36,34 @@ def test_probe_spans_wrap_existing_cli_functions():
     for path, attr in targets:
         assert path == "voi.cli"
         assert callable(vars(cli).get(attr)), attr
+
+
+def test_engine_maps_run_inside_the_estimator_calls(case, monkeypatch):
+    probed = ("nmc_summaries", "mm_pipeline", "mm_by_n_pipeline")
+    calls, open_calls, maps = [], [], []
+
+    def probe(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            open_calls.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+        return wrapped
+
+    def mapping(fn, items, real=nmc._map_in_order):
+        maps.append(tuple(open_calls))
+        return real(fn, items)
+
+    for name in probed:
+        monkeypatch.setattr(cli, name, probe(name, getattr(cli, name)))
+    monkeypatch.setattr(nmc, "_map_in_order", mapping)
+    config = case.override(method="both", psa_samples=500, outer_datasets=40,
+                           posterior_draws=200, quantile_sets=8, n_grid=[20, 60], seed=3)
+    cli.run_config(config)
+    assert calls == list(probed) * len(config.studies)
+    assert maps and all(len(stack) == 1 and stack[0] in probed[:2] for stack in maps)
 
 
 def test_write_outputs_takes_the_table_second():
